@@ -4,12 +4,18 @@ The eigenvalue condition is
 
     eta(z) = z - e_d - g^2 * Sigma(z) = 0
 
-with the self-energy evaluated on the appropriate Riemann sheet.  Clearing
-the square root turns this into a real polynomial (degree 2*n_d for the
-semi-infinite chain, quartic for the infinite one) whose root set is the
-union of the roots of eta on *both* sheets.  Every polynomial root is
-therefore Newton-polished on eta itself, which restores full precision,
-decides the sheet, and rejects anything the squaring step invented.
+on the two-sheeted Riemann surface of s(z) = sqrt(z^2 - 1).  The
+uniformizing variable w = z - s(z) maps that surface one-to-one onto the
+w-plane: z = (w + 1/w)/2, sheet I is |w| < 1, sheet II is |w| > 1 and the
+band is the unit circle.  There the self-energy is a plain polynomial,
+Sigma = 2 v^2 w sum_{k<n_d} w^(2k), and 2 w eta is, exactly and without
+squaring, the real polynomial
+
+    p(w) = (w^2 - 2 e_d w + 1) - 4 g^2 v^2 w^2 sum_{k<n_d} w^(2k)
+
+of degree 2 n_d (the infinite chain, Sigma = 2 v^2 w / (1 - w^2), gives
+the quartic (w^2 - 2 e_d w + 1)(1 - w^2) - 4 g^2 v^2 w^2).  Each root of
+p is one discrete state, and its sheet is read off from |w|.
 
 Generic census for the semi-infinite chain: n_d - 1 decaying resonances in
 the lower half of sheet II, their growing conjugate partners above, and
@@ -28,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import chebyshev
 
 from .errors import BranchPointError, ConvergenceError, ModelError, RootCountError
 from .model import ChainModel, validate
@@ -37,7 +43,7 @@ from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
 
-#: Roots closer than this are one root reported twice by the polynomial.
+#: Roots closer than this are one root reported twice.
 DEDUP_TOL = 1e-9
 
 #: Pairs surviving dedup but closer than this are flagged near-degenerate.
@@ -45,11 +51,6 @@ NEAR_DEGENERATE_TOL = 1e-6
 
 #: |Im z| below this counts as a real *polished* root.
 REAL_TOL = 1e-9
-
-#: Companion-matrix candidates closer than this to the real axis carry no
-#: trustworthy sign information (near-double roots smear by ~sqrt(eps)),
-#: so such candidates are polished from both conjugate seeds.
-CANDIDATE_REAL_TOL = 1e-6
 
 
 class StateClass(enum.Enum):
@@ -115,48 +116,38 @@ def eta_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
+def _w_coefficients(model: ChainModel) -> np.ndarray:
+    """Ascending real coefficients of p(w), the dispersion relation in w.
+
+    Trailing zeros (the g = 0 degeneration) are trimmed.
+    """
+    G = model.g**2 * model.v**2
+    if model.is_semi_infinite:
+        coeffs = np.zeros(2 * model.n_d + 1)
+        coeffs[:3] = 1.0, -2.0 * model.e_d, 1.0
+        coeffs[2::2] -= 4.0 * G
+    else:
+        # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 G w^2, expanded
+        coeffs = np.array([1.0, -2.0 * model.e_d, -4.0 * G, 2.0 * model.e_d, -1.0])
+    return np.trim_zeros(coeffs, "b")
+
+
 def polynomial_coefficients(model: ChainModel) -> np.ndarray:
-    """Real coefficients (descending powers) of the squared dispersion relation.
+    """Monic real coefficients (descending powers) of the dispersion relation in z.
 
-    Multiplying eta by its second-sheet partner and clearing denominators
-    gives, after the binomial identities collapse, the polynomial
+    The roots are those of eta on *both* sheets: with a the autocorrelation
+    of the coefficients of p(w),
 
-        (z - e_d)^2 + 2*G*(z - e_d)*P(z) + 2*G^2*W(z) = 0,   G = g^2 v^2,
+        p(w) p(1/w) = a_0 + 2 sum_m a_m T_m(z),   z = (w + 1/w)/2,
 
-    with
-
-        P(z) = sum_{m=0}^{n_d-1} C(2 n_d, 2m+1) (-z)^(2 n_d - 2m - 1) (z^2-1)^m,
-        W(z) = sum_{m=0}^{n_d-1} z^(2m)
-             + sum_{m=1}^{n_d}   C(2 n_d, 2m)   (-z)^(2 n_d - 2m)   (z^2-1)^(m-1).
-
-    The infinite chain squares directly to (z - e_d)^2 (z^2 - 1) - G^2.
-    Leading zeros (the g = 0 degeneration) are trimmed.
+    which is a polynomial in z of degree 2 n_d (4 for the infinite chain).
     """
     validate(model)
-    G = model.g**2 * model.v**2
-    if not model.is_semi_infinite:
-        quartic = npoly.polyfromroots([model.e_d, model.e_d, 1.0, -1.0])
-        quartic[0] -= G * G
-        return quartic[::-1].copy()
-
-    n = model.n_d
-    z2m1 = np.array([-1.0, 0.0, 1.0])  # z^2 - 1, ascending
-    p_odd = np.zeros(1)
-    for m in range(n):
-        term = npoly.polypow([0.0, -1.0], 2 * n - 2 * m - 1) * math.comb(2 * n, 2 * m + 1)
-        p_odd = npoly.polyadd(p_odd, npoly.polymul(term, npoly.polypow(z2m1, m)))
-    w_even = np.zeros(2 * n - 1)
-    w_even[0 : 2 * n - 1 : 2] = 1.0  # sum z^(2m), m = 0 .. n_d-1
-    for m in range(1, n + 1):
-        term = npoly.polypow([0.0, -1.0], 2 * n - 2 * m) * math.comb(2 * n, 2 * m)
-        w_even = npoly.polyadd(w_even, npoly.polymul(term, npoly.polypow(z2m1, m - 1)))
-    z_minus_ed = np.array([-model.e_d, 1.0])
-    total = npoly.polymul(z_minus_ed, z_minus_ed)
-    total = npoly.polyadd(total, 2.0 * G * npoly.polymul(z_minus_ed, p_odd))
-    total = npoly.polyadd(total, 2.0 * G * G * w_even)
-    coeffs = total[::-1]
-    nonzero = np.nonzero(coeffs)[0]
-    return coeffs[nonzero[0] :].copy()
+    coeffs = _w_coefficients(model)
+    a = np.correlate(coeffs, coeffs, "full")[len(coeffs) - 1 :]
+    a[1:] *= 2.0
+    z_poly = chebyshev.cheb2poly(a)[::-1]
+    return z_poly / z_poly[0]
 
 
 def newton_polish(
@@ -173,7 +164,7 @@ def newton_polish(
     """
     z = complex(z0)
     trace = [z]
-    best_z, best_res = z, float("inf")
+    best_res = float("inf")
     for _ in range(max_iter):
         try:
             f = eta(model, SheetedEnergy(z, sheet))
@@ -181,8 +172,7 @@ def newton_polish(
             z += 1e-14 + 1e-14j
             f = eta(model, SheetedEnergy(z, sheet))
         res = abs(f)
-        if res < best_res:
-            best_z, best_res = z, res
+        best_res = min(best_res, res)
         if res < tol:
             return z, res
         fp = eta_deriv(model, SheetedEnergy(z, sheet))
@@ -190,42 +180,30 @@ def newton_polish(
             break
         z = z - f / fp
         trace.append(z)
-    if best_res < tol:
-        return best_z, best_res
     raise ConvergenceError(
         f"Newton on eta stalled at |eta| = {best_res:.3e} (sheet {sheet.name})",
         trace=trace,
     )
 
 
-def _try_polish(model, z0, sheet, tol, capture_radius=1e-3):
-    """Polish, but reject convergence to *some other* root far from the seed.
+def _w_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots of p(w), Newton-polished on p itself.
 
-    Companion-matrix candidates are accurate to far better than the
-    radius, so a polish that travels is one that drained into a
-    neighbouring root (e.g. the bound/virtual twin across the cut).
+    A Newton step is kept only where it lowers |p|.  Real coefficients
+    keep real roots exactly real and conjugate pairs exactly conjugate.
     """
-    try:
-        z, res = newton_polish(model, z0, sheet, tol)
-    except ConvergenceError:
-        return None
-    if abs(z - z0) > capture_radius:
-        return None
-    return z, res
-
-
-def _make_real(model, z, sheet, tol):
-    """Re-polish a near-real root with a real Newton step so Im is exactly 0."""
-    x = z.real
-    for _ in range(40):
-        f = eta(model, SheetedEnergy(complex(x, 0.0), sheet))
-        if abs(f) < tol:
-            break
-        fp = eta_deriv(model, SheetedEnergy(complex(x, 0.0), sheet))
-        # eta is real on the real axis outside the band on either sheet
-        x = x - (f / fp).real
-    f = eta(model, SheetedEnergy(complex(x, 0.0), sheet))
-    return complex(x, 0.0), abs(f)
+    desc = coeffs[::-1]
+    deriv = np.polyder(desc)
+    w = np.roots(desc)
+    f = np.abs(np.polyval(desc, w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            trial = w - np.polyval(desc, w) / np.polyval(deriv, w)
+            f_trial = np.abs(np.polyval(desc, trial))
+            better = f_trial < f
+            w = np.where(better, trial, w)
+            f = np.where(better, f_trial, f)
+    return w
 
 
 def discrete_states(
@@ -233,15 +211,16 @@ def discrete_states(
     root_tol: float = ROOT_TOL,
     include_antiresonances: bool | None = None,
 ) -> list[DiscreteState]:
-    """All discrete eigenvalues: polynomial roots polished on eta.
+    """All discrete eigenvalues: the roots of the dispersion relation in w.
 
-    The candidate set comes from the companion-matrix roots of
-    :func:`polynomial_coefficients`.  Each candidate is polished by Newton
-    iteration on eta with the sheet chosen by location: real candidates
-    outside the band are tried on sheet I first and fall back to sheet II
-    (virtual state); lower-half-plane candidates are resonances on sheet
-    II; upper-half-plane candidates are anti-resonance partners, verified
-    against the conjugate of some resonance before being accepted.
+    The roots of p(w) (see the module docstring) come from its companion
+    matrix and are Newton-polished on p.  Each maps to z = (w + 1/w)/2 on
+    a sheet fixed by w alone: a real w is a real state outside the band,
+    on sheet I (bound state) if |w| < 1 and on sheet II (virtual state)
+    otherwise; a complex w is a sheet-II resonance (Im z < 0) or
+    anti-resonance (Im z > 0).  When e_d sits exactly on a BIC energy the
+    conjugate pair on |w| = 1 collapses to that one zero-width state.
+    Every state must meet |eta(z)| < root_tol on its declared sheet.
 
     By default the anti-resonances are dropped from the semi-infinite
     output (leaving the n_d + 1 physical solutions) and kept for the
@@ -251,9 +230,10 @@ def discrete_states(
     Raises
     ------
     RootCountError
-        If polishing/filtering loses candidates relative to the polynomial
-        degree, leaves a resonance without its conjugate partner, or
-        otherwise cannot account for every root.
+        If a root misses the |eta| gate (typically a real root so close to
+        a band edge that no double z resolves it), or the states do not
+        account for every root of p with resonances and anti-resonances
+        paired.
     """
     validate(model)
     if include_antiresonances is None:
@@ -271,130 +251,67 @@ def discrete_states(
         )
         return [state]
 
-    coeffs = polynomial_coefficients(model)
-    candidates = np.roots(coeffs)
-
-    bics = set()
+    coeffs = _w_coefficients(model)
+    degree = len(coeffs) - 1
+    e_bic = None
     if model.is_semi_infinite:
-        bics = {e for e in bic_energies(model) if abs(e - model.e_d) < 1e-12}
+        e_bic = next((e for e in bic_energies(model) if abs(e - model.e_d) < 1e-12), None)
 
     accepted: list[DiscreteState] = []
     rejected: list[tuple[complex, float]] = []
-
-    for r in candidates:
-        r = complex(r)
-        if bics and min(abs(r - e) for e in bics) < 1e-6:
-            # Impurity level exactly on a BIC: Sigma vanishes there, so
-            # z = e_d solves eta on both sheets; the polynomial reports a
-            # double root (with sqrt(eps) fuzz) that collapses to the one
-            # zero-width state.
-            e_b = min(bics, key=lambda e: abs(r - e))
-            accepted.append(
-                DiscreteState(
-                    z=complex(e_b, 0.0),
-                    sheet=Sheet.I,
-                    state_class=StateClass.BIC,
-                    residual=abs(eta(model, SheetedEnergy(complex(e_b, 0.0), Sheet.I))),
-                )
-            )
-            continue
-        if abs(r.imag) < CANDIDATE_REAL_TOL:
-            if abs(r.real) > 1.0:
-                placed = False
-                for sheet in (Sheet.I, Sheet.II):
-                    hit = _try_polish(
-                        model, complex(r.real, 0.0), sheet, root_tol, capture_radius=1e-4
-                    )
-                    if hit is None:
-                        continue
-                    z, res = _make_real(model, hit[0], sheet, root_tol)
-                    if abs(z.real) <= 1.0 or res >= root_tol:
-                        continue
-                    cls = StateClass.BOUND_I if sheet is Sheet.I else StateClass.BOUND_II
-                    accepted.append(DiscreteState(z=z, sheet=sheet, state_class=cls, residual=res))
-                    placed = True
-                    break
-                if not placed:
-                    rejected.append((r, float("nan")))
-            else:
-                # In-band candidate with an unresolved imaginary part: at
-                # weak coupling the resonance/anti-resonance pair hugs the
-                # real axis closer than the companion-matrix accuracy.
-                # Polish both members from conjugate seeds; dedup cleans up.
-                off = max(abs(r.imag), 1e-10)
-                placed = False
-                for seed, cls in (
-                    (complex(r.real, -off), StateClass.RESONANCE),
-                    (complex(r.real, +off), StateClass.ANTIRESONANCE),
-                ):
-                    hit = _try_polish(model, seed, Sheet.II, root_tol)
-                    if hit is None:
-                        continue
-                    z, res = hit
-                    if (cls is StateClass.RESONANCE) != (z.imag < 0):
-                        continue
-                    accepted.append(
-                        DiscreteState(z=z, sheet=Sheet.II, state_class=cls, residual=res)
-                    )
-                    placed = True
-                if not placed:
-                    rejected.append((r, float("nan")))
-        elif r.imag < 0:
-            hit = _try_polish(model, r, Sheet.II, root_tol)
-            if hit is None:
-                rejected.append((r, float("nan")))
-                continue
-            z, res = hit
-            accepted.append(
-                DiscreteState(z=z, sheet=Sheet.II, state_class=StateClass.RESONANCE, residual=res)
-            )
+    reasons: list[str] = []
+    for w in _w_roots(coeffs):
+        z = complex(0.5 * (w + 1.0 / w))
+        if e_bic is not None and abs(z - e_bic) < 1e-6:
+            # Impurity level exactly on a BIC: Sigma vanishes there, so the
+            # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
+            z, sheet, cls = complex(e_bic, 0.0), Sheet.I, StateClass.BIC
+        elif w.imag == 0.0:
+            z = complex(z.real, 0.0)
+            sheet = Sheet.I if abs(w) < 1.0 else Sheet.II
+            cls = StateClass.BOUND_I if sheet is Sheet.I else StateClass.BOUND_II
         else:
-            hit = _try_polish(model, r, Sheet.II, root_tol)
-            if hit is None:
-                rejected.append((r, float("nan")))
-                continue
-            z, res = hit
-            accepted.append(
-                DiscreteState(
-                    z=z, sheet=Sheet.II, state_class=StateClass.ANTIRESONANCE, residual=res
-                )
-            )
+            sheet = Sheet.II
+            cls = StateClass.RESONANCE if z.imag < 0 else StateClass.ANTIRESONANCE
+        try:
+            res = abs(eta(model, SheetedEnergy(z, sheet)))
+        except BranchPointError:
+            res = float("inf")
+        if res < root_tol:
+            accepted.append(DiscreteState(z=z, sheet=sheet, state_class=cls, residual=res))
+            continue
+        # eta has a square-root singularity at z = +-1: this close to a band
+        # edge, one ulp of z moves |eta| by far more than root_tol.
+        rejected.append((z, res))
+        reasons.append(
+            f"z = {z:.17g} on sheet {sheet.name}, {min(abs(z - 1), abs(z + 1)):.1e} from "
+            f"the band edge: |eta| = {res:.1e} >= root_tol = {root_tol:.1e}"
+        )
+
+    if rejected:
+        raise RootCountError(
+            f"{len(rejected)} of {degree} roots failed the |eta| gate: " + "; ".join(reasons),
+            candidates=rejected,
+        )
 
     accepted = _dedup(accepted)
     accepted = _flag_near_degenerate(accepted)
 
-    resonances = [s for s in accepted if s.state_class is StateClass.RESONANCE]
-    antis = [s for s in accepted if s.state_class is StateClass.ANTIRESONANCE]
-
-    # Every anti-resonance must be the conjugate partner of a resonance;
-    # anything unmatched is a squaring artifact that slipped through.
-    # Tolerance covers the position error of a near-double root, where
-    # |eta| < tol only pins z to within sqrt(tol).
-    conj_tol = max(1e-7, 10.0 * math.sqrt(root_tol))
-    for a in antis:
-        if not any(abs(a.z - s.z.conjugate()) < conj_tol for s in resonances):
-            rejected.append((a.z, a.residual))
-
-    if rejected:
-        raise RootCountError(
-            f"{len(rejected)} candidate roots failed eta-polishing/classification",
-            candidates=[(z, res) for z, res in rejected],
-        )
-
-    # Structural audit against the polynomial degree: every candidate must
-    # land somewhere, and a BIC absorbs the double root it came from.
-    # (The physics census -- n_d - 1 resonances plus two real solutions for
-    # an in-band impurity level -- is parameter-dependent: outside the band
-    # at weak coupling a resonance pair degenerates into two extra real
-    # virtual states.  That census is asserted where it holds, not here.)
-    degree = 2 * model.n_d if model.is_semi_infinite else 4
-    expected_total = degree - len(bics)
+    # Structural audit: every root of p is one state, except that a BIC
+    # absorbs the conjugate pair it came from.  (The physics census --
+    # n_d - 1 resonances plus two real solutions for an in-band impurity
+    # level -- is parameter-dependent: outside the band at weak coupling a
+    # resonance pair degenerates into two extra real virtual states.  That
+    # census is asserted where it holds, not here.)
+    expected_total = degree - (e_bic is not None)
     if len(accepted) != expected_total:
         raise RootCountError(
             f"polynomial of degree {degree} yielded {len(accepted)} classified "
             f"states (expected {expected_total})",
             candidates=[(s.z, s.residual) for s in accepted],
         )
+    resonances = [s for s in accepted if s.state_class is StateClass.RESONANCE]
+    antis = [s for s in accepted if s.state_class is StateClass.ANTIRESONANCE]
     if len(resonances) != len(antis):
         raise RootCountError(
             f"unpaired resonances: {len(resonances)} vs {len(antis)} anti-resonances",

@@ -11,7 +11,7 @@ the four-real-unknown system {Re eta, Im eta, Re eta', Im eta'} = 0 in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,8 +141,8 @@ def trace(
         for i in range(len(new_points)):
             for j in range(i + 1, len(new_points)):
                 if abs(new_points[i].z - new_points[j].z) < COLLISION_TOL:
-                    new_points[i] = _flag(new_points[i], collision=True)
-                    new_points[j] = _flag(new_points[j], collision=True)
+                    new_points[i] = replace(new_points[i], collision=True)
+                    new_points[j] = replace(new_points[j], collision=True)
         for br, pt in zip(branches, new_points):
             br.append(pt)
         current = [pt.z for pt in new_points]
@@ -151,18 +151,6 @@ def trace(
         TrajectoryBranch(label=roman_label(k), points=pts) for k, pts in enumerate(branches)
     ]
     return Trajectory(parameter=parameter, values=values, branches=labelled)
-
-
-def _flag(pt: TrajectoryPoint, **kwargs) -> TrajectoryPoint:
-    data = {
-        "value": pt.value,
-        "z": pt.z,
-        "bic": pt.bic,
-        "collision": pt.collision,
-        "crossed_axis": pt.crossed_axis,
-    }
-    data.update(kwargs)
-    return TrajectoryPoint(**data)
 
 
 def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):

@@ -6,6 +6,7 @@ import pytest
 from fanochain import (
     ChainModel,
     ModelError,
+    RootCountError,
     Sheet,
     SheetedEnergy,
     StateClass,
@@ -14,7 +15,7 @@ from fanochain import (
     eta,
     polynomial_coefficients,
 )
-from fanochain.dispersion import newton_polish, polish_seeds
+from fanochain.dispersion import ROOT_TOL, newton_polish, polish_seeds
 from oracles import sigma_quadrature, winding_number
 
 I, II = Sheet.I, Sheet.II
@@ -170,6 +171,44 @@ def test_count_law_on_grid():
                 assert by.get(StateClass.RESONANCE, 0) == n_d - 1, (n_d, g, e_d)
                 n_real = by.get(StateClass.BOUND_I, 0) + by.get(StateClass.BOUND_II, 0)
                 assert n_real == 2, (n_d, g, e_d)
+
+
+def test_census_complete_or_band_edge():
+    # far past the count-law grid in n_d: the full census, or a loud
+    # failure naming only real roots so close to a band edge that no
+    # double z meets the |eta| gate there
+    points = [(12, -0.5, 0.2)] + [
+        (n_d, e_d, g)
+        for n_d in (12, 20, 24, 32, 48, 64)
+        for g in (0.05, 0.1, 0.2, 0.3)
+        for e_d in (-0.85, -0.55, -0.25, 0.35, 0.58)
+    ]
+    for n_d, e_d, g in points:
+        m = ChainModel.semi_infinite(n_d, e_d, g)
+        if min(abs(e_d - b) for b in bic_energies(m)) < 1e-3:
+            continue
+        try:
+            states = discrete_states(m)
+        except RootCountError as exc:
+            assert exc.candidates, (n_d, g, e_d)
+            for z, _ in exc.candidates:
+                assert z.imag == 0 and abs(abs(z.real) - 1) < 1e-4, (n_d, g, e_d, str(exc))
+            continue
+        by = classes(states)
+        assert by.get(StateClass.RESONANCE, 0) == n_d - 1, (n_d, g, e_d)
+        n_real = by.get(StateClass.BOUND_I, 0) + by.get(StateClass.BOUND_II, 0)
+        assert n_real == 2, (n_d, g, e_d)
+
+
+def test_band_edge_roots_fail_loudly():
+    # both bound states sit within 1e-6 of a band edge, where eta has a
+    # square-root singularity: one ulp of z moves |eta| past ROOT_TOL
+    with pytest.raises(RootCountError, match="band edge") as info:
+        discrete_states(ChainModel.infinite(-0.2, 0.03))
+    assert len(info.value.candidates) == 2
+    for z, residual in info.value.candidates:
+        assert z.imag == 0 and 0 < abs(z.real) - 1 < 1e-6
+        assert ROOT_TOL <= residual < 1e-8
 
 
 def test_infinite_census(infinite_model):
