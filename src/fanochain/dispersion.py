@@ -38,7 +38,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import BranchPointError, ConvergenceError, ModelError, RootCountError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
+from .selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv
 
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
@@ -116,20 +116,17 @@ def eta_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
-def _w_coefficients(model: ChainModel) -> np.ndarray:
-    """Ascending real coefficients of p(w), the dispersion relation in w.
-
-    Trailing zeros (the g = 0 degeneration) are trimmed.
-    """
-    G = model.g**2 * model.v**2
+def _w_coefficients(model: ChainModel, e_d: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Ascending real coefficients of p(w), one row per (e_d, g^2) pair."""
+    G = g2 * model.v**2
     if model.is_semi_infinite:
-        coeffs = np.zeros(2 * model.n_d + 1)
-        coeffs[:3] = 1.0, -2.0 * model.e_d, 1.0
-        coeffs[2::2] -= 4.0 * G
-    else:
-        # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 G w^2, expanded
-        coeffs = np.array([1.0, -2.0 * model.e_d, -4.0 * G, 2.0 * model.e_d, -1.0])
-    return np.trim_zeros(coeffs, "b")
+        coeffs = np.zeros((len(e_d), 2 * model.n_d + 1))
+        coeffs[:, 0], coeffs[:, 1], coeffs[:, 2] = 1.0, -2.0 * e_d, 1.0
+        coeffs[:, 2::2] -= 4.0 * G[:, None]
+        return coeffs
+    # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 G w^2, expanded
+    one = np.ones_like(e_d)
+    return np.stack([one, -2.0 * e_d, -4.0 * G, 2.0 * e_d, -one], axis=1)
 
 
 def polynomial_coefficients(model: ChainModel) -> np.ndarray:
@@ -143,7 +140,8 @@ def polynomial_coefficients(model: ChainModel) -> np.ndarray:
     which is a polynomial in z of degree 2 n_d (4 for the infinite chain).
     """
     validate(model)
-    coeffs = _w_coefficients(model)
+    coeffs = _w_coefficients(model, np.array([model.e_d]), np.array([model.g**2]))[0]
+    coeffs = np.trim_zeros(coeffs, "b")
     a = np.correlate(coeffs, coeffs, "full")[len(coeffs) - 1 :]
     a[1:] *= 2.0
     z_poly = chebyshev.cheb2poly(a)[::-1]
@@ -186,24 +184,141 @@ def newton_polish(
     )
 
 
-def _w_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots of p(w), Newton-polished on p itself.
+def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval row by row: row i of desc (descending) at every x[i, :]."""
+    y = np.zeros_like(x)
+    for c in desc.T:
+        y = y * x + c[:, None]
+    return y
 
-    A Newton step is kept only where it lowers |p|.  Real coefficients
-    keep real roots exactly real and conjugate pairs exactly conjugate.
+
+def _w_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots of a stack of polynomials p(w), Newton-polished on p.
+
+    coeffs is an (N, deg + 1) stack of ascending coefficients with nonzero
+    leading terms; row i of the (N, deg) result holds the roots of row i.
+    The companion matrices are built as np.roots builds them and go to one
+    np.linalg.eigvals call, and the Horner loop starts from zero as
+    np.polyval does, so a single row gives bit for bit the roots np.roots
+    and np.polyval would.  A Newton step is kept only where it lowers |p|.
+    Real coefficients keep real roots exactly real and conjugate pairs
+    exactly conjugate.
     """
-    desc = coeffs[::-1]
-    deriv = np.polyder(desc)
-    w = np.roots(desc)
-    f = np.abs(np.polyval(desc, w))
+    desc = coeffs[:, ::-1]
+    n, deg = desc.shape[0], desc.shape[1] - 1
+    companion = np.zeros((n, deg, deg))
+    companion[:, :1, :] = (-desc[:, 1:] / desc[:, :1])[:, None, :]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    w = np.linalg.eigvals(companion)
+    deriv = desc[:, :-1] * np.arange(deg, 0, -1)
+    p = _horner(desc, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
-            trial = w - np.polyval(desc, w) / np.polyval(deriv, w)
-            f_trial = np.abs(np.polyval(desc, trial))
-            better = f_trial < f
+            trial = w - p / _horner(deriv, w)
+            p_trial = _horner(desc, trial)
+            better = np.abs(p_trial) < np.abs(p)
             w = np.where(better, trial, w)
-            f = np.where(better, f_trial, f)
+            p = np.where(better, p_trial, p)
     return w
+
+
+#: StateClass by the integer code the batched census uses.
+_CLASSES = tuple(StateClass)
+_BOUND_I, _BOUND_II, _RESONANCE, _ANTIRESONANCE, _BIC = range(len(_CLASSES))
+
+#: Census faults, in the order discrete_states checks them.
+_OK, _GATE, _COUNT, _PAIRING = range(4)
+
+
+@dataclass(frozen=True)
+class _Census:
+    """Classified roots of p(w) for a stack of (e_d, g) rows of one chain.
+
+    Only the rows listed in ``rows`` are solved: those with g > 0 whose
+    leading coefficient survives.  All other arrays have one row per
+    solved row and one column per root of p.
+    """
+
+    rows: np.ndarray             # indices into the (e_d, g) input
+    z: np.ndarray                # complex energy of each root
+    sheet_ii: np.ndarray         # root lies on sheet II
+    cls: np.ndarray              # StateClass code, index into _CLASSES
+    residual: np.ndarray         # |eta(z)| on the declared sheet
+    kept: np.ndarray             # not a duplicate of an earlier root
+    near_degenerate: np.ndarray  # kept, with a same-class partner within NEAR_DEGENERATE_TOL
+    expected: np.ndarray         # states the row must yield: deg, less one at a BIC e_d
+    fault: np.ndarray            # _OK or the first audit the row fails
+
+
+def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
+    """Roots of p(w) for every (e_d, g) row of one chain, classified and audited.
+
+    This is the per-root work of discrete_states done on arrays: map each
+    root to z = (w + 1/w)/2, read the sheet from |w|, collapse the |w| = 1
+    pair at an exact BIC e_d, gate on |eta(z)| < root_tol, drop duplicates
+    and audit the count and the resonance/anti-resonance pairing.  A row
+    whose ``fault`` is not _OK is one where discrete_states raises.
+
+    Rows with g = 0 (one decoupled state, handled by discrete_states) and
+    rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
+    other rows keep the full degree) are not solved.
+    """
+    e_d = np.asarray(e_d, dtype=float)
+    g = np.asarray(g, dtype=float)
+    rows = np.flatnonzero(g > 0)
+    # Python's float power, as the scalar model code squares g: numpy
+    # squares by multiplication, which can differ in the last bit.
+    g2 = np.array([x**2 for x in g[rows].tolist()])
+    coeffs = _w_coefficients(model, e_d[rows], g2)
+    # Powers of w that vanish in every row go, as np.roots strips them; a
+    # row that still loses its leading term is left out.
+    coeffs = coeffs[:, : np.flatnonzero(coeffs.any(axis=0)).max(initial=0) + 1]
+    full = coeffs[:, -1] != 0
+    rows, g2, coeffs = rows[full], g2[full], coeffs[full]
+    e_d = e_d[rows][:, None]
+    g2 = g2[:, None]
+    w = _w_roots(coeffs)
+    deg = w.shape[1]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (0.5 * (w + 1.0 / w)).astype(complex)
+    real_w = w.imag == 0.0
+    sheet_ii = ~real_w | (np.abs(w) >= 1.0)
+    cls = np.where(
+        real_w,
+        np.where(sheet_ii, _BOUND_II, _BOUND_I),
+        np.where(z.imag < 0, _RESONANCE, _ANTIRESONANCE),
+    )
+    e_bic = np.full(e_d.shape, np.nan)
+    if model.is_semi_infinite:
+        energies = np.array(bic_energies(model))
+        # The BIC energies lie far apart: a row hits at most one.
+        i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
+        e_bic[i, 0] = energies[k]
+    # Impurity level exactly on a BIC: Sigma vanishes there, so the
+    # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
+    bic = np.abs(z - e_bic) < 1e-6
+    z = np.where(bic, e_bic, np.where(real_w, z.real, z))
+    sheet_ii &= ~bic
+    cls = np.where(bic, _BIC, cls)
+
+    # |eta| on the declared sheet, with real z on the +i0 side of the cut;
+    # eta is singular at the branch points.
+    branch = (z == 1.0) | (z == -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
+        residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
+
+    kept, near = _dedup(z, cls)
+    expected = deg - ~np.isnan(e_bic[:, 0])
+    res = (kept & (cls == _RESONANCE)).sum(axis=1)
+    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
+    fault = np.where(
+        ~(residual < root_tol).all(axis=1),
+        _GATE,
+        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
+    )
+    return _Census(rows, z, sheet_ii, cls, residual, kept, near, expected, fault)
 
 
 def discrete_states(
@@ -251,51 +366,36 @@ def discrete_states(
         )
         return [state]
 
-    coeffs = _w_coefficients(model)
-    degree = len(coeffs) - 1
-    e_bic = None
-    if model.is_semi_infinite:
-        e_bic = next((e for e in bic_energies(model) if abs(e - model.e_d) < 1e-12), None)
-
-    accepted: list[DiscreteState] = []
-    rejected: list[tuple[complex, float]] = []
-    reasons: list[str] = []
-    for w in _w_roots(coeffs):
-        z = complex(0.5 * (w + 1.0 / w))
-        if e_bic is not None and abs(z - e_bic) < 1e-6:
-            # Impurity level exactly on a BIC: Sigma vanishes there, so the
-            # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
-            z, sheet, cls = complex(e_bic, 0.0), Sheet.I, StateClass.BIC
-        elif w.imag == 0.0:
-            z = complex(z.real, 0.0)
-            sheet = Sheet.I if abs(w) < 1.0 else Sheet.II
-            cls = StateClass.BOUND_I if sheet is Sheet.I else StateClass.BOUND_II
-        else:
-            sheet = Sheet.II
-            cls = StateClass.RESONANCE if z.imag < 0 else StateClass.ANTIRESONANCE
-        try:
-            res = abs(eta(model, SheetedEnergy(z, sheet)))
-        except BranchPointError:
-            res = float("inf")
-        if res < root_tol:
-            accepted.append(DiscreteState(z=z, sheet=sheet, state_class=cls, residual=res))
-            continue
+    census = _census(model, [model.e_d], [model.g], root_tol)
+    states = [
+        DiscreteState(
+            z=complex(z),
+            sheet=Sheet.II if ii else Sheet.I,
+            state_class=_CLASSES[c],
+            residual=float(r),
+            near_degenerate=bool(near),
+        )
+        for z, ii, c, r, near in zip(
+            census.z[0], census.sheet_ii[0], census.cls[0], census.residual[0],
+            census.near_degenerate[0],
+        )
+    ]
+    degree = len(states)
+    fault = census.fault[0]
+    if fault == _GATE:
         # eta has a square-root singularity at z = +-1: this close to a band
         # edge, one ulp of z moves |eta| by far more than root_tol.
-        rejected.append((z, res))
-        reasons.append(
-            f"z = {z:.17g} on sheet {sheet.name}, {min(abs(z - 1), abs(z + 1)):.1e} from "
-            f"the band edge: |eta| = {res:.1e} >= root_tol = {root_tol:.1e}"
-        )
-
-    if rejected:
+        rejected = [s for s in states if not s.residual < root_tol]
+        reasons = [
+            f"z = {s.z:.17g} on sheet {s.sheet.name}, "
+            f"{min(abs(s.z - 1), abs(s.z + 1)):.1e} from the band edge: "
+            f"|eta| = {s.residual:.1e} >= root_tol = {root_tol:.1e}"
+            for s in rejected
+        ]
         raise RootCountError(
             f"{len(rejected)} of {degree} roots failed the |eta| gate: " + "; ".join(reasons),
-            candidates=rejected,
+            candidates=[(s.z, s.residual) for s in rejected],
         )
-
-    accepted = _dedup(accepted)
-    accepted = _flag_near_degenerate(accepted)
 
     # Structural audit: every root of p is one state, except that a BIC
     # absorbs the conjugate pair it came from.  (The physics census --
@@ -303,18 +403,18 @@ def discrete_states(
     # level -- is parameter-dependent: outside the band at weak coupling a
     # resonance pair degenerates into two extra real virtual states.  That
     # census is asserted where it holds, not here.)
-    expected_total = degree - (e_bic is not None)
-    if len(accepted) != expected_total:
+    accepted = [s for s, kept in zip(states, census.kept[0]) if kept]
+    if fault == _COUNT:
         raise RootCountError(
             f"polynomial of degree {degree} yielded {len(accepted)} classified "
-            f"states (expected {expected_total})",
+            f"states (expected {census.expected[0]})",
             candidates=[(s.z, s.residual) for s in accepted],
         )
-    resonances = [s for s in accepted if s.state_class is StateClass.RESONANCE]
-    antis = [s for s in accepted if s.state_class is StateClass.ANTIRESONANCE]
-    if len(resonances) != len(antis):
+    if fault == _PAIRING:
+        n_res = sum(s.state_class is StateClass.RESONANCE for s in accepted)
+        n_anti = sum(s.state_class is StateClass.ANTIRESONANCE for s in accepted)
         raise RootCountError(
-            f"unpaired resonances: {len(resonances)} vs {len(antis)} anti-resonances",
+            f"unpaired resonances: {n_res} vs {n_anti} anti-resonances",
             candidates=[(s.z, s.residual) for s in accepted],
         )
 
@@ -324,27 +424,19 @@ def discrete_states(
     return _sort_and_label(accepted)
 
 
-def _dedup(states: list[DiscreteState]) -> list[DiscreteState]:
-    out: list[DiscreteState] = []
-    for s in states:
-        dup = next(
-            (t for t in out if t.state_class is s.state_class and abs(t.z - s.z) < DEDUP_TOL),
-            None,
-        )
-        if dup is None:
-            out.append(s)
-    return out
+def _dedup(z: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep and near-degenerate flags for rows of classified roots.
 
-
-def _flag_near_degenerate(states: list[DiscreteState]) -> list[DiscreteState]:
-    flagged = list(states)
-    for i in range(len(flagged)):
-        for j in range(i + 1, len(flagged)):
-            a, b = flagged[i], flagged[j]
-            if a.state_class is b.state_class and abs(a.z - b.z) < NEAR_DEGENERATE_TOL:
-                flagged[i] = replace(a, near_degenerate=True)
-                flagged[j] = replace(b, near_degenerate=True)
-    return flagged
+    A root is dropped when an earlier root of its row has the same class
+    and lies within DEDUP_TOL; two kept roots of one class closer than
+    NEAR_DEGENERATE_TOL are both flagged near-degenerate.
+    """
+    n = z.shape[-1]
+    same = cls[..., :, None] == cls[..., None, :]
+    gap = np.abs(z[..., :, None] - z[..., None, :])
+    kept = ~(same & (gap < DEDUP_TOL) & np.tri(n, k=-1, dtype=bool)).any(axis=-1)
+    near = same & (gap < NEAR_DEGENERATE_TOL) & ~np.eye(n, dtype=bool) & kept[..., None, :]
+    return kept, near.any(axis=-1) & kept
 
 
 _ROMAN = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -411,4 +503,9 @@ def polish_seeds(
         else:
             cls = StateClass.ANTIRESONANCE
         out.append(DiscreteState(z=z, sheet=sheet, state_class=cls, residual=res))
-    return _sort_and_label(_flag_near_degenerate(_dedup(out)))
+    kept, near = _dedup(
+        np.array([s.z for s in out], dtype=complex),
+        np.array([s.state_class for s in out], dtype=object),
+    )
+    out = [replace(s, near_degenerate=bool(n)) for s, k, n in zip(out, kept, near) if k]
+    return _sort_and_label(out)

@@ -104,26 +104,33 @@ def coupling(model: ChainModel, k: float) -> float:
     return float(model.v / np.sqrt(2.0 * np.pi))
 
 
-def _sigma(z, sheet: Sheet, n_d: int | None, v: float):
-    """Self-energy core, vectorized over z (already canonicalized)."""
+def _sheeted_s(z, sheet):
+    """s(z) on a Sheet, or per element on sheet II where the bool array sheet is true."""
     s = _sqrt_pm1(z)
-    if sheet is Sheet.II:
-        s = -s
+    if isinstance(sheet, Sheet):
+        return -s if sheet is Sheet.II else s
+    return np.where(sheet, -s, s)
+
+
+def _sigma(z, sheet, n_d: int | None, v: float):
+    """Self-energy core, vectorized over z (already canonicalized).
+
+    sheet is a Sheet, or a bool array (broadcast with z) true on sheet II.
+    """
+    s = _sheeted_s(z, sheet)
     if n_d is None:
         return (v * v) / s
     w = z - s
     return (v * v) / s * (1.0 - w ** (2 * n_d))
 
 
-def _sigma_d1(z, sheet: Sheet, n_d: int | None, v: float):
+def _sigma_d1(z, sheet, n_d: int | None, v: float):
     """First z-derivative of the self-energy.
 
     Uses s' = z/s (valid on both sheets) and (z - s)' = -(z - s)/s, so the
     expression below holds with s carrying the sheet sign.
     """
-    s = _sqrt_pm1(z)
-    if sheet is Sheet.II:
-        s = -s
+    s = _sheeted_s(z, sheet)
     if n_d is None:
         return -(v * v) * z / s**3
     w = z - s
@@ -131,11 +138,9 @@ def _sigma_d1(z, sheet: Sheet, n_d: int | None, v: float):
     return (v * v) * (2 * n_d * w2n / s**2 - z * (1.0 - w2n) / s**3)
 
 
-def _sigma_d2(z, sheet: Sheet, n_d: int | None, v: float):
+def _sigma_d2(z, sheet, n_d: int | None, v: float):
     """Second z-derivative of the self-energy (closed form)."""
-    s = _sqrt_pm1(z)
-    if sheet is Sheet.II:
-        s = -s
+    s = _sheeted_s(z, sheet)
     if n_d is None:
         return (v * v) * (2.0 * z * z + 1.0) / s**5
     w = z - s

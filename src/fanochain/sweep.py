@@ -16,15 +16,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dispersion import (
+    _OK,
+    _RESONANCE,
+    ROOT_TOL,
     DiscreteState,
     StateClass,
+    _census,
     discrete_states,
     eta,
     eta_deriv,
     newton_polish,
     roman_label,
 )
-from .errors import ConvergenceError, FanochainError
+from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 
@@ -91,7 +95,9 @@ def _predictor(model: ChainModel, z: complex, parameter: str) -> complex:
 
 
 def _model_at(model: ChainModel, parameter: str, value: float) -> ChainModel:
-    return model.with_params(**{parameter: float(value)})
+    """Copy of the model at one parameter value, not re-validated: trace
+    validates the ends of the sweep, and a sorted sweep stays inside them."""
+    return replace(model, **{parameter: float(value)})
 
 
 def trace(
@@ -119,8 +125,8 @@ def trace(
     if not np.all(np.diff(values) > 0):
         raise FanochainError("parameter values must be strictly increasing")
     validate(model)
-
-    start_model = _model_at(model, parameter, values[0])
+    start_model = validate(_model_at(model, parameter, values[0]))
+    validate(_model_at(model, parameter, values[-1]))
     start_states = [
         s for s in discrete_states(start_model) if s.state_class is StateClass.RESONANCE
     ]
@@ -156,12 +162,12 @@ def trace(
 def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
     """Advance one branch from v_from to v_to with adaptive sub-steps."""
     v, cur = float(v_from), complex(z)
+    m_here = _model_at(model, parameter, v)
     h = v_to - v_from
     halvings = 0
     crossed = False
     while v < v_to - 1e-15:
         h = min(h, v_to - v)
-        m_here = _model_at(model, parameter, v)
         pred = cur + _predictor(m_here, cur, parameter) * h
         m_next = _model_at(model, parameter, v + h)
         try:
@@ -183,7 +189,7 @@ def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
             # resonance continues on the conjugate
             zc = zc.conjugate()
             crossed = True
-        cur, v = zc, v + h
+        cur, v, m_here = zc, v + h, m_next
         h *= 2.0
         halvings = max(0, halvings - 1)
 
@@ -285,6 +291,28 @@ def find_ep(
     )
 
 
+def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
+    """Closest resonance-pair distance and midpoint on the (g, e_d) grid.
+
+    Cells with fewer than two resonances, and cells where discrete_states
+    would raise, get distance inf.
+    """
+    g_cells, ed_cells = np.meshgrid(gs, eds, indexing="ij")
+    census = _census(model, ed_cells.ravel(), g_cells.ravel(), ROOT_TOL)
+    z = census.z
+    resonance = census.kept & (census.cls == _RESONANCE) & (census.fault == _OK)[:, None]
+    a, b = np.triu_indices(z.shape[1], 1)
+    gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
+    dist = np.full(g_cells.size, np.inf)
+    mid = np.zeros(g_cells.size, dtype=complex)
+    if gap.size:  # empty when no cell was solved or p has fewer than two roots
+        best = gap.argmin(axis=1)
+        k = np.arange(len(z))
+        dist[census.rows] = gap[k, best]
+        mid[census.rows] = 0.5 * (z[k, a[best]] + z[k, b[best]])
+    return dist.reshape(g_cells.shape), mid.reshape(g_cells.shape)
+
+
 def scan_for_ep_seeds(
     model: ChainModel,
     g_range: tuple[float, float],
@@ -299,42 +327,37 @@ def scan_for_ep_seeds(
     over the grid and lies below the threshold.  Seeds are sorted by pair
     distance, closest first.
 
+    The whole grid is solved at once: its dispersion polynomials differ
+    only in the e_d and g coefficients, so they form one stack of
+    companion matrices for a single eigenvalue call, classified and
+    audited as discrete_states does.  A cell where discrete_states would
+    raise (a root failing the |eta| gate, or a failed count or pairing
+    audit) holds no pair and is skipped, as is a cell with g = 0.
+
     The threshold is deliberately generous: the pair splitting grows like
     the square root of the parameter distance to the coalescence point
     (about 1.0 * sqrt(delta) for the semi-infinite chain), so any grid of
     desk-scale resolution sees minima of order 0.05-0.2, all of which sit
     comfortably inside the Newton basin of the double-root solve.
+
+    Raises
+    ------
+    ModelError
+        If a range endpoint is not finite or the g range starts below 0.
     """
     validate(model)
     if n_g <= 0 or n_ed <= 0:
         raise FanochainError("grid sizes must be positive")
+    if not all(math.isfinite(x) for x in (*g_range, *ed_range)):
+        raise ModelError(f"scan ranges must be finite, got g {g_range}, e_d {ed_range}")
+    if g_range[0] < 0:
+        raise ModelError(f"g must be >= 0, got g range {g_range}")
     if g_range[0] > g_range[1] or ed_range[0] > ed_range[1]:
         return []
     gs = np.linspace(g_range[0], g_range[1], n_g)
     eds = np.linspace(ed_range[0], ed_range[1], n_ed)
 
-    dist = np.full((n_g, n_ed), np.inf)
-    mid = np.zeros((n_g, n_ed), dtype=complex)
-    for i, g in enumerate(gs):
-        for j, ed in enumerate(eds):
-            try:
-                states = discrete_states(model.with_params(g=float(g), e_d=float(ed)))
-            except FanochainError:
-                continue
-            res = [s.z for s in states if s.state_class is StateClass.RESONANCE]
-            if len(res) < 2:
-                continue
-            best = np.inf
-            best_mid = 0j
-            for a in range(len(res)):
-                for b in range(a + 1, len(res)):
-                    d = abs(res[a] - res[b])
-                    if d < best:
-                        best = d
-                        best_mid = 0.5 * (res[a] + res[b])
-            dist[i, j] = best
-            mid[i, j] = best_mid
-
+    dist, mid = _closest_pairs(model, gs, eds)
     seeds = []
     for i in range(n_g):
         for j in range(n_ed):

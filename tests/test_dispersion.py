@@ -14,6 +14,7 @@ from fanochain import (
     discrete_states,
     eta,
     polynomial_coefficients,
+    self_energy,
 )
 from fanochain.dispersion import ROOT_TOL, newton_polish, polish_seeds
 from oracles import sigma_quadrature, winding_number
@@ -303,6 +304,59 @@ def test_exact_bic_parameter_emits_bic_state():
         assert bic.gamma == 0.0
         assert by.get(StateClass.RESONANCE, 0) == n_d - 2
         assert len(states) == n_d + 1
+
+
+def np_roots_reference(model):
+    """(z, sheet) per root of p(w), solved with np.roots and np.polyval alone."""
+    G = model.g**2 * model.v**2
+    if model.is_semi_infinite:
+        coeffs = np.zeros(2 * model.n_d + 1)
+        coeffs[:3] = 1.0, -2.0 * model.e_d, 1.0
+        coeffs[2::2] -= 4.0 * G
+    else:
+        coeffs = np.array([1.0, -2.0 * model.e_d, -4.0 * G, 2.0 * model.e_d, -1.0])
+    desc = np.trim_zeros(coeffs, "b")[::-1]
+    w = np.roots(desc)
+    f = np.abs(np.polyval(desc, w))
+    for _ in range(3):
+        trial = w - np.polyval(desc, w) / np.polyval(np.polyder(desc), w)
+        f_trial = np.abs(np.polyval(desc, trial))
+        better = f_trial < f
+        w, f = np.where(better, trial, w), np.where(better, f_trial, f)
+    out = []
+    for wk in w:
+        z = complex(0.5 * (wk + 1.0 / wk))
+        if wk.imag == 0.0:
+            out.append((complex(z.real, 0.0), I if abs(wk) < 1.0 else II))
+        else:
+            out.append((z, II))
+    return sorted(out, key=lambda t: (t[0].real, t[0].imag))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ChainModel.semi_infinite(1, -0.3, 0.2),
+        ChainModel.semi_infinite(4, -0.5, 0.2),
+        ChainModel.semi_infinite(24, 0.3, 0.3),
+        ChainModel.infinite(-0.6, 0.2),
+    ],
+    ids=["n_d=1", "n_d=4", "n_d=24", "infinite"],
+)
+def test_single_model_solve_matches_np_roots(model):
+    want = np_roots_reference(model)
+    got = sorted(
+        discrete_states(model, include_antiresonances=True), key=lambda s: (s.z.real, s.z.imag)
+    )
+    assert [(s.z, s.sheet) for s in got] == want  # bit for bit
+    # The gate evaluates eta on arrays, where numpy's SIMD complex multiply
+    # may fuse a multiply and an add: |eta| may then differ from the scalar
+    # eta by a few ulps of its largest term for each power of w.
+    eps = np.finfo(float).eps
+    degree = 2 * (model.n_d or 1) + 2
+    for s in got:
+        scale = abs(s.z) + abs(model.e_d) + model.g**2 * abs(self_energy(model, s.sheeted()))
+        assert abs(s.residual - abs(eta(model, s.sheeted()))) <= 4 * degree * eps * scale
 
 
 def test_g_zero_single_state():

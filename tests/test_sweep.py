@@ -7,6 +7,7 @@ from fanochain import (
     ChainModel,
     ConvergenceError,
     FanochainError,
+    ModelError,
     Sheet,
     SheetedEnergy,
     StateClass,
@@ -17,7 +18,7 @@ from fanochain import (
     scan_for_ep_seeds,
     trace,
 )
-from fanochain.sweep import EpSeed, _continue_branch
+from fanochain.sweep import EpSeed, _closest_pairs, _continue_branch
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -142,6 +143,16 @@ def test_trace_input_validation():
         trace(m, "e_d", [0.1])
 
 
+@pytest.mark.parametrize(
+    "parameter, values",
+    [("g", [-0.1, 0.1, 0.2]), ("g", [0.1, 0.2, math.inf]), ("e_d", [-0.5, 0.0, math.inf])],
+)
+def test_trace_rejects_invalid_sweep_range(parameter, values):
+    m = ChainModel.semi_infinite(4, -0.5, 0.2)
+    with pytest.raises(ModelError):
+        trace(m, parameter, values)
+
+
 # --------------------------------------------------------------------- find_ep
 
 
@@ -203,6 +214,18 @@ def test_scan_finds_flagship_seed():
     assert ep.e_d == pytest.approx(-EP_ED, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "g_range, ed_range",
+    [((-1.0, -0.5), (-0.8, 0.0)), ((0.1, 0.25), (-0.8, math.nan)), ((0.1, math.inf), (-0.8, 0.0))],
+    ids=["negative-g", "nan", "inf"],
+)
+def test_scan_rejects_invalid_range(g_range, ed_range):
+    # cells of these ranges are invalid models: an error, not failed cells and []
+    m = ChainModel.semi_infinite(4, -0.5, 0.2)
+    with pytest.raises(ModelError):
+        scan_for_ep_seeds(m, g_range, ed_range)
+
+
 def test_scan_empty_ranges():
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     assert scan_for_ep_seeds(m, (0.3, 0.1), (-0.8, 0.0)) == []
@@ -228,3 +251,81 @@ def test_seed_tuple_and_dataclass_equivalent():
     b = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
     assert a.g == pytest.approx(b.g, rel=1e-12)
     assert a.e_d == pytest.approx(b.e_d, rel=1e-12)
+
+
+def reference_scan(model, g_range, ed_range, n_g, n_ed, threshold):
+    """The scan as one discrete_states solve per cell: (seeds, distance grid)."""
+    gs = np.linspace(g_range[0], g_range[1], n_g)
+    eds = np.linspace(ed_range[0], ed_range[1], n_ed)
+    dist = np.full((n_g, n_ed), np.inf)
+    mid = np.zeros((n_g, n_ed), dtype=complex)
+    for i, g in enumerate(gs):
+        for j, ed in enumerate(eds):
+            try:
+                states = discrete_states(model.with_params(g=float(g), e_d=float(ed)))
+            except FanochainError:
+                continue
+            res = [s.z for s in states if s.state_class is StateClass.RESONANCE]
+            best, best_mid = np.inf, 0j
+            for a in range(len(res)):
+                for b in range(a + 1, len(res)):
+                    if abs(res[a] - res[b]) < best:
+                        best, best_mid = abs(res[a] - res[b]), 0.5 * (res[a] + res[b])
+            dist[i, j], mid[i, j] = best, best_mid
+    seeds = []
+    for i in range(n_g):
+        for j in range(n_ed):
+            d = dist[i, j]
+            window = dist[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
+            if np.isfinite(d) and d < threshold and d <= window.min():
+                seeds.append(EpSeed(float(gs[i]), float(eds[j]), complex(mid[i, j]), float(d)))
+    seeds.sort(key=lambda s: s.pair_distance)
+    return seeds, dist
+
+
+SCAN_BOXES = {
+    # README box; its last column is the exact BIC at e_d = 0
+    "readme": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.1, 0.25), (-0.8, 0.0), 16, 16),
+    "g-from-zero": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.0, 0.3), (-0.9, 0.9), 11, 13),
+    # the w^2 term of p cancels at g = 0.5 (4 g^2 v^2 = 1)
+    "n_d=1": (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 1.0), (-1.2, 1.2), 9, 13),
+    # band-edge roots fail the |eta| gate at weak coupling
+    "infinite": (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99), 13, 21),
+    "n_d=12": (ChainModel.semi_infinite(12, -0.5, 0.2), (0.05, 0.3), (-0.8, 0.8), 10, 11),
+}
+
+
+@pytest.mark.parametrize("box", SCAN_BOXES)
+@pytest.mark.parametrize("threshold", [0.2, 10.0])
+def test_scan_matches_per_cell_solves(box, threshold):
+    model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
+    want, want_dist = reference_scan(model, g_range, ed_range, n_g, n_ed, threshold)
+    got = scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold)
+    dist, _ = _closest_pairs(
+        model, np.linspace(*g_range, n_g), np.linspace(*ed_range, n_ed)
+    )
+    np.testing.assert_array_equal(np.isinf(dist), np.isinf(want_dist))
+    np.testing.assert_allclose(dist, want_dist, rtol=0, atol=1e-12)
+    assert [(s.g, s.e_d) for s in got] == [(s.g, s.e_d) for s in want]
+    for s, t in zip(got, want):
+        assert abs(s.z - t.z) <= 1e-12
+        assert abs(s.pair_distance - t.pair_distance) <= 1e-12
+
+
+def test_scan_boxes_exercise_their_edge_cases():
+    # guards the equivalence test: each box really holds what it is meant to
+    def failing_cells(box):
+        model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
+        fails = 0
+        for g in np.linspace(*g_range, n_g):
+            for ed in np.linspace(*ed_range, n_ed):
+                try:
+                    discrete_states(model.with_params(g=float(g), e_d=float(ed)))
+                except FanochainError:
+                    fails += 1
+        return fails
+
+    assert failing_cells("infinite") > 0
+    assert 0.5 in np.linspace(*SCAN_BOXES["n_d=1"][1], SCAN_BOXES["n_d=1"][3])
+    assert np.linspace(*SCAN_BOXES["readme"][2], 16)[-1] == 0.0
+    assert reference_scan(*SCAN_BOXES["n_d=12"], threshold=10.0)[0]
