@@ -44,13 +44,7 @@ from .spectrum import (
     green_spectrum,
     resonance_component,
 )
-from .states import (
-    StateWeights,
-    attach_norms,
-    bound_weight,
-    normalization,
-    state_weights,
-)
+from .states import attach_norms, bound_weight, normalization
 from .sweep import (
     EpResult,
     EpSeed,
@@ -77,7 +71,6 @@ __all__ = [
     "SheetedEnergy",
     "SpectrumGrid",
     "StateClass",
-    "StateWeights",
     "Trajectory",
     "attach_norms",
     "band_energy",
@@ -101,7 +94,6 @@ __all__ = [
     "self_energy",
     "self_energy_deriv",
     "sqrt_branch",
-    "state_weights",
     "trace",
     "validate",
 ]

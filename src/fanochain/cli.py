@@ -1,8 +1,10 @@
 """Command-line front end emitting figure-ready CSV/JSON data.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
-All floats are printed with 17 significant digits so files round-trip
-losslessly; identical invocations produce byte-identical output.
+Each subcommand builds one columnar record, which one CSV writer (floats
+with 17 significant digits) and one JSON writer (floats as Python's
+shortest repr) turn into files that round-trip losslessly; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dispersion import StateClass, discrete_states, bic_energies, polish_seeds
+from .dispersion import bic_energies, discrete_states, polish_seeds
 from .errors import FanochainError, ModelError
-from .model import INFINITE, SEMI_INFINITE, ChainModel
+from .model import INFINITE, SEMI_INFINITE, ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from .spectrum import decompose
 from .states import attach_norms
@@ -27,11 +29,20 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _count(least: int):
+    """argparse type for a count of at least ``least``, so a bad count is a usage error."""
+
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text}")
+        return int(text)
+
+    return count
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand with the model and output arguments every command takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--model", help="JSON file with the model descriptor")
     p.add_argument("--chain", choices=["semi", "infinite"], help="chain variant")
     p.add_argument("--nd", type=int, help="impurity site index (semi-infinite)")
@@ -42,11 +53,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         "--weight", type=float, default=1.0, help="transition weight mu^2 T_dc^2"
     )
     p.add_argument("--ec", type=float, default=0.0, help="core level (axis shift only)")
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", help="discrete eigenvalues with norms")
-    _add_model_args(p)
-    _add_output_args(p)
+    p = _add_command(sub, "roots", "discrete eigenvalues with norms")
     p.add_argument("--root-tol", type=float, default=1e-12)
     p.add_argument(
         "--seeds", help="JSON roots file to re-polish instead of the polynomial path"
@@ -69,14 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--antiresonances", action="store_true", help="include anti-resonance partners"
     )
 
-    p = sub.add_parser("bic", help="bound-in-continuum energies")
-    _add_model_args(p)
-    _add_output_args(p)
+    _add_command(sub, "bic", "bound-in-continuum energies")
 
-    p = sub.add_parser("spectrum", help="absorption spectrum decomposition")
-    _add_model_args(p)
-    _add_output_args(p)
-    p.add_argument("--points", type=int, default=2001)
+    p = _add_command(sub, "spectrum", "absorption spectrum decomposition")
+    p.add_argument("--points", type=_count(1), default=2001)
     p.add_argument("--omega-min", type=float, default=-0.999)
     p.add_argument("--omega-max", type=float, default=0.999)
     p.add_argument(
@@ -88,26 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--lines-out", help="side file for the discrete lines (default: <out>.lines.csv)"
     )
 
-    p = sub.add_parser("trajectory", help="trace resonance branches over a parameter")
-    _add_model_args(p)
-    _add_output_args(p)
+    p = _add_command(sub, "trajectory", "trace resonance branches over a parameter")
     p.add_argument("--parameter", choices=["ed", "g"], default="ed")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, default=201)
+    p.add_argument("--steps", type=_count(2), default=201)
 
-    p = sub.add_parser("ep", help="scan for and polish exceptional points")
-    _add_model_args(p)
-    _add_output_args(p)
+    p = _add_command(sub, "ep", "scan for and polish exceptional points")
     p.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--grid", type=int, nargs=2, default=[16, 16], metavar=("NG", "NED"))
+    p.add_argument("--grid", type=_count(1), nargs=2, default=[16, 16], metavar=("NG", "NED"))
     p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--ep-tol", type=float, default=1e-10)
 
-    p = sub.add_parser("selfenergy", help="pointwise self-energy probe")
-    _add_model_args(p)
-    _add_output_args(p)
+    p = _add_command(sub, "selfenergy", "pointwise self-energy probe")
     p.add_argument("--re", type=float, required=True, help="Re z")
     p.add_argument("--im", type=float, default=0.0, help="Im z")
     p.add_argument("--sheet", type=int, choices=[1, 2], default=1)
@@ -121,181 +118,153 @@ def model_from_args(args) -> ChainModel:
     if args.chain is None or args.ed is None or args.g is None:
         raise ModelError("need --model or all of --chain/--ed/--g")
     variant = SEMI_INFINITE if args.chain == "semi" else INFINITE
-    return ChainModel.from_dict(
-        {
-            "variant": variant,
-            "e_d": args.ed,
-            "g": args.g,
-            "v": args.v,
-            "transition_weight": args.weight,
-            "e_c": args.ec,
-            **({"n_d": args.nd} if args.nd is not None else {}),
-        }
+    model = ChainModel(
+        variant, args.ed, args.g, n_d=args.nd, v=args.v, transition_weight=args.weight, e_c=args.ec
     )
+    return validate(model)
 
 
-def _emit(args, header: list[str], rows: list[list], json_payload=None) -> None:
-    if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(c) if isinstance(c, float) else str(c) for c in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = json_payload
-        if payload is None:
-            payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+class _JsonOnly(list):
+    """A record column that the JSON output carries and the CSV output leaves out."""
+
+
+def _lists(record: dict) -> dict[str, list]:
+    """The record with its numpy columns turned into lists of Python scalars."""
+    return {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in record.items()}
+
+
+def _re_im(name: str, values) -> dict:
+    """The columns re_<name> and im_<name> of complex values."""
+    values = np.asarray(values, dtype=complex)
+    return {f"re_{name}": values.real, f"im_{name}": values.imag}
+
+
+def _csv(record: dict) -> str:
+    """Header line, then one line per row: floats as %.17g, other cells as %s."""
+    cols = _lists({k: c for k, c in record.items() if not isinstance(c, _JsonOnly)})
+    line = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in cols.values())
+    return ",".join(cols) + "\n" + "".join(line % row + "\n" for row in zip(*cols.values()))
+
+
+def _dicts(record: dict) -> list[dict]:
+    """The record as one mapping per row."""
+    cols = _lists(record)
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
+def _write(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_roots(args) -> int:
-    model = model_from_args(args)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, record: dict) -> None:
+    _write(args.out, _csv(record) if args.format == "csv" else _json(_dicts(record)))
+
+
+def _read_seeds(path: str) -> list[tuple[complex, Sheet]]:
+    """(z, sheet) pairs from a JSON roots file; a malformed record is a ModelError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        records = json.load(fh)
+    if not isinstance(records, list):
+        raise ModelError(f"seeds file {path} must hold a JSON list of roots records")
+    seeds = []
+    for i, rec in enumerate(records):
+        try:
+            seeds.append((complex(rec["re_z"], rec["im_z"]), Sheet(rec.get("sheet", 2))))
+        except (TypeError, KeyError, ValueError, OverflowError):
+            raise ModelError(
+                f"seed record {i} {json.dumps(rec)}: need an object with numeric "
+                "re_z and im_z and an optional sheet of 1 or 2"
+            ) from None
+    return seeds
+
+
+def _cmd_roots(model: ChainModel, args) -> None:
     if args.seeds:
-        with open(args.seeds, "r", encoding="utf-8") as fh:
-            seed_records = json.load(fh)
-        seeds = []
-        for rec in seed_records:
-            if "re_z" not in rec or "im_z" not in rec:
-                raise ModelError(f"seed record missing re_z/im_z: {rec}")
-            seeds.append(
-                (
-                    complex(rec["re_z"], rec["im_z"]),
-                    Sheet.I if int(rec.get("sheet", 2)) == 1 else Sheet.II,
-                )
-            )
-        states = polish_seeds(model, seeds, args.root_tol)
+        states = polish_seeds(model, _read_seeds(args.seeds), args.root_tol)
     else:
-        states = discrete_states(
-            model,
-            root_tol=args.root_tol,
-            include_antiresonances=args.antiresonances or None,
-        )
+        anti = args.antiresonances or None
+        states = discrete_states(model, root_tol=args.root_tol, include_antiresonances=anti)
     states = attach_norms(model, states)
-    header = ["branch", "class", "re_z", "im_z", "re_norm", "im_norm", "residual"]
-    rows = []
-    payload = []
-    for s in states:
-        rows.append(
-            [s.label, s.state_class.value, s.z.real, s.z.imag, s.norm.real, s.norm.imag, s.residual]
-        )
-        payload.append(
-            {
-                "branch": s.label,
-                "class": s.state_class.value,
-                "re_z": s.z.real,
-                "im_z": s.z.imag,
-                "re_norm": s.norm.real,
-                "im_norm": s.norm.imag,
-                "residual": s.residual,
-                "sheet": s.sheet.value,
-                "near_degenerate": s.near_degenerate,
-            }
-        )
-    _emit(args, header, rows, payload)
-    return EXIT_OK
+    record = {
+        "branch": [s.label for s in states],
+        "class": [s.state_class.value for s in states],
+        **_re_im("z", [s.z for s in states]),
+        **_re_im("norm", [s.norm for s in states]),
+        "residual": [s.residual for s in states],
+        "sheet": _JsonOnly(s.sheet.value for s in states),
+        "near_degenerate": _JsonOnly(s.near_degenerate for s in states),
+    }
+    _emit(args, record)
 
 
-def _cmd_bic(args) -> int:
-    model = model_from_args(args)
-    energies = bic_energies(model)
-    _emit(args, ["energy"], [[e] for e in energies], [{"energy": e} for e in energies])
-    return EXIT_OK
+def _cmd_bic(model: ChainModel, args) -> None:
+    _emit(args, {"energy": bic_energies(model)})
 
 
-def _cmd_spectrum(args) -> int:
-    model = model_from_args(args)
-    grid = np.linspace(args.omega_min, args.omega_max, args.points)
-    sg = decompose(model, grid)
+def _cmd_spectrum(model: ChainModel, args) -> None:
+    sg = decompose(model, np.linspace(args.omega_min, args.omega_max, args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0
-
-    labels = [m.label for m in sg.per_state_meta]
-    header = [axis, "total"]
-    for lab in labels:
-        header += [f"f_{lab}", f"fS_{lab}", f"fA_{lab}"]
-    header.append("continuum_residual")
-    rows = []
-    for i, om in enumerate(sg.omega):
-        row = [float(om - shift), float(sg.total[i])]
-        for lab in labels:
-            row += [
-                float(sg.resonance_f[lab][i]),
-                float(sg.resonance_fs[lab][i]),
-                float(sg.resonance_fa[lab][i]),
-            ]
-        row.append(float(sg.continuum_residual[i]))
-        rows.append(row)
-
-    json_payload = {
-        "axis": axis,
-        "meta": [
-            {
-                "branch": m.label,
-                "epsilon": m.epsilon,
-                "gamma": m.gamma,
-                "da": m.da,
-                "q": m.q,
-                "near_degenerate": m.near_degenerate,
-            }
-            for m in sg.per_state_meta
-        ],
-        "lines": [{"energy": e - shift, "weight": w} for e, w in sg.bound_lines],
-        "columns": header,
-        "rows": rows,
-    }
-    _emit(args, header, rows, json_payload)
+    record = {axis: sg.omega - shift, "total": sg.total}
+    for m in sg.per_state_meta:
+        record[f"f_{m.label}"] = sg.resonance_f[m.label]
+        record[f"fS_{m.label}"] = sg.resonance_fs[m.label]
+        record[f"fA_{m.label}"] = sg.resonance_fa[m.label]
+    record["continuum_residual"] = sg.continuum_residual
+    bound = np.reshape(sg.bound_lines, (-1, 2))
+    lines = {"energy": bound[:, 0] - shift, "weight": bound[:, 1]}
 
     if args.format == "csv":
+        _write(args.out, _csv(record))
         lines_path = args.lines_out or ((args.out + ".lines.csv") if args.out else None)
         if lines_path:
-            lines_text = "energy,weight\n" + "".join(
-                f"{fmt(e - shift)},{fmt(w)}\n" for e, w in sg.bound_lines
-            )
-            with open(lines_path, "w", encoding="utf-8") as fh:
-                fh.write(lines_text)
-    return EXIT_OK
+            _write(lines_path, _csv(lines))
+        return
+    meta = sg.per_state_meta
+    meta_record = {
+        "branch": [m.label for m in meta],
+        "epsilon": [m.epsilon for m in meta],
+        "gamma": [m.gamma for m in meta],
+        "da": [m.da for m in meta],
+        "q": [m.q for m in meta],
+        "near_degenerate": [m.near_degenerate for m in meta],
+    }
+    payload = {
+        "axis": axis,
+        "meta": _dicts(meta_record),
+        "lines": _dicts(lines),
+        "columns": list(record),
+        "rows": list(zip(*_lists(record).values())),
+    }
+    _write(args.out, _json(payload))
 
 
-def _cmd_trajectory(args) -> int:
-    model = model_from_args(args)
+def _cmd_trajectory(model: ChainModel, args) -> None:
     parameter = "e_d" if args.parameter == "ed" else "g"
-    values = np.linspace(args.start, args.stop, args.steps)
-    tr = trace(model, parameter, values)
-    header = ["param", "branch", "re_z", "im_z"]
-    rows = []
-    payload = []
-    for br in tr.branches:
-        for pt in br.points:
-            rows.append([pt.value, br.label, pt.z.real, pt.z.imag])
-            payload.append(
-                {
-                    "param": pt.value,
-                    "branch": br.label,
-                    "re_z": pt.z.real,
-                    "im_z": pt.z.imag,
-                    "bic": pt.bic,
-                    "collision": pt.collision,
-                    "crossed_axis": pt.crossed_axis,
-                }
-            )
-    _emit(args, header, rows, payload)
-    return EXIT_OK
+    tr = trace(model, parameter, np.linspace(args.start, args.stop, args.steps))
+    points = [(br.label, pt) for br in tr.branches for pt in br.points]
+    record = {
+        "param": [pt.value for _, pt in points],
+        "branch": [label for label, _ in points],
+        **_re_im("z", [pt.z for _, pt in points]),
+        "bic": _JsonOnly(pt.bic for _, pt in points),
+        "collision": _JsonOnly(pt.collision for _, pt in points),
+        "crossed_axis": _JsonOnly(pt.crossed_axis for _, pt in points),
+    }
+    _emit(args, record)
 
 
-def _cmd_ep(args) -> int:
-    model = model_from_args(args)
-    seeds = scan_for_ep_seeds(
-        model,
-        (args.g_range[0], args.g_range[1]),
-        (args.ed_range[0], args.ed_range[1]),
-        n_g=args.grid[0],
-        n_ed=args.grid[1],
-        threshold=args.threshold,
-    )
+def _cmd_ep(model: ChainModel, args) -> None:
+    g_range, ed_range = tuple(args.g_range), tuple(args.ed_range)
+    seeds = scan_for_ep_seeds(model, g_range, ed_range, *args.grid, args.threshold)
     results = []
     for seed in seeds:
         try:
@@ -306,47 +275,26 @@ def _cmd_ep(args) -> int:
             abs(ep.g - r.g) < 1e-6 and abs(ep.e_d - r.e_d) < 1e-6 for r in results
         ):
             results.append(ep)
-    header = ["g", "ed", "re_z", "im_z", "res_eta", "res_etaprime"]
-    rows = [
-        [r.g, r.e_d, r.z.real, r.z.imag, r.residual_eta, r.residual_eta_prime]
-        for r in results
-    ]
-    _emit(args, header, rows)
-    return EXIT_OK
+    record = {
+        "g": [r.g for r in results],
+        "ed": [r.e_d for r in results],
+        **_re_im("z", [r.z for r in results]),
+        "res_eta": [r.residual_eta for r in results],
+        "res_etaprime": [r.residual_eta_prime for r in results],
+    }
+    _emit(args, record)
 
 
-def _cmd_selfenergy(args) -> int:
-    model = model_from_args(args)
-    se = SheetedEnergy(complex(args.re, args.im), Sheet.I if args.sheet == 1 else Sheet.II)
-    sig = self_energy(model, se)
-    d1 = self_energy_deriv(model, se, 1)
-    d2 = self_energy_deriv(model, se, 2)
-    header = [
-        "re_z",
-        "im_z",
-        "sheet",
-        "re_sigma",
-        "im_sigma",
-        "re_dsigma",
-        "im_dsigma",
-        "re_d2sigma",
-        "im_d2sigma",
-    ]
-    rows = [
-        [
-            args.re,
-            args.im,
-            args.sheet,
-            sig.real,
-            sig.imag,
-            d1.real,
-            d1.imag,
-            d2.real,
-            d2.imag,
-        ]
-    ]
-    _emit(args, header, rows)
-    return EXIT_OK
+def _cmd_selfenergy(model: ChainModel, args) -> None:
+    se = SheetedEnergy(complex(args.re, args.im), Sheet(args.sheet))
+    record = {
+        **_re_im("z", [se.value]),
+        "sheet": [args.sheet],
+        **_re_im("sigma", [self_energy(model, se)]),
+        **_re_im("dsigma", [self_energy_deriv(model, se, 1)]),
+        **_re_im("d2sigma", [self_energy_deriv(model, se, 2)]),
+    }
+    _emit(args, record)
 
 
 _COMMANDS = {
@@ -366,13 +314,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](model_from_args(args), args)
     except (ModelError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FanochainError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def main() -> None:

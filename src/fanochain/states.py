@@ -13,7 +13,7 @@ eigenvector components are ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .dispersion import ROOT_TOL, DiscreteState, StateClass
 from .errors import FanochainError, NearExceptionalPointError
@@ -22,16 +22,6 @@ from .selfenergy import SheetedEnergy, self_energy_deriv
 
 #: |1 - g^2 Sigma'| below this counts as sitting on an exceptional point.
 EP_GUARD = 1e-10
-
-
-@dataclass(frozen=True)
-class StateWeights:
-    """Residue data attached to one discrete state."""
-
-    norm: complex
-    d_eps_d_ed: float
-    d_gamma_d_ed: float
-    bound_weight: float | None = None
 
 
 def normalization(model: ChainModel, state: DiscreteState) -> complex:
@@ -50,7 +40,7 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
         or a state whose residual exceeds the root tolerance.
     """
     if state.state_class is StateClass.BIC:
-        raise FanochainError("BIC states carry unit norm by convention; see bic_norm()")
+        raise FanochainError("BIC states carry unit norm by convention; see attach_norms()")
     if state.residual > 10 * ROOT_TOL:
         raise FanochainError(
             f"state residual {state.residual:.3e} too large for a trustworthy residue"
@@ -62,11 +52,6 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
             "normalization constant diverges at the exceptional point"
         )
     return 1.0 / denom
-
-
-def bic_norm() -> complex:
-    """Unit norm assigned, by convention, to a state parked on a BIC."""
-    return 1.0 + 0.0j
 
 
 def bound_weight(model: ChainModel, state: DiscreteState) -> float:
@@ -101,27 +86,13 @@ def bic_line_weight(model: ChainModel, state: DiscreteState) -> float:
     return (1.0 / denom).real
 
 
-def state_weights(model: ChainModel, state: DiscreteState) -> StateWeights:
-    """Bundle norm and its trajectory-derivative reading for one state."""
-    if state.state_class is StateClass.BIC:
-        n = bic_norm()
-    else:
-        n = normalization(model, state)
-    bw = None
-    if state.state_class is StateClass.BOUND_I:
-        bw = bound_weight(model, state)
-    return StateWeights(
-        norm=n,
-        d_eps_d_ed=n.real,
-        d_gamma_d_ed=-n.imag,
-        bound_weight=bw,
-    )
-
-
 def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[DiscreteState]:
-    """Copy of the state list with the norm field filled in."""
+    """Copy of the state list with the norm field filled in.
+
+    A BIC state carries unit norm by convention.
+    """
     out = []
     for s in states:
-        n = bic_norm() if s.state_class is StateClass.BIC else normalization(model, s)
+        n = 1 + 0j if s.state_class is StateClass.BIC else normalization(model, s)
         out.append(replace(s, norm=n))
     return out

@@ -38,6 +38,12 @@ EP_TOL = 1e-10
 #: Two corrected branches closer than this are flagged as colliding.
 COLLISION_TOL = 1e-6
 
+#: Cap on cells * deg^2 for one batched census of the EP scan, where deg is
+#: the degree of p(w): 2 n_d, or 4 for the infinite chain.  The census holds
+#: several (cells, deg, deg) arrays, so this bounds the scan's memory
+#: whatever the grid and n_d; a 16 x 16 grid up to n_d = 22 is one block.
+SCAN_BLOCK = 2**19
+
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
@@ -295,22 +301,27 @@ def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
     """Closest resonance-pair distance and midpoint on the (g, e_d) grid.
 
     Cells with fewer than two resonances, and cells where discrete_states
-    would raise, get distance inf.
+    would raise, get distance inf.  The cells are solved in blocks of at
+    most SCAN_BLOCK / deg^2.
     """
-    g_cells, ed_cells = np.meshgrid(gs, eds, indexing="ij")
-    census = _census(model, ed_cells.ravel(), g_cells.ravel(), ROOT_TOL)
-    z = census.z
-    resonance = census.kept & (census.cls == _RESONANCE) & (census.fault == _OK)[:, None]
-    a, b = np.triu_indices(z.shape[1], 1)
-    gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
+    g_cells, ed_cells = (c.ravel() for c in np.meshgrid(gs, eds, indexing="ij"))
     dist = np.full(g_cells.size, np.inf)
     mid = np.zeros(g_cells.size, dtype=complex)
-    if gap.size:  # empty when no cell was solved or p has fewer than two roots
-        best = gap.argmin(axis=1)
-        k = np.arange(len(z))
-        dist[census.rows] = gap[k, best]
-        mid[census.rows] = 0.5 * (z[k, a[best]] + z[k, b[best]])
-    return dist.reshape(g_cells.shape), mid.reshape(g_cells.shape)
+    deg = 2 * model.n_d if model.is_semi_infinite else 4
+    block = max(1, SCAN_BLOCK // deg**2)
+    for start in range(0, g_cells.size, block):
+        cells = slice(start, start + block)
+        census = _census(model, ed_cells[cells], g_cells[cells], ROOT_TOL)
+        z = census.z
+        resonance = census.kept & (census.cls == _RESONANCE) & (census.fault == _OK)[:, None]
+        a, b = np.triu_indices(z.shape[1], 1)
+        gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
+        if gap.size:  # empty when no cell was solved or p has fewer than two roots
+            best = gap.argmin(axis=1)
+            k = np.arange(len(z))
+            dist[start + census.rows] = gap[k, best]
+            mid[start + census.rows] = 0.5 * (z[k, a[best]] + z[k, b[best]])
+    return dist.reshape(len(gs), len(eds)), mid.reshape(len(gs), len(eds))
 
 
 def scan_for_ep_seeds(

@@ -10,7 +10,6 @@ from fanochain import (
     bound_weight,
     discrete_states,
     normalization,
-    state_weights,
 )
 from fanochain.states import bic_line_weight
 
@@ -149,16 +148,6 @@ def test_bic_norm_convention():
     expected = 1.0 / (1.0 + 2 * n_d * m.g**2 * v**2 / (1 - bic.z.real**2))
     assert w == pytest.approx(expected, rel=1e-10)
     assert 0.0 < w < 1.0
-
-
-def test_state_weights_bundle(semi_model):
-    s = resonances(semi_model)[0]
-    sw = state_weights(semi_model, s)
-    n = normalization(semi_model, s)
-    assert sw.norm == n
-    assert sw.d_eps_d_ed == n.real
-    assert sw.d_gamma_d_ed == -n.imag
-    assert sw.bound_weight is None
 
 
 def test_attach_norms_fills_everything(semi_model):

@@ -18,6 +18,7 @@ from fanochain import (
     scan_for_ep_seeds,
     trace,
 )
+from fanochain import sweep
 from fanochain.sweep import EpSeed, _closest_pairs, _continue_branch
 
 EP_G = 0.1728
@@ -310,6 +311,22 @@ def test_scan_matches_per_cell_solves(box, threshold):
     for s, t in zip(got, want):
         assert abs(s.z - t.z) <= 1e-12
         assert abs(s.pair_distance - t.pair_distance) <= 1e-12
+
+
+@pytest.mark.parametrize("box", SCAN_BOXES)
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_scan_blocks_match_single_block(box, block, monkeypatch):
+    model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
+    gs, eds = np.linspace(*g_range, n_g), np.linspace(*ed_range, n_ed)
+    deg = 2 * model.n_d if model.is_semi_infinite else 4
+    assert n_g * n_ed * deg**2 <= sweep.SCAN_BLOCK  # one block by default
+    dist, mid = _closest_pairs(model, gs, eds)
+    seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold=10.0)
+    monkeypatch.setattr(sweep, "SCAN_BLOCK", block)
+    blocked_dist, blocked_mid = _closest_pairs(model, gs, eds)
+    np.testing.assert_array_equal(blocked_dist, dist)
+    np.testing.assert_array_equal(blocked_mid, mid)
+    assert scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold=10.0) == seeds
 
 
 def test_scan_boxes_exercise_their_edge_cases():
