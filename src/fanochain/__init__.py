@@ -14,7 +14,6 @@ from .dispersion import (
     discrete_states,
     eta,
     eta_deriv,
-    polynomial_coefficients,
 )
 from .errors import (
     BranchPointError,
@@ -88,7 +87,6 @@ __all__ = [
     "find_ep",
     "green_spectrum",
     "normalization",
-    "polynomial_coefficients",
     "resonance_component",
     "scan_for_ep_seeds",
     "self_energy",

@@ -34,11 +34,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
-from .errors import BranchPointError, ConvergenceError, ModelError, RootCountError
+from .errors import ConvergenceError, ModelError, RootCountError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv
+from .selfenergy import Sheet, SheetedEnergy, _sigma, _sigma_at, self_energy, self_energy_deriv
 
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
@@ -129,25 +128,6 @@ def _w_coefficients(model: ChainModel, e_d: np.ndarray, g2: np.ndarray) -> np.nd
     return np.stack([one, -2.0 * e_d, -4.0 * G, 2.0 * e_d, -one], axis=1)
 
 
-def polynomial_coefficients(model: ChainModel) -> np.ndarray:
-    """Monic real coefficients (descending powers) of the dispersion relation in z.
-
-    The roots are those of eta on *both* sheets: with a the autocorrelation
-    of the coefficients of p(w),
-
-        p(w) p(1/w) = a_0 + 2 sum_m a_m T_m(z),   z = (w + 1/w)/2,
-
-    which is a polynomial in z of degree 2 n_d (4 for the infinite chain).
-    """
-    validate(model)
-    coeffs = _w_coefficients(model, np.array([model.e_d]), np.array([model.g**2]))[0]
-    coeffs = np.trim_zeros(coeffs, "b")
-    a = np.correlate(coeffs, coeffs, "full")[len(coeffs) - 1 :]
-    a[1:] *= 2.0
-    z_poly = chebyshev.cheb2poly(a)[::-1]
-    return z_poly / z_poly[0]
-
-
 def newton_polish(
     model: ChainModel,
     z0: complex,
@@ -158,22 +138,21 @@ def newton_polish(
     """Newton iteration on eta from z0 on a fixed sheet.
 
     Returns the final iterate and |eta| there.  Raises ConvergenceError
-    (with the iterate trace) if the residual never drops below tol.
+    (with the iterate trace) if the residual never drops below tol, and
+    BranchPointError if an iterate lands exactly on z = +-1.
     """
     z = complex(z0)
     trace = [z]
     best_res = float("inf")
+    g2 = model.g**2
     for _ in range(max_iter):
-        try:
-            f = eta(model, SheetedEnergy(z, sheet))
-        except BranchPointError:
-            z += 1e-14 + 1e-14j
-            f = eta(model, SheetedEnergy(z, sheet))
+        sig, sig1 = _sigma_at(model, SheetedEnergy(z, sheet), 1)
+        f = z - model.e_d - g2 * sig
         res = abs(f)
         best_res = min(best_res, res)
         if res < tol:
             return z, res
-        fp = eta_deriv(model, SheetedEnergy(z, sheet))
+        fp = 1.0 - g2 * sig1
         if fp == 0:
             break
         z = z - f / fp
@@ -306,7 +285,7 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     # eta is singular at the branch points.
     branch = (z == 1.0) | (z == -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
+        (sigma,) = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
         residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
 
     kept, near = _dedup(z, cls)

@@ -41,25 +41,24 @@ class SheetedEnergy:
     value: complex
     sheet: Sheet = Sheet.I
 
-    def conjugate(self) -> "SheetedEnergy":
-        return SheetedEnergy(complex(self.value).conjugate(), self.sheet)
 
-
-def _canonical(z: complex) -> complex:
-    """Force real-axis inputs onto the +i0 side of the cut.
+def _point(z: SheetedEnergy) -> complex:
+    """z.value with real-axis inputs forced onto the +i0 side of the cut.
 
     complex(x, -0.0) would otherwise select the lower lip of the principal
     branch cut and silently break the E + i0 convention.
+
+    Raises
+    ------
+    BranchPointError
+        If z is exactly +1 or -1.
     """
-    z = complex(z)
-    if z.imag == 0.0:
-        return complex(z.real, 0.0)
-    return z
-
-
-def _sqrt_pm1(z):
-    """sqrt(z-1)*sqrt(z+1) with principal roots; array friendly."""
-    return np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    value = complex(z.value)
+    if value.imag == 0.0:
+        value = complex(value.real, 0.0)
+    if value == 1.0 or value == -1.0:
+        raise BranchPointError(f"z = {value} is a branch point")
+    return value
 
 
 def sqrt_branch(z: SheetedEnergy) -> complex:
@@ -75,11 +74,7 @@ def sqrt_branch(z: SheetedEnergy) -> complex:
     BranchPointError
         If z is exactly +1 or -1.
     """
-    value = _canonical(z.value)
-    if value == 1.0 or value == -1.0:
-        raise BranchPointError(f"z = {value} is a branch point")
-    s = complex(_sqrt_pm1(value))
-    return s if z.sheet is Sheet.I else -s
+    return complex(_sheeted_s(_point(z), z.sheet))
 
 
 def band_energy(k: float) -> float:
@@ -106,50 +101,40 @@ def coupling(model: ChainModel, k: float) -> float:
 
 def _sheeted_s(z, sheet):
     """s(z) on a Sheet, or per element on sheet II where the bool array sheet is true."""
-    s = _sqrt_pm1(z)
+    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
     if isinstance(sheet, Sheet):
         return -s if sheet is Sheet.II else s
     return np.where(sheet, -s, s)
 
 
-def _sigma(z, sheet, n_d: int | None, v: float):
-    """Self-energy core, vectorized over z (already canonicalized).
+def _sigma(z, sheet, n_d: int | None, v: float, order: int = 0) -> list:
+    """Self-energy and its z-derivatives up to order, vectorized over z.
 
-    sheet is a Sheet, or a bool array (broadcast with z) true on sheet II.
+    z is already canonicalized; sheet is a Sheet, or a bool array
+    (broadcast with z) true on sheet II.  Returns [Sigma, Sigma', ...].
+
+    With w = z - s, Sigma = (v^2/s) [1 - w^(2 n_d)], and the derivatives
+    follow from s' = z/s and w' = -w/s, which hold on both sheets with s
+    carrying the sheet sign.  The infinite chain is the same formula with
+    w^(2 n_d) = 0.
     """
     s = _sheeted_s(z, sheet)
-    if n_d is None:
-        return (v * v) / s
-    w = z - s
-    return (v * v) / s * (1.0 - w ** (2 * n_d))
+    n = n_d or 0
+    w2n = 0.0 if n_d is None else (z - s) ** (2 * n)
+    u = 1.0 - w2n
+    v2 = v * v
+    out = [v2 / s * u]
+    if order >= 1:
+        out.append(v2 * (2 * n * w2n / s**2 - z * u / s**3))
+    if order >= 2:
+        wall = -2.0 * n * w2n * (2.0 * n * s + 3.0 * z) / s**4
+        out.append(v2 * (wall + u * (2.0 * z * z + 1.0) / s**5))
+    return out
 
 
-def _sigma_d1(z, sheet, n_d: int | None, v: float):
-    """First z-derivative of the self-energy.
-
-    Uses s' = z/s (valid on both sheets) and (z - s)' = -(z - s)/s, so the
-    expression below holds with s carrying the sheet sign.
-    """
-    s = _sheeted_s(z, sheet)
-    if n_d is None:
-        return -(v * v) * z / s**3
-    w = z - s
-    w2n = w ** (2 * n_d)
-    return (v * v) * (2 * n_d * w2n / s**2 - z * (1.0 - w2n) / s**3)
-
-
-def _sigma_d2(z, sheet, n_d: int | None, v: float):
-    """Second z-derivative of the self-energy (closed form)."""
-    s = _sheeted_s(z, sheet)
-    if n_d is None:
-        return (v * v) * (2.0 * z * z + 1.0) / s**5
-    w = z - s
-    w2n = w ** (2 * n_d)
-    n = n_d
-    return (v * v) * (
-        -2.0 * n * w2n * (2.0 * n * s + 3.0 * z) / s**4
-        + (1.0 - w2n) * (2.0 * z * z + 1.0) / s**5
-    )
+def _sigma_at(model: ChainModel, z: SheetedEnergy, order: int = 0) -> list[complex]:
+    """Sigma and its derivatives up to order at one tagged energy."""
+    return [complex(x) for x in _sigma(_point(z), z.sheet, model.n_d, model.v, order)]
 
 
 def self_energy(model: ChainModel, z: SheetedEnergy) -> complex:
@@ -158,10 +143,7 @@ def self_energy(model: ChainModel, z: SheetedEnergy) -> complex:
     Semi-infinite chain:  (v^2/s) * [1 - (z - s)^(2 n_d)];
     infinite chain:        v^2 / s.
     """
-    value = _canonical(z.value)
-    if value == 1.0 or value == -1.0:
-        raise BranchPointError(f"z = {value} is a branch point")
-    return complex(_sigma(value, z.sheet, model.n_d, model.v))
+    return _sigma_at(model, z)[0]
 
 
 def self_energy_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
@@ -170,11 +152,6 @@ def self_energy_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> co
     Finite differences are never used here; the derivatives feed Newton
     iterations and the double-root system, where full precision matters.
     """
-    value = _canonical(z.value)
-    if value == 1.0 or value == -1.0:
-        raise BranchPointError(f"z = {value} is a branch point")
-    if order == 1:
-        return complex(_sigma_d1(value, z.sheet, model.n_d, model.v))
-    if order == 2:
-        return complex(_sigma_d2(value, z.sheet, model.n_d, model.v))
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    return _sigma_at(model, z, order)[order]

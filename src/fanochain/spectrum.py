@@ -93,7 +93,7 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     inside = np.abs(omega) < 1.0
     if np.any(inside):
         z = omega[inside].astype(complex)  # imag +0.0: the +i0 boundary value
-        sig = _sigma(z, Sheet.I, model.n_d, model.v)
+        (sig,) = _sigma(z, Sheet.I, model.n_d, model.v)
         num = -model.g**2 * sig.imag  # = -Im Sigma >= 0
         den = (omega[inside] - model.e_d - model.g**2 * sig.real) ** 2 + (
             model.g**2 * sig.imag

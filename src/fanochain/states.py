@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .dispersion import ROOT_TOL, DiscreteState, StateClass
+from .dispersion import ROOT_TOL, DiscreteState, StateClass, eta_deriv
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
-from .selfenergy import SheetedEnergy, self_energy_deriv
 
 #: |1 - g^2 Sigma'| below this counts as sitting on an exceptional point.
 EP_GUARD = 1e-10
@@ -45,7 +44,7 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
         raise FanochainError(
             f"state residual {state.residual:.3e} too large for a trustworthy residue"
         )
-    denom = 1.0 - model.g**2 * self_energy_deriv(model, state.sheeted(), 1)
+    denom = eta_deriv(model, state.sheeted())
     if abs(denom) < EP_GUARD:
         raise NearExceptionalPointError(
             f"|1 - g^2 Sigma'| = {abs(denom):.3e} at z = {state.z}: "
@@ -82,8 +81,7 @@ def bic_line_weight(model: ChainModel, state: DiscreteState) -> float:
     """
     if state.state_class is not StateClass.BIC:
         raise FanochainError(f"expected a BIC state, got {state.state_class.value}")
-    denom = 1.0 - model.g**2 * self_energy_deriv(model, state.sheeted(), 1)
-    return (1.0 / denom).real
+    return (1.0 / eta_deriv(model, state.sheeted())).real
 
 
 def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[DiscreteState]:

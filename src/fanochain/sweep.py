@@ -23,14 +23,12 @@ from .dispersion import (
     StateClass,
     _census,
     discrete_states,
-    eta,
-    eta_deriv,
     newton_polish,
     roman_label,
 )
-from .errors import ConvergenceError, FanochainError, ModelError
+from .errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
+from .selfenergy import Sheet, SheetedEnergy, _sigma_at
 
 #: Residual bound on |eta| and |eta'| at a reported exceptional point.
 EP_TOL = 1e-10
@@ -93,11 +91,12 @@ class EpResult:
 
 
 def _predictor(model: ChainModel, z: complex, parameter: str) -> complex:
-    n = 1.0 / eta_deriv(model, SheetedEnergy(z, Sheet.II))
+    sig, sig1 = _sigma_at(model, SheetedEnergy(z, Sheet.II), 1)
+    n = 1.0 / (1.0 - model.g**2 * sig1)
     if parameter == "e_d":
         return n
     # eta = z - e_d - g^2 Sigma  =>  dz/dg = 2 g Sigma / eta'
-    return 2.0 * model.g * self_energy(model, SheetedEnergy(z, Sheet.II)) * n
+    return 2.0 * model.g * sig * n
 
 
 def _model_at(model: ChainModel, parameter: str, value: float) -> ChainModel:
@@ -205,6 +204,12 @@ def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
     return TrajectoryPoint(value=float(v_to), z=cur, bic=bic, crossed_axis=crossed)
 
 
+def _ep_system(model: ChainModel, z: complex, g: float, e_d: float, order: int):
+    """eta, eta' and [Sigma, ..., Sigma^(order)] at z on sheet II for coupling g and level e_d."""
+    sig = _sigma_at(model, SheetedEnergy(z, Sheet.II), order)
+    return z - e_d - g * g * sig[0], 1.0 - g * g * sig[1], sig
+
+
 def find_ep(
     model: ChainModel,
     seed: EpSeed | tuple,
@@ -225,19 +230,13 @@ def find_ep(
     """
     validate(model)
     if isinstance(seed, EpSeed):
-        g, e_d, z = seed.g, seed.e_d, complex(seed.z)
+        g, e_d, z = float(seed.g), float(seed.e_d), complex(seed.z)
     else:
         g, e_d, z = float(seed[0]), float(seed[1]), complex(seed[2])
 
     trace_pts = [(z, g, e_d)]
     for _ in range(max_iter):
-        m = model.with_params(g=g, e_d=e_d)
-        se = SheetedEnergy(z, Sheet.II)
-        sig = self_energy(m, se)
-        sig1 = self_energy_deriv(m, se, 1)
-        sig2 = self_energy_deriv(m, se, 2)
-        f1 = z - e_d - g * g * sig          # eta
-        f2 = 1.0 - g * g * sig1             # eta'
+        f1, f2, (sig, sig1, sig2) = _ep_system(model, z, g, e_d, 2)  # eta, eta'
         F = np.array([f1.real, f1.imag, f2.real, f2.imag])
         if abs(f1) < ep_tol and abs(f2) < ep_tol:
             if g <= 0:
@@ -259,7 +258,7 @@ def find_ep(
             ]
         )
         try:
-            step = np.linalg.solve(jac, -F)
+            step = np.linalg.solve(jac, -F).tolist()  # Python floats keep g and e_d floats
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian in EP solve: {exc}", trace=trace_pts)
 
@@ -270,15 +269,13 @@ def find_ep(
             g_t = g + lam * step[2]
             e_t = e_d + lam * step[3]
             try:
-                m_t = model.with_params(g=max(g_t, 1e-12), e_d=e_t)
-                f1_t = eta(m_t, SheetedEnergy(z_t, Sheet.II))
-                f2_t = eta_deriv(m_t, SheetedEnergy(z_t, Sheet.II))
+                f1_t, f2_t, _ = _ep_system(model, z_t, max(g_t, 1e-12), e_t, 1)
                 if (
                     np.linalg.norm([f1_t.real, f1_t.imag, f2_t.real, f2_t.imag])
                     < norm0
                 ):
                     break
-            except FanochainError:
+            except BranchPointError:
                 pass
             lam *= 0.5
         z = z + lam * complex(step[0], step[1])

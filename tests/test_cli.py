@@ -234,6 +234,15 @@ def test_malformed_seed_record_is_usage_error(tmp_path, capsys, records):
     assert json.dumps(records[0]) in err
 
 
+def test_seed_at_branch_point_is_numerical_failure(tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([{"re_z": 1.0, "im_z": 0.0, "sheet": 2}]))
+    rc = run(["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+              "--seeds", str(seeds)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: z = (1+0j) is a branch point\n"
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

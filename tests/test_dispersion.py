@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fanochain import (
+    BranchPointError,
     ChainModel,
     ModelError,
     RootCountError,
@@ -13,7 +14,6 @@ from fanochain import (
     bic_energies,
     discrete_states,
     eta,
-    polynomial_coefficients,
     self_energy,
 )
 from fanochain.dispersion import ROOT_TOL, newton_polish, polish_seeds
@@ -51,53 +51,6 @@ def test_bic_nd1_empty():
 def test_bic_infinite_rejected(infinite_model):
     with pytest.raises(ModelError, match="infinite"):
         bic_energies(infinite_model)
-
-
-# ----------------------------------------------------------------- polynomial
-
-
-def test_polynomial_g_zero_root_at_ed():
-    m = ChainModel.semi_infinite(4, -0.37, 0.0)
-    coeffs = polynomial_coefficients(m)
-    roots = np.roots(coeffs)
-    assert sorted(np.real(roots)) == pytest.approx([-0.37, -0.37], abs=1e-12)
-
-
-def test_polynomial_infinite_expansion():
-    m = ChainModel.infinite(-0.6, 0.2, v=1.1)
-    big_g = m.g**2 * m.v**2
-    expected = np.polynomial.polynomial.polyfromroots([m.e_d, m.e_d, 1.0, -1.0])[::-1]
-    expected = expected.copy()
-    expected[-1] -= big_g**2
-    assert polynomial_coefficients(m) == pytest.approx(expected)
-
-
-def test_polynomial_nd1_matches_direct_squaring():
-    # z - e_d = 2 g^2 v^2 (z - s)  squares to
-    # (z(1 - 2G) - e_d + 2G... )^2 = 4 G^2 (z^2 - 1), G = g^2 v^2
-    m = ChainModel.semi_infinite(1, -0.3, 0.25, v=1.2)
-    G = m.g**2 * m.v**2
-    # ((1-2G) z - e_d)^2 - 4 G^2 (z^2 - 1) expanded, descending
-    a = 1.0 - 2.0 * G
-    manual = np.array(
-        [a * a - 4 * G * G, -2.0 * a * m.e_d, m.e_d**2 + 4.0 * G * G]
-    )
-    got = polynomial_coefficients(m)
-    assert len(got) == 3
-    assert got / got[0] == pytest.approx(manual / manual[0], rel=1e-12)
-
-
-def test_polynomial_roots_solve_eta_on_some_sheet(semi_model):
-    coeffs = polynomial_coefficients(semi_model)
-    for r in np.roots(coeffs):
-        vals = [abs(eta(semi_model, SheetedEnergy(complex(r), sheet))) for sheet in (I, II)]
-        assert min(vals) < 1e-6
-
-
-def test_polynomial_degree_2nd():
-    for n_d in (1, 2, 3, 5, 6):
-        m = ChainModel.semi_infinite(n_d, -0.4, 0.17)
-        assert len(polynomial_coefficients(m)) == 2 * n_d + 1
 
 
 # ------------------------------------------------------------------------ eta
@@ -403,6 +356,16 @@ def test_newton_polish_reports_trace_on_failure(semi_model):
         # absurd tolerance cannot be met; the trace must come back
         newton_polish(semi_model, 0.5 - 0.2j, II, tol=1e-40, max_iter=5)
     assert len(info.value.trace) > 0
+
+
+@pytest.mark.parametrize("sheet", [I, II])
+@pytest.mark.parametrize("z0", [1.0, -1.0])
+def test_seed_at_branch_point_fails_loudly(semi_model, z0, sheet):
+    # eta is singular at z = +-1: a seed there is refused
+    with pytest.raises(BranchPointError, match="branch point"):
+        newton_polish(semi_model, complex(z0), sheet)
+    with pytest.raises(BranchPointError, match="branch point"):
+        polish_seeds(semi_model, [(complex(z0), sheet)])
 
 
 # -------------------------------------------- argument-principle equivalence

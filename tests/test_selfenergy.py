@@ -17,6 +17,7 @@ from fanochain import (
     self_energy_deriv,
     sqrt_branch,
 )
+from fanochain.selfenergy import _sigma
 from oracles import (
     continue_sqrt_through_cut,
     sigma_boundary_quadrature,
@@ -227,12 +228,38 @@ def test_deriv_matches_finite_difference(semi_model, infinite_model, sheet, z):
         assert d2 == pytest.approx(fd2, rel=1e-5)
 
 
-def test_deriv_infinite_closed_form(infinite_model):
-    z = 1.7 + 0.3j
-    s = sqrt_branch(se(z, I))
-    assert self_energy_deriv(infinite_model, se(z, I), 1) == pytest.approx(
-        -infinite_model.v**2 * z / s**3, rel=1e-13
+def test_deriv_infinite_closed_form():
+    # Sigma' = -v^2 z / s^3 and Sigma'' = v^2 (2 z^2 + 1) / s^5, on both sheets
+    for v in (1.0, 1.3):
+        m = ChainModel.infinite(-0.6, 0.2, v=v)
+        for z in (1.7 + 0.3j, 0.4 - 0.2j, -2.5 + 0j):
+            for sheet in (I, II):
+                s = sqrt_branch(se(z, sheet))
+                assert self_energy_deriv(m, se(z, sheet), 1) == pytest.approx(
+                    -(v**2) * z / s**3, rel=1e-13
+                )
+                assert self_energy_deriv(m, se(z, sheet), 2) == pytest.approx(
+                    v**2 * (2 * z * z + 1) / s**5, rel=1e-13
+                )
+
+
+@pytest.mark.parametrize("n_d", [1, 4, None])
+def test_array_kernel_with_sheet_mask_matches_scalar(n_d):
+    m = (
+        ChainModel.infinite(-0.6, 0.2, v=1.3)
+        if n_d is None
+        else ChainModel.semi_infinite(n_d, -0.5, 0.2, v=1.3)
     )
+    z = np.array([0.3 - 0.2j, -1.5 + 0.1j, 2.0 + 0j, 0.9 + 0.4j, -0.45 + 0j, 1.2 - 0.7j])
+    sheet_ii = np.array([True, False, True, False, True, True])
+    got = _sigma(z, sheet_ii, m.n_d, m.v, order=2)
+    assert len(got) == 3
+    for k, (zk, ii) in enumerate(zip(z, sheet_ii)):
+        point = se(zk, II if ii else I)
+        want = (self_energy(m, point), self_energy_deriv(m, point, 1),
+                self_energy_deriv(m, point, 2))
+        for order in range(3):
+            assert got[order][k] == pytest.approx(want[order], rel=1e-14)
 
 
 def test_deriv_asymptote(semi_model, infinite_model):

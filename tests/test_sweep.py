@@ -171,6 +171,14 @@ def test_find_ep_flagship():
     assert ep.residual_eta_prime < 1e-10
 
 
+def test_ep_result_holds_python_floats():
+    m = ChainModel.semi_infinite(4, -0.4, 0.17)
+    ep = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
+    for value in (ep.g, ep.e_d, ep.residual_eta, ep.residual_eta_prime):
+        assert type(value) is float
+    assert type(ep.z) is complex
+
+
 def test_find_ep_mirror():
     m = ChainModel.semi_infinite(4, 0.4, 0.17)
     ep = find_ep(m, (0.17, 0.4, 0.41 - 0.15j))
