@@ -129,8 +129,18 @@ class _JsonOnly(list):
 
 
 def _lists(record: dict) -> dict[str, list]:
-    """The record with its numpy columns turned into lists of Python scalars."""
-    return {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in record.items()}
+    """The record as lists of Python scalars, with every -0.0 written as 0.0.
+
+    The sign of a zero is an artefact of the arithmetic order, not a result,
+    so neither writer prints it (x + 0.0 is 0.0 for both zeros).
+    """
+    return {k: _unsigned_zeros(c) for k, c in record.items()}
+
+
+def _unsigned_zeros(column) -> list:
+    if isinstance(column, np.ndarray):
+        return (column + 0.0 if column.dtype.kind == "f" else column).tolist()
+    return [x + 0.0 if isinstance(x, float) else x for x in column]
 
 
 def _re_im(name: str, values) -> dict:

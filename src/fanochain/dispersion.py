@@ -219,6 +219,7 @@ class _Census:
     """
 
     rows: np.ndarray             # indices into the (e_d, g) input
+    w: np.ndarray                # the root of p (a real array if every root is real)
     z: np.ndarray                # complex energy of each root
     sheet_ii: np.ndarray         # root lies on sheet II
     cls: np.ndarray              # StateClass code, index into _CLASSES
@@ -297,7 +298,7 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
         _GATE,
         np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
     )
-    return _Census(rows, z, sheet_ii, cls, residual, kept, near, expected, fault)
+    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
 
 
 def discrete_states(

@@ -1,8 +1,10 @@
 """Trajectory tracing and exceptional-point location.
 
-Continuation uses the identity dz/de_d = N (the normalization constant)
-as a free analytic Euler predictor, followed by Newton correction on the
-dispersion function; g-sweeps use the corresponding dz/dg = 2 g Sigma N.
+A trajectory solves every value of its sweep at once, as one stack of
+dispersion polynomials p(w) (the batched census of the EP scan), and then
+links each branch from one value to the next: to the root nearest its
+Euler prediction, where the rate is the identity dz/de_d = N (the
+normalization constant), or dz/dg = 2 g Sigma N, read off p in closed form.
 Exceptional points are double roots of the dispersion relation, solved as
 the four-real-unknown system {Re eta, Im eta, Re eta', Im eta'} = 0 in
 (Re z, Im z, g, e_d) by damped Newton with closed-form derivatives.
@@ -11,21 +13,12 @@ the four-real-unknown system {Re eta, Im eta, Re eta', Im eta'} = 0 in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import (
-    _OK,
-    _RESONANCE,
-    ROOT_TOL,
-    DiscreteState,
-    StateClass,
-    _census,
-    discrete_states,
-    newton_polish,
-    roman_label,
-)
+from .dispersion import _BIC, _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass
+from .dispersion import _census, _horner, _w_coefficients, discrete_states, roman_label
 from .errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at
@@ -36,10 +29,10 @@ EP_TOL = 1e-10
 #: Two corrected branches closer than this are flagged as colliding.
 COLLISION_TOL = 1e-6
 
-#: Cap on cells * deg^2 for one batched census of the EP scan, where deg is
-#: the degree of p(w): 2 n_d, or 4 for the infinite chain.  The census holds
-#: several (cells, deg, deg) arrays, so this bounds the scan's memory
-#: whatever the grid and n_d; a 16 x 16 grid up to n_d = 22 is one block.
+#: Cap on rows * deg^2 for one batched census of an EP scan or a trace, where
+#: deg is the degree of p(w): 2 n_d, or 4 for the infinite chain.  The census
+#: holds several (rows, deg, deg) arrays, so this bounds the memory whatever
+#: the grid, sweep and n_d; a 16 x 16 grid up to n_d = 22 is one block.
 SCAN_BLOCK = 2**19
 
 
@@ -90,37 +83,46 @@ class EpResult:
     residual_eta_prime: float
 
 
-def _predictor(model: ChainModel, z: complex, parameter: str) -> complex:
-    sig, sig1 = _sigma_at(model, SheetedEnergy(z, Sheet.II), 1)
-    n = 1.0 / (1.0 - model.g**2 * sig1)
+def _rates(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
+    """dz/d(parameter) at the roots w of p, one row of roots per (e_d, g) row.
+
+    z = (w + 1/w)/2 and p(w; e_d, g) = 0 give dz/dq = (w^2 - 1)/(2 w^2) *
+    (-dp/dq) / p'(w); p is linear in e_d and in g^2, so dp/dq is a
+    difference of coefficient rows.  This is dz/de_d = N, the normalization,
+    and dz/dg = 2 g Sigma N, with no self-energy evaluated.
+    """
+    zero, one = np.zeros(1), np.ones(1)
+    base = _w_coefficients(model, zero, zero)
     if parameter == "e_d":
-        return n
-    # eta = z - e_d - g^2 Sigma  =>  dz/dg = 2 g Sigma / eta'
-    return 2.0 * model.g * sig * n
+        dp = _w_coefficients(model, one, zero) - base
+    else:
+        dp = 2.0 * g[:, None] * (_w_coefficients(model, zero, one) - base)
+    coeffs = _w_coefficients(model, e_d, g * g)
+    slope = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (w * w - 1.0) / (2.0 * w * w) * -_horner(dp[:, ::-1], w) / _horner(slope[:, ::-1], w)
 
 
-def _model_at(model: ChainModel, parameter: str, value: float) -> ChainModel:
-    """Copy of the model at one parameter value, not re-validated: trace
-    validates the ends of the sweep, and a sorted sweep stays inside them."""
-    return replace(model, **{parameter: float(value)})
-
-
-def trace(
-    model: ChainModel,
-    parameter: str,
-    values,
-    root_tol: float = 1e-12,
-    max_halvings: int = 18,
-) -> Trajectory:
+def trace(model: ChainModel, parameter: str, values, root_tol: float = 1e-12) -> Trajectory:
     """Trace every resonance branch over the sorted parameter values.
 
-    Branches are labelled (i), (ii), ... by ascending Re z at the first
-    value and followed by predictor-corrector continuation with adaptive
-    sub-stepping (the step is halved whenever the Newton correction
-    exceeds 10% of the predicted move).  A branch that dives through the
-    real axis at a BIC pinch is reflected back to its decaying conjugate
-    and the passage is marked; a branch sampled exactly at a pinch is
-    pinned to the axis and marked as the singular BIC point.
+    Branches are the resonances of discrete_states at the first value,
+    labelled (i), (ii), ... by ascending Re z.  The whole sweep is solved
+    as one stack of polynomials p(w), in blocks of at most SCAN_BLOCK /
+    deg^2 values, and each branch is linked to the sheet-II root nearest
+    its Euler prediction at the next value, with the rate read off p.
+    A link above the axis (Im z > 1e-12) has passed a BIC pinch: the
+    branch takes the decaying conjugate, marked crossed_axis.  A link
+    within 1e-12 of the axis is pinned to it and marked bic; at a BIC e_d,
+    where the census collapses the conjugate pair, the branch goes on from
+    the Im w > 0 member (E + i0 on sheet II, as real in-band energies are
+    read).  Past a real-axis EP a branch follows, of the two real roots
+    nearest it, the one with the larger |w|.  Branches closer than
+    COLLISION_TOL are marked collision.
+
+    Raises ConvergenceError if a linked root misses |eta| < root_tol (a
+    fault on a root no branch links to does not count), or if a root
+    passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
     """
     if parameter not in ("e_d", "g"):
         raise FanochainError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
@@ -130,78 +132,74 @@ def trace(
     if not np.all(np.diff(values) > 0):
         raise FanochainError("parameter values must be strictly increasing")
     validate(model)
-    start_model = validate(_model_at(model, parameter, values[0]))
-    validate(_model_at(model, parameter, values[-1]))
-    start_states = [
-        s for s in discrete_states(start_model) if s.state_class is StateClass.RESONANCE
+    start_model = model.with_params(**{parameter: float(values[0])})
+    model.with_params(**{parameter: float(values[-1])})
+    start = [s for s in discrete_states(start_model) if s.state_class is StateClass.RESONANCE]
+    start.sort(key=lambda s: s.epsilon)
+    if not start:
+        return Trajectory(parameter=parameter, values=values)
+
+    n = len(values)
+    fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
+    e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
+    # The leading coefficient of p changes sign where a root passes w = infinity.
+    lead = _w_coefficients(model, e_d, g * g)[:, -1]
+    through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
+    if through.size:
+        a, b = values[through[0] : through[0] + 2]
+        raise ConvergenceError(f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]")
+    deg = 2 * model.n_d if model.is_semi_infinite else 4
+    links = max(1, SCAN_BLOCK // deg**2 - 1)
+    linked, crossed = [[s.z for s in start]], [[False] * len(start)]
+    # Blocks overlap by one value, so each block links its own values.
+    for first in range(0, n - 1, links):
+        rows = np.arange(first, min(first + links, n - 1) + 1)
+        census = _census(model, e_d[rows], g[rows], root_tol)
+        rate = _rates(model, parameter, census.w, e_d[rows], g[rows])
+        rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
+        pred = census.z[:-1] + rate[:-1] * np.diff(values[rows])[:, None]
+        gap = np.abs(census.z[1:, None, :] - pred[:, :, None])
+        gap[np.broadcast_to((census.cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
+        nearest = gap.argmin(axis=-1).tolist()
+        z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
+        if first == 0:
+            current = [min(range(deg), key=lambda j: abs(z[0][j] - s.z)) for s in start]
+        for k in range(len(rows) - 1):
+            here, up = [], []
+            for i, j in enumerate(current):
+                m = nearest[k][j]
+                if cls[k + 1][m] == _BOUND_II and z[k][j].imag != 0.0:
+                    reals = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II]
+                    pair = sorted(reals, key=lambda c: abs(z[k + 1][c] - z[k][j]))[:2]
+                    m = max(pair, key=lambda c: abs(w[k + 1][c]))
+                elif cls[k + 1][m] == _BIC:
+                    m = max(range(deg), key=lambda c: (cls[k + 1][c] == _BIC, w[k + 1][c].imag))
+                if not census.residual[k + 1, m] < root_tol:
+                    raise ConvergenceError(
+                        f"branch {roman_label(i)} at {parameter} = {values[rows[k + 1]]}: |eta| = "
+                        f"{census.residual[k + 1, m]:.3e} >= root_tol at z = {z[k + 1][m]}"
+                    )
+                up.append(z[k + 1][m].imag > 1e-12)
+                if up[-1]:
+                    conj = z[k + 1][m].conjugate()
+                    m = min(range(deg), key=lambda c: abs(z[k + 1][c] - conj))
+                here.append(m)
+            current = here
+            linked.append([z[k + 1][m] for m in here])
+            crossed.append(up)
+
+    zs = np.array(linked)
+    bic = np.abs(zs.imag) <= 1e-12
+    bic[0] = False  # the start states carry no flags
+    zs = np.where(bic, zs.real, zs)
+    collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
+    collision[0] = False
+    columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
+    branches = [
+        TrajectoryBranch(roman_label(i), [TrajectoryPoint(*p) for p in zip(values.tolist(), *cols)])
+        for i, cols in enumerate(columns)
     ]
-    start_states.sort(key=lambda s: s.epsilon)
-    branches: list[list[TrajectoryPoint]] = []
-    current: list[complex] = []
-    for s in start_states:
-        branches.append([TrajectoryPoint(values[0], s.z)])
-        current.append(s.z)
-
-    for v_prev, v_next in zip(values[:-1], values[1:]):
-        new_points = []
-        for z in current:
-            new_points.append(
-                _continue_branch(model, parameter, z, v_prev, v_next, root_tol, max_halvings)
-            )
-        # collision check: two branches on (nearly) the same root
-        for i in range(len(new_points)):
-            for j in range(i + 1, len(new_points)):
-                if abs(new_points[i].z - new_points[j].z) < COLLISION_TOL:
-                    new_points[i] = replace(new_points[i], collision=True)
-                    new_points[j] = replace(new_points[j], collision=True)
-        for br, pt in zip(branches, new_points):
-            br.append(pt)
-        current = [pt.z for pt in new_points]
-
-    labelled = [
-        TrajectoryBranch(label=roman_label(k), points=pts) for k, pts in enumerate(branches)
-    ]
-    return Trajectory(parameter=parameter, values=values, branches=labelled)
-
-
-def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
-    """Advance one branch from v_from to v_to with adaptive sub-steps."""
-    v, cur = float(v_from), complex(z)
-    m_here = _model_at(model, parameter, v)
-    h = v_to - v_from
-    halvings = 0
-    crossed = False
-    while v < v_to - 1e-15:
-        h = min(h, v_to - v)
-        pred = cur + _predictor(m_here, cur, parameter) * h
-        m_next = _model_at(model, parameter, v + h)
-        try:
-            zc, _res = newton_polish(m_next, pred, Sheet.II, root_tol)
-        except ConvergenceError:
-            if halvings < max_halvings:
-                h *= 0.5
-                halvings += 1
-                continue
-            raise
-        correction = abs(zc - pred)
-        move = abs(pred - cur)
-        if correction > 0.1 * move + 1e-12 and halvings < max_halvings:
-            h *= 0.5
-            halvings += 1
-            continue
-        if zc.imag > 1e-12:
-            # went through a BIC pinch onto the growing side; the physical
-            # resonance continues on the conjugate
-            zc = zc.conjugate()
-            crossed = True
-        cur, v, m_here = zc, v + h, m_next
-        h *= 2.0
-        halvings = max(0, halvings - 1)
-
-    bic = abs(cur.imag) <= 1e-12
-    if bic:
-        cur = complex(cur.real, 0.0)
-    return TrajectoryPoint(value=float(v_to), z=cur, bic=bic, crossed_axis=crossed)
+    return Trajectory(parameter=parameter, values=values, branches=branches)
 
 
 def _ep_system(model: ChainModel, z: complex, g: float, e_d: float, order: int):

@@ -7,10 +7,16 @@ to check.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.integrate import quad
 
+from fanochain.dispersion import StateClass, discrete_states, newton_polish, roman_label
+from fanochain.errors import ConvergenceError
 from fanochain.model import ChainModel
+from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
+from fanochain.sweep import COLLISION_TOL, Trajectory, TrajectoryBranch, TrajectoryPoint
 
 
 def sigma_quadrature(model: ChainModel, z: complex) -> complex:
@@ -127,3 +133,88 @@ def winding_number(f, corners, samples_per_edge: int = 4000) -> int:
 
 def central_difference(fun, x: float, h: float = 1e-6):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
+
+
+def trace_by_continuation(
+    model: ChainModel, parameter: str, values, root_tol: float = 1e-12, max_halvings: int = 18
+) -> Trajectory:
+    """Resonance trajectories by per-branch predictor-corrector continuation.
+
+    Each branch starts from a discrete_states resonance (labelled by
+    ascending Re z at the first value) and is advanced on its own: an
+    Euler step with dz/de_d = N (or dz/dg = 2 g Sigma N), then Newton on
+    eta in z on sheet II.  The step is halved while Newton fails or its
+    correction exceeds 10% of the predicted move.  A corrected root above
+    the axis is reflected to its conjugate and marked crossed_axis; one
+    within 1e-12 of the axis at a sample is pinned there and marked bic.
+    This is a path-follower in z, independent of the w-plane census that
+    sweep.trace links.
+    """
+    values = np.asarray(values, dtype=float)
+    start = [
+        s for s in discrete_states(replace(model, **{parameter: float(values[0])}))
+        if s.state_class is StateClass.RESONANCE
+    ]
+    start.sort(key=lambda s: s.epsilon)
+    branches = [[TrajectoryPoint(float(values[0]), s.z)] for s in start]
+    current = [s.z for s in start]
+    for v_prev, v_next in zip(values[:-1], values[1:]):
+        new_points = [
+            _continue_branch(model, parameter, z, v_prev, v_next, root_tol, max_halvings)
+            for z in current
+        ]
+        for i in range(len(new_points)):
+            for j in range(i + 1, len(new_points)):
+                if abs(new_points[i].z - new_points[j].z) < COLLISION_TOL:
+                    new_points[i] = replace(new_points[i], collision=True)
+                    new_points[j] = replace(new_points[j], collision=True)
+        for br, pt in zip(branches, new_points):
+            br.append(pt)
+        current = [pt.z for pt in new_points]
+    labelled = [TrajectoryBranch(roman_label(k), pts) for k, pts in enumerate(branches)]
+    return Trajectory(parameter=parameter, values=values, branches=labelled)
+
+
+def _rate(model: ChainModel, z: complex, parameter: str) -> complex:
+    """dz/de_d = N = 1 / eta'(z), or dz/dg = 2 g Sigma N, on sheet II."""
+    at = SheetedEnergy(z, Sheet.II)
+    n = 1.0 / (1.0 - model.g**2 * self_energy_deriv(model, at, 1))
+    return n if parameter == "e_d" else 2.0 * model.g * self_energy(model, at) * n
+
+
+def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
+    """Advance one branch from v_from to v_to with adaptive sub-steps."""
+    v, cur = float(v_from), complex(z)
+    m_here = replace(model, **{parameter: v})
+    h = v_to - v_from
+    halvings = 0
+    crossed = False
+    while v < v_to - 1e-15:
+        h = min(h, v_to - v)
+        pred = cur + _rate(m_here, cur, parameter) * h
+        m_next = replace(model, **{parameter: float(v + h)})
+        try:
+            zc, _res = newton_polish(m_next, pred, Sheet.II, root_tol)
+        except ConvergenceError:
+            if halvings < max_halvings:
+                h *= 0.5
+                halvings += 1
+                continue
+            raise
+        correction = abs(zc - pred)
+        move = abs(pred - cur)
+        if correction > 0.1 * move + 1e-12 and halvings < max_halvings:
+            h *= 0.5
+            halvings += 1
+            continue
+        if zc.imag > 1e-12:
+            zc = zc.conjugate()
+            crossed = True
+        cur, v, m_here = zc, v + h, m_next
+        h *= 2.0
+        halvings = max(0, halvings - 1)
+
+    bic = abs(cur.imag) <= 1e-12
+    if bic:
+        cur = complex(cur.real, 0.0)
+    return TrajectoryPoint(value=float(v_to), z=cur, bic=bic, crossed_axis=crossed)

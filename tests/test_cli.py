@@ -263,20 +263,33 @@ def test_bad_count_is_usage_error(capsys, argv, option):
 # Reference text built from the library results cell by cell: a float gets
 # f"{x:.17g}" in CSV, every other cell str(); JSON is json.dumps of one
 # mapping per row (or the spectrum wrapper) with indent=2 and sorted keys.
+# Both write a float zero as 0, whatever its sign.
 
 SEMI = ["--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
 INFINITE = ["--chain", "infinite", "--g", "0.2", "--ed", "-0.6"]
 
 
+def unsigned_zeros(cell):
+    """The cell, or every float inside it, with -0.0 as 0.0."""
+    if isinstance(cell, float):
+        return 0.0 if cell == 0 else cell
+    if isinstance(cell, dict):
+        return {k: unsigned_zeros(v) for k, v in cell.items()}
+    if isinstance(cell, list):
+        return [unsigned_zeros(v) for v in cell]
+    return cell
+
+
 def cell_csv(header, rows):
     return "".join(
-        ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n"
+        ",".join(f"{unsigned_zeros(c):.17g}" if isinstance(c, float) else str(c) for c in row)
+        + "\n"
         for row in [header, *rows]
     )
 
 
 def sorted_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(unsigned_zeros(payload), indent=2, sort_keys=True) + "\n"
 
 
 def table(fmt, header, rows, json_only=None):
@@ -419,3 +432,19 @@ def test_output_bytes_match_cell_by_cell_formatting(tmp_path, fmt, expect):
         assert lines.read_bytes() == side[0].encode()
     else:
         assert not lines.exists()
+
+
+@pytest.mark.parametrize("sheet", ["1", "2"])
+def test_negative_zero_is_written_as_zero(tmp_path, sheet):
+    # Sigma'(0) = 0 exactly on the infinite chain; on sheet II its arithmetic
+    # gives -0.0, as it does for Re Sigma(0)
+    argv = ["selfenergy", "--chain", "infinite", "--ed", "-0.5", "--g", "0.2", "--re", "0",
+            "--im", "0", "--sheet", sheet]
+    out = tmp_path / "se.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["re_dsigma"], row["im_dsigma"]) == ("0", "0")
+    assert "-0" not in row.values()
+    assert run(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert "-0.0" not in out.read_text()

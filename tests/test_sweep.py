@@ -13,13 +13,17 @@ from fanochain import (
     StateClass,
     discrete_states,
     eta,
-    eta_deriv,
     find_ep,
     scan_for_ep_seeds,
+    self_energy,
     trace,
 )
 from fanochain import sweep
-from fanochain.sweep import EpSeed, _closest_pairs, _continue_branch
+from fanochain.dispersion import _OK, ROOT_TOL, _census
+from fanochain.states import attach_norms
+from fanochain.sweep import EpSeed, _closest_pairs, _rates
+
+from oracles import trace_by_continuation
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -90,30 +94,43 @@ def test_trace_axis_crossing_marked():
         assert all(p.z.imag <= 1e-12 for p in b.points)
 
 
-def test_trace_predictor_second_order():
-    # Euler predictor + Newton corrector: halving the step quarters the
-    # max correction
-    m = ChainModel.semi_infinite(4, -0.6, 0.16)
-    start = next(
-        s for s in discrete_states(m) if s.state_class is StateClass.RESONANCE and s.label == "i"
-    )
+@pytest.mark.parametrize(
+    "model",
+    [
+        ChainModel.semi_infinite(4, -0.5, 0.2),
+        ChainModel.semi_infinite(7, -0.3, 0.15, v=1.3),
+        ChainModel.infinite(-0.6, 0.2),
+    ],
+    ids=["n_d=4", "n_d=7,v=1.3", "infinite"],
+)
+def test_rates_are_norm_and_coupling_derivative(model):
+    # the w-form predictor: dz/de_d = N and dz/dg = 2 g Sigma N at every root
+    e_d, g = np.array([model.e_d]), np.array([model.g])
+    census = _census(model, e_d, g, ROOT_TOL)
+    dz_ded = _rates(model, "e_d", census.w, e_d, g)[0]
+    dz_dg = _rates(model, "g", census.w, e_d, g)[0]
+    states = attach_norms(model, discrete_states(model, include_antiresonances=True))
+    assert len(states) == census.w.shape[1]
+    for s in states:
+        j = np.abs(census.z[0] - s.z).argmin()
+        assert dz_ded[j] == pytest.approx(s.norm, rel=1e-12)
+        sigma = self_energy(model, s.sheeted())
+        assert dz_dg[j] == pytest.approx(2 * model.g * sigma * s.norm, rel=1e-12)
 
-    def max_correction(h):
-        worst = 0.0
-        z = start.z
-        e_d = m.e_d
-        for _ in range(16):
-            m_here = m.with_params(e_d=e_d)
-            n = 1.0 / eta_deriv(m_here, SheetedEnergy(z, Sheet.II))
-            pred = z + n * h
-            pt = _continue_branch(m, "e_d", z, e_d, e_d + h, 1e-13, 0)
-            worst = max(worst, abs(pt.z - pred))
-            z, e_d = pt.z, e_d + h
-        return worst
 
-    c1 = max_correction(2e-3)
-    c2 = max_correction(1e-3)
-    assert c1 / c2 == pytest.approx(4.0, rel=0.35)
+@pytest.mark.parametrize("parameter", ["e_d", "g"])
+def test_rates_euler_error_is_second_order(parameter):
+    # halving the step quarters the Euler error of every root
+    model = ChainModel.semi_infinite(4, -0.6, 0.16)
+
+    def euler_error(h):
+        q = np.array([getattr(model, parameter), getattr(model, parameter) + h])
+        e_d, g = (q, np.full(2, model.g)) if parameter == "e_d" else (np.full(2, model.e_d), q)
+        census = _census(model, e_d, g, ROOT_TOL)
+        pred = census.z[0] + _rates(model, parameter, census.w, e_d, g)[0] * h
+        return np.abs(census.z[1][None, :] - pred[:, None]).min(axis=1)
+
+    np.testing.assert_allclose(euler_error(2e-3) / euler_error(1e-3), 4.0, rtol=0.02)
 
 
 def test_trace_g_parameter():
@@ -152,6 +169,111 @@ def test_trace_rejects_invalid_sweep_range(parameter, values):
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     with pytest.raises(ModelError):
         trace(m, parameter, values)
+
+
+ED_SWEEP = np.linspace(-0.999, 0.999, 401)
+G_SWEEP = np.linspace(0.02, 0.4, 201)
+
+TRACE_SWEEPS = {
+    # n_d = 1 has its one resonance pair only for e_d^2 < 1 - 4 g^2; the
+    # sweep meets the real axis at e_d = 0.9165
+    "n_d=1:e_d": (ChainModel.semi_infinite(1, 0.0, 0.2), "e_d", np.linspace(-0.9, 0.999, 401)),
+    "n_d=1:g": (ChainModel.semi_infinite(1, -0.3, 0.2), "g", G_SWEEP),
+    "n_d=2:e_d": (ChainModel.semi_infinite(2, 0.0, 0.25), "e_d", ED_SWEEP),
+    "n_d=2:g": (ChainModel.semi_infinite(2, 0.4, 0.2), "g", G_SWEEP),
+    "n_d=4:e_d": (ChainModel.semi_infinite(4, 0.0, 0.15), "e_d", ED_SWEEP),
+    "n_d=4:g": (ChainModel.semi_infinite(4, -0.35, 0.2), "g", G_SWEEP),
+    "n_d=8:e_d": (ChainModel.semi_infinite(8, 0.0, 0.23), "e_d", ED_SWEEP),
+    "n_d=8:g": (ChainModel.semi_infinite(8, 0.75, 0.2), "g", G_SWEEP),
+    "n_d=12:e_d": (ChainModel.semi_infinite(12, 0.0, 0.1), "e_d", ED_SWEEP),
+    "n_d=12:g": (ChainModel.semi_infinite(12, -0.5, 0.2), "g", G_SWEEP),
+    "infinite:e_d": (ChainModel.infinite(0.0, 0.3), "e_d", ED_SWEEP),
+    "infinite:g": (ChainModel.infinite(-0.3, 0.2), "g", np.linspace(0.15, 0.4, 201)),
+    "bic-pinch": (
+        ChainModel.semi_infinite(4, -0.5, 0.2), "e_d", grid(-0.45, 0.45, 91, avoid=(0.0,))
+    ),
+    "bic-endpoint": (
+        ChainModel.semi_infinite(4, -0.9, 0.2), "e_d", np.linspace(-0.9, -1 / math.sqrt(2), 41)
+    ),
+    "real-axis-ep": (ChainModel.semi_infinite(1, 0.691, 0.2), "g", G_SWEEP),
+}
+
+
+@pytest.mark.parametrize("sweep_name", TRACE_SWEEPS)
+def test_trace_matches_continuation(sweep_name):
+    model, parameter, values = TRACE_SWEEPS[sweep_name]
+    want = trace_by_continuation(model, parameter, values)
+    got = trace(model, parameter, values)
+    np.testing.assert_array_equal(got.values, values)
+    assert [b.label for b in got.branches] == [b.label for b in want.branches]
+    for b, ref in zip(got.branches, want.branches):
+        assert [p.value for p in b.points] == [p.value for p in ref.points]
+        assert max(abs(p.z - q.z) for p, q in zip(b.points, ref.points)) <= 1e-9
+        for p, q in zip(b.points, ref.points):
+            assert (p.bic, p.collision, p.crossed_axis) == (q.bic, q.collision, q.crossed_axis), (
+                b.label, p.value
+            )
+
+
+def test_trace_sweeps_exercise_their_edge_cases():
+    # guards the equivalence test: each sweep really holds what it is meant to
+    def flags(name, flag):
+        tr = trace(*TRACE_SWEEPS[name])
+        return sum(getattr(p, flag) for b in tr.branches for p in b.points)
+
+    def faulting_rows(name):
+        model, parameter, values = TRACE_SWEEPS[name]
+        fixed = np.full(len(values), getattr(model, "g" if parameter == "e_d" else "e_d"))
+        e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
+        return int((_census(model, e_d, g, ROOT_TOL).fault != _OK).sum())
+
+    assert flags("bic-pinch", "crossed_axis") > 0
+    assert trace(*TRACE_SWEEPS["bic-endpoint"]).branches[0].points[-1].bic
+    for name in ("real-axis-ep", "n_d=1:e_d"):
+        # a resonance that turns into a real virtual state outside the band
+        (branch,) = trace(*TRACE_SWEEPS[name]).branches
+        assert branch.points[0].z.imag < 0 and abs(branch.points[-1].z.real) > 1
+        assert branch.points[-1].bic
+    # band-edge roots no branch links to fail the census gate on some values
+    assert faulting_rows("n_d=8:g") > 0 and faulting_rows("n_d=12:g") > 0
+
+
+@pytest.mark.parametrize("sweep_name", ["bic-pinch", "real-axis-ep", "n_d=8:e_d"])
+@pytest.mark.parametrize("links", [1, 7, 50])
+def test_trace_blocks_match_single_block(sweep_name, links, monkeypatch):
+    model, parameter, values = TRACE_SWEEPS[sweep_name]
+    deg = 2 * model.n_d
+    assert len(values) * deg**2 <= sweep.SCAN_BLOCK  # one block by default
+    whole = trace(model, parameter, values)
+    # a block of links + 1 values links them; consecutive blocks share a value
+    monkeypatch.setattr(sweep, "SCAN_BLOCK", (links + 1) * deg**2)
+    assert trace(model, parameter, values).branches == whole.branches
+
+
+def test_trace_leaves_sampled_bic_through_the_pinch():
+    # the sweep samples the BIC at e_d = 0: the pinned point is E + i0 on
+    # sheet II, so the branch leaves it on the growing side and is reflected
+    model = ChainModel.semi_infinite(8, 0.0, 0.2)
+    values = np.linspace(-0.999, 0.999, 201)
+    k = int(np.abs(values).argmin())
+    assert abs(values[k]) < 1e-12
+    (branch,) = [b for b in trace(model, "e_d", values).branches if b.points[k].bic]
+    assert branch.points[k].z.imag == 0.0 and abs(branch.points[k].z) < 1e-15
+    assert branch.points[k + 1].crossed_axis and branch.points[k + 1].z.imag < 0
+
+
+def test_trace_refuses_root_through_infinity():
+    # n_d = 1: past its real-axis EP the branch follows the root that
+    # escapes to w = infinity where 4 g^2 v^2 = 1, here at g = 0.3846
+    model = ChainModel.semi_infinite(1, -0.5, 0.2, v=1.3)
+    with pytest.raises(ConvergenceError, match=r"infinity for g in \[0\.384, 0\.386\]"):
+        trace(model, "g", np.linspace(0.15, 0.4, 126))
+
+
+def test_trace_gates_linked_roots():
+    model = ChainModel.semi_infinite(4, -0.5, 0.16)
+    with pytest.raises(ConvergenceError, match=r"branch i at e_d = -0\.8: \|eta\| = "):
+        trace(model, "e_d", [-0.9, -0.8], root_tol=1e-30)
 
 
 # --------------------------------------------------------------------- find_ep
