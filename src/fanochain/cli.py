@@ -16,13 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dispersion import bic_energies, discrete_states, polish_seeds
+from .dispersion import ROOT_TOL, bic_energies, discrete_states, polish_seeds
 from .errors import FanochainError, ModelError
 from .model import INFINITE, SEMI_INFINITE, ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from .spectrum import decompose
 from .states import attach_norms
-from .sweep import find_ep, scan_for_ep_seeds, trace
+from .sweep import EP_TOL, find_ep, scan_for_ep_seeds, trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "roots", "discrete eigenvalues with norms")
-    p.add_argument("--root-tol", type=float, default=1e-12)
+    p.add_argument("--root-tol", type=float, default=ROOT_TOL)
     p.add_argument(
         "--seeds", help="JSON roots file to re-polish instead of the polynomial path"
     )
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--grid", type=_count(1), nargs=2, default=[16, 16], metavar=("NG", "NED"))
     p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--ep-tol", type=float, default=1e-10)
+    p.add_argument("--ep-tol", type=float, default=EP_TOL)
 
     p = _add_command(sub, "selfenergy", "pointwise self-energy probe")
     p.add_argument("--re", type=float, required=True, help="Re z")

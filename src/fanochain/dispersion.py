@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ModelError, RootCountError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, _sigma, _sigma_at, self_energy, self_energy_deriv
+from .selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv, sqrt_branch
 
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
@@ -47,9 +47,6 @@ DEDUP_TOL = 1e-9
 
 #: Pairs surviving dedup but closer than this are flagged near-degenerate.
 NEAR_DEGENERATE_TOL = 1e-6
-
-#: |Im z| below this counts as a real *polished* root.
-REAL_TOL = 1e-9
 
 
 class StateClass(enum.Enum):
@@ -128,47 +125,45 @@ def _w_coefficients(model: ChainModel, e_d: np.ndarray, g2: np.ndarray) -> np.nd
     return np.stack([one, -2.0 * e_d, -4.0 * G, 2.0 * e_d, -one], axis=1)
 
 
-def newton_polish(
-    model: ChainModel,
-    z0: complex,
-    sheet: Sheet,
-    tol: float = ROOT_TOL,
-    max_iter: int = 80,
-) -> tuple[complex, float]:
-    """Newton iteration on eta from z0 on a fixed sheet.
-
-    Returns the final iterate and |eta| there.  Raises ConvergenceError
-    (with the iterate trace) if the residual never drops below tol, and
-    BranchPointError if an iterate lands exactly on z = +-1.
-    """
-    z = complex(z0)
-    trace = [z]
-    best_res = float("inf")
-    g2 = model.g**2
-    for _ in range(max_iter):
-        sig, sig1 = _sigma_at(model, SheetedEnergy(z, sheet), 1)
-        f = z - model.e_d - g2 * sig
-        res = abs(f)
-        best_res = min(best_res, res)
-        if res < tol:
-            return z, res
-        fp = 1.0 - g2 * sig1
-        if fp == 0:
-            break
-        z = z - f / fp
-        trace.append(z)
-    raise ConvergenceError(
-        f"Newton on eta stalled at |eta| = {best_res:.3e} (sheet {sheet.name})",
-        trace=trace,
-    )
-
-
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
     """np.polyval row by row: row i of desc (descending) at every x[i, :]."""
     y = np.zeros_like(x)
-    for c in desc.T:
-        y = y * x + c[:, None]
+    for c in desc.T[:, :, None]:
+        y *= x
+        y += c
     return y
+
+
+def _horner_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_horner of a and of b at x in one pass (leading zeros pad both to one length
+    and leave Horner's value unchanged); a single row broadcasts over x."""
+    n, m = len(x), max(a.shape[1], b.shape[1])
+    rows = np.zeros((2, n, m))
+    rows[0, :, m - a.shape[1] :] = a
+    rows[1, :, m - b.shape[1] :] = b
+    y = _horner(rows.reshape(2 * n, m), np.concatenate([x, x]))
+    return y[:n], y[n:]
+
+
+def _newton(desc: np.ndarray, w: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Iterates of Newton from w (first) on the rows of desc (descending), row by row.
+
+    A step is kept only where it lowers |p|; the iteration ends once none is."""
+    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
+    p, slope = _horner_pair(desc, deriv, w)
+    path = [w]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(steps):
+            trial = w - p / slope
+            p_trial, slope_trial = _horner_pair(desc, deriv, trial)
+            better = np.abs(p_trial) < np.abs(p)
+            if not better.any():
+                break
+            w = np.where(better, trial, w)
+            p = np.where(better, p_trial, p)
+            slope = np.where(better, slope_trial, slope)
+            path.append(w)
+    return path
 
 
 def _w_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -179,26 +174,40 @@ def _w_roots(coeffs: np.ndarray) -> np.ndarray:
     The companion matrices are built as np.roots builds them and go to one
     np.linalg.eigvals call, and the Horner loop starts from zero as
     np.polyval does, so a single row gives bit for bit the roots np.roots
-    and np.polyval would.  A Newton step is kept only where it lowers |p|.
-    Real coefficients keep real roots exactly real and conjugate pairs
-    exactly conjugate.
+    and np.polyval would.  Three Newton steps follow (see _newton).  Real
+    coefficients keep real roots exactly real and conjugate pairs exactly
+    conjugate.
     """
     desc = coeffs[:, ::-1]
     n, deg = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, deg, deg))
     companion[:, :1, :] = (-desc[:, 1:] / desc[:, :1])[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    w = np.linalg.eigvals(companion)
-    deriv = desc[:, :-1] * np.arange(deg, 0, -1)
-    p = _horner(desc, w)
+    return _newton(desc, np.linalg.eigvals(companion), 3)[-1]
+
+
+def _w_rows(model: ChainModel) -> np.ndarray:
+    """Ascending rows base, d_ed, d_g2 of p(w) = base + e_d * d_ed + g^2 * d_g2."""
+    rows = _w_coefficients(model, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    rows[1:] -= rows[0]
+    return rows
+
+
+def _rates(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
+    """dz/d(parameter) at the roots w of p, one row of roots per (e_d, g) row.
+
+    z = (w + 1/w)/2 and p(w; e_d, g) = 0 give dz/dq = (w^2 - 1)/(2 w^2) *
+    (-dp/dq) / p'(w); p is linear in e_d and in g^2, so dp/dq is a
+    coefficient row of _w_rows.  This is dz/de_d = N, the normalization,
+    and dz/dg = 2 g Sigma N, with no self-energy evaluated.
+    """
+    rows = _w_rows(model)
+    dp_dq = rows[1:2] if parameter == "e_d" else 2.0 * g[:, None] * rows[2]
+    coeffs = _w_coefficients(model, e_d, g * g)
+    dp_dw = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    dp, slope = _horner_pair(dp_dq[:, ::-1], dp_dw[:, ::-1], w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            trial = w - p / _horner(deriv, w)
-            p_trial = _horner(desc, trial)
-            better = np.abs(p_trial) < np.abs(p)
-            w = np.where(better, trial, w)
-            p = np.where(better, p_trial, p)
-    return w
+        return (w * w - 1.0) / (2.0 * w * w) * -dp / slope
 
 
 #: StateClass by the integer code the batched census uses.
@@ -233,11 +242,10 @@ class _Census:
 def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified and audited.
 
-    This is the per-root work of discrete_states done on arrays: map each
-    root to z = (w + 1/w)/2, read the sheet from |w|, collapse the |w| = 1
-    pair at an exact BIC e_d, gate on |eta(z)| < root_tol, drop duplicates
-    and audit the count and the resonance/anti-resonance pairing.  A row
-    whose ``fault`` is not _OK is one where discrete_states raises.
+    This is the work of discrete_states done on arrays: classify each root
+    (_classify), gate on |eta(z)| < root_tol, drop duplicates and audit the
+    count and the resonance/anti-resonance pairing.  A row whose ``fault``
+    is not _OK is one where discrete_states raises.
 
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
     rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
@@ -258,8 +266,26 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
     w = _w_roots(coeffs)
-    deg = w.shape[1]
+    z, sheet_ii, cls, residual, e_bic = _classify(model, w, e_d, g2)
 
+    kept, near = _dedup(z, cls)
+    expected = w.shape[1] - ~np.isnan(e_bic[:, 0])
+    res = (kept & (cls == _RESONANCE)).sum(axis=1)
+    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
+    fault = np.where(
+        ~(residual < root_tol).all(axis=1),
+        _GATE,
+        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
+    )
+    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
+
+
+def _classify(model: ChainModel, w: np.ndarray, e_d: np.ndarray, g2: np.ndarray):
+    """(z, sheet_ii, cls, |eta|, e_bic) of roots w of p, for (rows, 1) columns e_d and g2.
+
+    z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d (e_bic,
+    else nan) the |w| = 1 pair collapses to that one zero-width state.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
     real_w = w.imag == 0.0
@@ -288,17 +314,7 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     with np.errstate(divide="ignore", invalid="ignore"):
         (sigma,) = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
         residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
-
-    kept, near = _dedup(z, cls)
-    expected = deg - ~np.isnan(e_bic[:, 0])
-    res = (kept & (cls == _RESONANCE)).sum(axis=1)
-    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
-    fault = np.where(
-        ~(residual < root_tol).all(axis=1),
-        _GATE,
-        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
-    )
-    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
+    return z, sheet_ii, cls, residual, e_bic
 
 
 def discrete_states(
@@ -463,29 +479,33 @@ def polish_seeds(
     seeds: list[tuple[complex, Sheet]],
     root_tol: float = ROOT_TOL,
 ) -> list[DiscreteState]:
-    """Newton-polish user-supplied (z, sheet) seeds and classify the results.
+    """Newton-polish user-supplied (z, sheet) seeds on p(w) and classify the results.
 
-    Used by the CLI round trip, where previously exported roots are
-    re-ingested verbatim.
+    Each seed maps to its one w = z - s(z) on its sheet, and Newton on p
+    (as in discrete_states, up to 80 steps) takes it to a root, classified
+    as discrete_states classifies roots.  Used by the CLI round trip, where
+    previously exported roots are re-ingested verbatim.  A seed at z = +-1
+    raises BranchPointError; a root that misses |eta| < root_tol or lies
+    on the other sheet raises ConvergenceError naming the seed, with the
+    Newton iterates in z as its trace.
     """
     validate(model)
+    w = np.array([[complex(z0) - sqrt_branch(SheetedEnergy(z0, sheet)) for z0, sheet in seeds]])
+    e_d, g2 = np.array([model.e_d]), np.array([model.g**2])
+    path = _newton(_w_coefficients(model, e_d, g2)[:, ::-1], w, 80)
+    z, sheet_ii, cls, residual, _ = _classify(model, path[-1], e_d[:, None], g2[:, None])
     out = []
-    for z0, sheet in seeds:
-        z, res = newton_polish(model, z0, sheet, root_tol)
-        if abs(z.imag) < REAL_TOL:
-            z = complex(z.real, 0.0)
-            if abs(z.real) > 1.0:
-                cls = StateClass.BOUND_I if sheet is Sheet.I else StateClass.BOUND_II
-            else:
-                cls = StateClass.BIC
-        elif z.imag < 0:
-            cls = StateClass.RESONANCE
-        else:
-            cls = StateClass.ANTIRESONANCE
-        out.append(DiscreteState(z=z, sheet=sheet, state_class=cls, residual=res))
-    kept, near = _dedup(
-        np.array([s.z for s in out], dtype=complex),
-        np.array([s.state_class for s in out], dtype=object),
-    )
-    out = [replace(s, near_degenerate=bool(n)) for s, k, n in zip(out, kept, near) if k]
+    for i, (z0, sheet) in enumerate(seeds):
+        at = f"seed z = {complex(z0)} on sheet {sheet.name}: Newton on p(w) reached z = {z[0, i]}"
+        trace = [complex(0.5 * (x[0, i] + 1.0 / x[0, i])) for x in path]
+        if not residual[0, i] < root_tol:
+            raise ConvergenceError(
+                f"{at} with |eta| = {residual[0, i]:.3e} >= root_tol = {root_tol:.1e}", trace=trace
+            )
+        if sheet_ii[0, i] != (sheet is Sheet.II):
+            raise ConvergenceError(f"{at}, a root on the other sheet", trace=trace)
+        state = DiscreteState(complex(z[0, i]), sheet, _CLASSES[cls[0, i]], float(residual[0, i]))
+        out.append(state)
+    kept, near = _dedup(z, cls)
+    out = [replace(s, near_degenerate=bool(n)) for s, k, n in zip(out, kept[0], near[0]) if k]
     return _sort_and_label(out)

@@ -149,8 +149,7 @@ def self_energy(model: ChainModel, z: SheetedEnergy) -> complex:
 def self_energy_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
     """First or second derivative of the self-energy, closed form.
 
-    Finite differences are never used here; the derivatives feed Newton
-    iterations and the double-root system, where full precision matters.
+    Finite differences are never used here, so full precision is kept.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")

@@ -21,7 +21,7 @@ sum, rather than from explicit continuum eigenstates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def decompose(
         if s.state_class is not StateClass.RESONANCE:
             continue
         n = s.norm if s.norm is not None else normalization(model, s)
-        f, fs, fa = resonance_component(model, s, omega)
+        f, fs, fa = resonance_component(model, replace(s, norm=n), omega)
         label = s.label or f"z={s.z:.6g}"
         f_by[label], fs_by[label], fa_by[label] = f, fs, fa
         res_sum = res_sum + f

@@ -2,12 +2,14 @@
 
 The residue of the impurity Green's function at a discrete eigenvalue,
 
-    N = 1 / (1 - g^2 * dSigma/dz),
+    N = 1 / (1 - g^2 * dSigma/dz) = dz/de_d,
 
 is simultaneously the product of left/right eigenvector overlaps with the
-impurity orbital and the parametric derivative dz/de_d of the eigenvalue.
-It is complex for resonances (their eigenvectors live outside the Hilbert
-space) and this single number carries everything the spectrum needs: no
+impurity orbital and the parametric derivative of the eigenvalue.  It is
+read off p(w) at the state's root w by the rate kernel that also drives
+trajectories (dispersion._rates), with no self-energy evaluated.  It is
+complex for resonances (their eigenvectors live outside the Hilbert space)
+and this single number carries everything the spectrum needs: no
 eigenvector components are ever materialized.
 """
 
@@ -15,12 +17,33 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .dispersion import ROOT_TOL, DiscreteState, StateClass, eta_deriv
+import numpy as np
+
+from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rates
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
+from .selfenergy import Sheet, _sheeted_s
 
-#: |1 - g^2 Sigma'| below this counts as sitting on an exceptional point.
+#: |1 - g^2 Sigma'| = |de_d/dz| below this counts as sitting on an exceptional point.
 EP_GUARD = 1e-10
+
+
+def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
+    """dz/de_d at each state's root w = z - s(z) of p, by one _rates call for the list."""
+    for s in states:
+        if s.residual > 10 * ROOT_TOL:
+            raise FanochainError(f"state residual {s.residual:.3e} too large for a residue")
+    # + 0.0 turns an imaginary -0.0 into +0.0: real z on the +i0 side of the cut
+    z = np.array([s.z for s in states], dtype=complex) + 0.0
+    w = z - _sheeted_s(z, np.array([s.sheet is Sheet.II for s in states], dtype=bool))
+    norms = _rates(model, "e_d", w[None, :], np.array([model.e_d]), np.array([model.g]))[0].tolist()
+    for s, n in zip(states, norms):
+        if abs(n) > 1 / EP_GUARD:
+            raise NearExceptionalPointError(
+                f"|1 - g^2 Sigma'| = {1 / abs(n):.3e} at z = {s.z}: "
+                "normalization constant diverges at the exceptional point"
+            )
+    return norms
 
 
 def normalization(model: ChainModel, state: DiscreteState) -> complex:
@@ -32,7 +55,7 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
     Raises
     ------
     NearExceptionalPointError
-        If 1 - g^2 Sigma' is smaller than EP_GUARD in magnitude: the
+        If |de_d/dz| = |1 - g^2 Sigma'| is smaller than EP_GUARD: the
         normalization constant diverges at an exceptional point.
     FanochainError
         For BIC-classified states (their convention is fixed separately)
@@ -40,32 +63,23 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
     """
     if state.state_class is StateClass.BIC:
         raise FanochainError("BIC states carry unit norm by convention; see attach_norms()")
-    if state.residual > 10 * ROOT_TOL:
-        raise FanochainError(
-            f"state residual {state.residual:.3e} too large for a trustworthy residue"
-        )
-    denom = eta_deriv(model, state.sheeted())
-    if abs(denom) < EP_GUARD:
-        raise NearExceptionalPointError(
-            f"|1 - g^2 Sigma'| = {abs(denom):.3e} at z = {state.z}: "
-            "normalization constant diverges at the exceptional point"
-        )
-    return 1.0 / denom
+    return _norms(model, [state])[0]
 
 
 def bound_weight(model: ChainModel, state: DiscreteState) -> float:
     """Spectral weight |<d|phi>|^2 of a physical-sheet bound state.
 
     This is the (real, positive) residue of the Green's function at the
-    real pole; it multiplies the delta line the state contributes to the
-    spectrum.  Virtual states have no physical-sheet pole and are refused.
+    real pole, the state's norm (computed if it carries none); it
+    multiplies the delta line the state contributes to the spectrum.
+    Virtual states have no physical-sheet pole and are refused.
     """
     if state.state_class is not StateClass.BOUND_I:
         raise FanochainError(
             f"bound_weight needs a {StateClass.BOUND_I.value} state, got "
             f"{state.state_class.value}"
         )
-    w = normalization(model, state)
+    w = state.norm if state.norm is not None else normalization(model, state)
     if abs(w.imag) > 1e-10 or w.real <= 0:
         raise FanochainError(f"bound-state residue should be real positive, got {w}")
     return w.real
@@ -81,7 +95,7 @@ def bic_line_weight(model: ChainModel, state: DiscreteState) -> float:
     """
     if state.state_class is not StateClass.BIC:
         raise FanochainError(f"expected a BIC state, got {state.state_class.value}")
-    return (1.0 / eta_deriv(model, state.sheeted())).real
+    return _norms(model, [state])[0].real
 
 
 def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[DiscreteState]:
@@ -89,8 +103,7 @@ def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[Discret
 
     A BIC state carries unit norm by convention.
     """
-    out = []
-    for s in states:
-        n = 1 + 0j if s.state_class is StateClass.BIC else normalization(model, s)
-        out.append(replace(s, norm=n))
-    return out
+    norms = iter(_norms(model, [s for s in states if s.state_class is not StateClass.BIC]))
+    return [
+        replace(s, norm=1 + 0j if s.state_class is StateClass.BIC else next(norms)) for s in states
+    ]

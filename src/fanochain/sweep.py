@@ -5,9 +5,9 @@ dispersion polynomials p(w) (the batched census of the EP scan), and then
 links each branch from one value to the next: to the root nearest its
 Euler prediction, where the rate is the identity dz/de_d = N (the
 normalization constant), or dz/dg = 2 g Sigma N, read off p in closed form.
-Exceptional points are double roots of the dispersion relation, solved as
-the four-real-unknown system {Re eta, Im eta, Re eta', Im eta'} = 0 in
-(Re z, Im z, g, e_d) by damped Newton with closed-form derivatives.
+Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
+p = p' = 0 gives both in closed form at every w, and the EP is the w where
+both come out real: Newton in w alone.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import _BIC, _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass
-from .dispersion import _census, _horner, _w_coefficients, discrete_states, roman_label
-from .errors import BranchPointError, ConvergenceError, FanochainError, ModelError
+from .dispersion import _census, _rates, _w_coefficients, _w_rows, discrete_states
+from .dispersion import roman_label
+from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, _sigma_at
+from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
 
 #: Residual bound on |eta| and |eta'| at a reported exceptional point.
 EP_TOL = 1e-10
@@ -83,27 +84,7 @@ class EpResult:
     residual_eta_prime: float
 
 
-def _rates(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
-    """dz/d(parameter) at the roots w of p, one row of roots per (e_d, g) row.
-
-    z = (w + 1/w)/2 and p(w; e_d, g) = 0 give dz/dq = (w^2 - 1)/(2 w^2) *
-    (-dp/dq) / p'(w); p is linear in e_d and in g^2, so dp/dq is a
-    difference of coefficient rows.  This is dz/de_d = N, the normalization,
-    and dz/dg = 2 g Sigma N, with no self-energy evaluated.
-    """
-    zero, one = np.zeros(1), np.ones(1)
-    base = _w_coefficients(model, zero, zero)
-    if parameter == "e_d":
-        dp = _w_coefficients(model, one, zero) - base
-    else:
-        dp = 2.0 * g[:, None] * (_w_coefficients(model, zero, one) - base)
-    coeffs = _w_coefficients(model, e_d, g * g)
-    slope = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (w * w - 1.0) / (2.0 * w * w) * -_horner(dp[:, ::-1], w) / _horner(slope[:, ::-1], w)
-
-
-def trace(model: ChainModel, parameter: str, values, root_tol: float = 1e-12) -> Trajectory:
+def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
     """Trace every resonance branch over the sorted parameter values.
 
     Branches are the resonances of discrete_states at the first value,
@@ -202,94 +183,75 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = 1e-12) ->
     return Trajectory(parameter=parameter, values=values, branches=branches)
 
 
-def _ep_system(model: ChainModel, z: complex, g: float, e_d: float, order: int):
-    """eta, eta' and [Sigma, ..., Sigma^(order)] at z on sheet II for coupling g and level e_d."""
-    sig = _sigma_at(model, SheetedEnergy(z, Sheet.II), order)
-    return z - e_d - g * g * sig[0], 1.0 - g * g * sig[1], sig
-
-
 def find_ep(
     model: ChainModel,
     seed: EpSeed | tuple,
     ep_tol: float = EP_TOL,
     max_iter: int = 200,
 ) -> EpResult:
-    """Solve the double-root system for an exceptional point near the seed.
+    """Locate the exceptional point nearest the seed as a double root of p(w).
 
-    Unknowns are (Re z, Im z, g, e_d); the Jacobian is assembled from the
-    closed-form first and second self-energy derivatives.  Steps are
-    damped by halving until the residual norm decreases.
+    p is linear in (e_d, g^2), so at a double root p = p' = 0 gives both in
+    closed form, e_d(w) and g^2(w), and differentiating p' = 0 gives their
+    w-derivatives from p''.  Newton in w alone, from the seed's z on sheet
+    II (its g and e_d are not used), drives Im e_d(w) = Im g^2(w) = 0 until
+    the step is below 1e-12 |w|.  The residuals |eta| and |eta'| of the EP
+    (sqrt(g^2), e_d, (w + 1/w)/2) are taken on sheet II.
 
     Raises
     ------
     ConvergenceError
-        If the residuals do not drop below ep_tol, or the solution drifts
-        to a non-positive coupling.
+        If Newton does not settle within max_iter steps or meets a singular
+        system, or settles at g^2 <= 0 or with a residual not below ep_tol.
+        The trace holds (z, g^2(w), e_d(w)) at each iterate.
     """
     validate(model)
-    if isinstance(seed, EpSeed):
-        g, e_d, z = float(seed.g), float(seed.e_d), complex(seed.z)
-    else:
-        g, e_d, z = float(seed[0]), float(seed[1]), complex(seed[2])
+    z = complex(seed.z if isinstance(seed, EpSeed) else seed[2])
+    w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
+    # base, d_ed, d_g2 (rows) and their first two derivatives (layers), against w^k
+    rows = _w_rows(model)
+    k = np.arange(rows.shape[1])
+    stack = np.zeros((3,) + rows.shape)
+    stack[0] = rows
+    stack[1, :, :-1] = rows[:, 1:] * k[1:]
+    stack[2, :, :-2] = rows[:, 2:] * (k[2:] * k[1:-1])
 
-    trace_pts = [(z, g, e_d)]
+    trace_pts = []
+    settled = False
     for _ in range(max_iter):
-        f1, f2, (sig, sig1, sig2) = _ep_system(model, z, g, e_d, 2)  # eta, eta'
-        F = np.array([f1.real, f1.imag, f2.real, f2.imag])
-        if abs(f1) < ep_tol and abs(f2) < ep_tol:
-            if g <= 0:
-                raise ConvergenceError(
-                    f"double-root Newton converged to non-physical g = {g}", trace=trace_pts
-                )
-            return EpResult(g=g, e_d=e_d, z=z, residual_eta=abs(f1), residual_eta_prime=abs(f2))
+        powers = np.full(len(k), w)
+        powers[0] = 1.0
+        (b, e, c), (b1, e1, c1), (b2, e2, c2) = (stack @ powers.cumprod()).tolist()
+        det = e * c1 - c * e1
+        if det == 0:
+            raise ConvergenceError(f"singular double-root system at w = {w}", trace=trace_pts)
+        e_d, g2 = (c * b1 - b * c1) / det, (b * e1 - e * b1) / det
+        trace_pts.append((0.5 * (w + 1.0 / w), g2, e_d))
+        if settled:
+            break
+        p2 = b2 + e_d * e2 + g2 * c2
+        de, dg2 = c * p2 / det, -e * p2 / det
+        # the step with Im(de * step) = -Im e_d and Im(dg2 * step) = -Im g^2
+        den = (de * dg2.conjugate()).imag
+        if den == 0:
+            raise ConvergenceError(f"singular EP Newton step at w = {w}", trace=trace_pts)
+        step = (g2.imag * de.conjugate() - e_d.imag * dg2.conjugate()) / den
+        w += step
+        settled = abs(step) <= 1e-12 * abs(w)
+    else:
+        raise ConvergenceError(f"EP Newton unsettled after {max_iter} steps", trace=trace_pts)
 
-        d1z = f2                    # d(eta)/dz = eta'
-        d1g = -2.0 * g * sig
-        d2z = -g * g * sig2         # d(eta')/dz
-        d2g = -2.0 * g * sig1
-        jac = np.array(
-            [
-                [d1z.real, -d1z.imag, d1g.real, -1.0],
-                [d1z.imag, d1z.real, d1g.imag, 0.0],
-                [d2z.real, -d2z.imag, d2g.real, 0.0],
-                [d2z.imag, d2z.real, d2g.imag, 0.0],
-            ]
+    if not g2.real > 0:
+        raise ConvergenceError(f"EP Newton settled at g^2 = {g2.real} <= 0", trace=trace_pts)
+    g, e_d, z = math.sqrt(g2.real), e_d.real, 0.5 * (w + 1.0 / w)
+    sig, sig1 = _sigma_at(model, SheetedEnergy(z, Sheet.II), 1)
+    res_eta, res_eta_prime = abs(z - e_d - g * g * sig), abs(1.0 - g * g * sig1)
+    if not (res_eta < ep_tol and res_eta_prime < ep_tol):
+        raise ConvergenceError(
+            f"EP Newton settled at z = {z}, g = {g}, e_d = {e_d} with |eta| = {res_eta:.3e}, "
+            f"|eta'| = {res_eta_prime:.3e}, not below {ep_tol}", trace=trace_pts
         )
-        try:
-            step = np.linalg.solve(jac, -F).tolist()  # Python floats keep g and e_d floats
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian in EP solve: {exc}", trace=trace_pts)
-
-        norm0 = np.linalg.norm(F)
-        lam = 1.0
-        for _damp in range(40):
-            z_t = z + lam * complex(step[0], step[1])
-            g_t = g + lam * step[2]
-            e_t = e_d + lam * step[3]
-            try:
-                f1_t, f2_t, _ = _ep_system(model, z_t, max(g_t, 1e-12), e_t, 1)
-                if (
-                    np.linalg.norm([f1_t.real, f1_t.imag, f2_t.real, f2_t.imag])
-                    < norm0
-                ):
-                    break
-            except BranchPointError:
-                pass
-            lam *= 0.5
-        z = z + lam * complex(step[0], step[1])
-        g = g + lam * step[2]
-        e_d = e_d + lam * step[3]
-        if g <= 0:
-            raise ConvergenceError(
-                f"EP Newton drifted to non-physical g = {g}; rejected", trace=trace_pts
-            )
-        trace_pts.append((z, g, e_d))
-
-    raise ConvergenceError(
-        f"EP Newton did not reach residual {ep_tol} within {max_iter} iterations "
-        f"(final |eta| = {abs(f1):.3e}, |eta'| = {abs(f2):.3e})",
-        trace=trace_pts,
-    )
+    return EpResult(g=g, e_d=e_d, z=z, residual_eta=res_eta, residual_eta_prime=res_eta_prime)
 
 
 def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):

@@ -1,8 +1,8 @@
 """Independent numerical oracles used to pin expected values.
 
-Everything here goes back to a defining integral, a finite difference, or
-a path-following construction and never calls the closed forms it is used
-to check.
+Everything here goes back to a defining integral, a finite difference, a
+path-following construction, or a solve in z through the self-energy, and
+never calls the closed forms in w that it is used to check.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from fanochain.dispersion import StateClass, discrete_states, newton_polish, roman_label
-from fanochain.errors import ConvergenceError
+from fanochain.dispersion import ROOT_TOL, StateClass, discrete_states, eta, eta_deriv, roman_label
+from fanochain.errors import BranchPointError, ConvergenceError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
-from fanochain.sweep import COLLISION_TOL, Trajectory, TrajectoryBranch, TrajectoryPoint
+from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
+from fanochain.sweep import TrajectoryPoint
 
 
 def sigma_quadrature(model: ChainModel, z: complex) -> complex:
@@ -133,6 +134,116 @@ def winding_number(f, corners, samples_per_edge: int = 4000) -> int:
 
 def central_difference(fun, x: float, h: float = 1e-6):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
+
+
+def newton_polish(
+    model: ChainModel,
+    z0: complex,
+    sheet: Sheet,
+    tol: float = ROOT_TOL,
+    max_iter: int = 80,
+) -> tuple[complex, float]:
+    """Newton iteration on eta in z from z0 on a fixed sheet.
+
+    Returns the final iterate and |eta| there.  Raises ConvergenceError
+    (with the iterate trace) if the residual never drops below tol, and
+    BranchPointError if an iterate lands exactly on z = +-1.
+    """
+    z = complex(z0)
+    trace = [z]
+    best_res = float("inf")
+    for _ in range(max_iter):
+        at = SheetedEnergy(z, sheet)
+        f = eta(model, at)
+        res = abs(f)
+        best_res = min(best_res, res)
+        if res < tol:
+            return z, res
+        fp = eta_deriv(model, at)
+        if fp == 0:
+            break
+        z = z - f / fp
+        trace.append(z)
+    raise ConvergenceError(
+        f"Newton on eta stalled at |eta| = {best_res:.3e} (sheet {sheet.name})",
+        trace=trace,
+    )
+
+
+def _ep_system(model: ChainModel, z: complex, g: float, e_d: float, order: int):
+    """eta, eta' and [Sigma, ..., Sigma^(order)] at z on sheet II for coupling g and level e_d."""
+    at = SheetedEnergy(z, Sheet.II)
+    sig = [self_energy(model, at)] + [self_energy_deriv(model, at, k) for k in range(1, order + 1)]
+    return z - e_d - g * g * sig[0], 1.0 - g * g * sig[1], sig
+
+
+def find_ep_in_z(
+    model: ChainModel, seed: tuple, ep_tol: float = EP_TOL, max_iter: int = 200
+) -> EpResult:
+    """Exceptional point by damped Newton on the double-root system in z.
+
+    The unknowns are (Re z, Im z, g, e_d) of {Re eta, Im eta, Re eta',
+    Im eta'} = 0 on sheet II, seeded from (g, e_d, z); the Jacobian comes
+    from Sigma, Sigma' and Sigma''.  Steps are halved until the residual
+    norm decreases, and the solve stops as soon as |eta| and |eta'| are both
+    below ep_tol.
+    """
+    g, e_d, z = float(seed[0]), float(seed[1]), complex(seed[2])
+    trace_pts = [(z, g, e_d)]
+    for _ in range(max_iter):
+        f1, f2, (sig, sig1, sig2) = _ep_system(model, z, g, e_d, 2)
+        F = np.array([f1.real, f1.imag, f2.real, f2.imag])
+        if abs(f1) < ep_tol and abs(f2) < ep_tol:
+            if g <= 0:
+                raise ConvergenceError(
+                    f"double-root Newton converged to non-physical g = {g}", trace=trace_pts
+                )
+            return EpResult(g=g, e_d=e_d, z=z, residual_eta=abs(f1), residual_eta_prime=abs(f2))
+
+        d1z = f2                    # d(eta)/dz = eta'
+        d1g = -2.0 * g * sig
+        d2z = -g * g * sig2         # d(eta')/dz
+        d2g = -2.0 * g * sig1
+        jac = np.array(
+            [
+                [d1z.real, -d1z.imag, d1g.real, -1.0],
+                [d1z.imag, d1z.real, d1g.imag, 0.0],
+                [d2z.real, -d2z.imag, d2g.real, 0.0],
+                [d2z.imag, d2z.real, d2g.imag, 0.0],
+            ]
+        )
+        try:
+            step = np.linalg.solve(jac, -F).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Jacobian in EP solve: {exc}", trace=trace_pts)
+
+        norm0 = np.linalg.norm(F)
+        lam = 1.0
+        for _damp in range(40):
+            z_t = z + lam * complex(step[0], step[1])
+            g_t = g + lam * step[2]
+            e_t = e_d + lam * step[3]
+            try:
+                f1_t, f2_t, _ = _ep_system(model, z_t, max(g_t, 1e-12), e_t, 1)
+                if np.linalg.norm([f1_t.real, f1_t.imag, f2_t.real, f2_t.imag]) < norm0:
+                    break
+            except BranchPointError:
+                pass
+            lam *= 0.5
+        z = z + lam * complex(step[0], step[1])
+        g = g + lam * step[2]
+        e_d = e_d + lam * step[3]
+        if g <= 0:
+            raise ConvergenceError(
+                f"EP Newton drifted to non-physical g = {g}; rejected", trace=trace_pts
+            )
+        trace_pts.append((z, g, e_d))
+
+    raise ConvergenceError(
+        f"EP Newton did not reach residual {ep_tol} within {max_iter} iterations "
+        f"(final |eta| = {abs(f1):.3e}, |eta'| = {abs(f2):.3e})",
+        trace=trace_pts,
+    )
 
 
 def trace_by_continuation(

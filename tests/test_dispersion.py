@@ -6,6 +6,7 @@ import pytest
 from fanochain import (
     BranchPointError,
     ChainModel,
+    ConvergenceError,
     ModelError,
     RootCountError,
     Sheet,
@@ -16,8 +17,8 @@ from fanochain import (
     eta,
     self_energy,
 )
-from fanochain.dispersion import ROOT_TOL, newton_polish, polish_seeds
-from oracles import sigma_quadrature, winding_number
+from fanochain.dispersion import ROOT_TOL, polish_seeds
+from oracles import newton_polish, sigma_quadrature, winding_number
 
 I, II = Sheet.I, Sheet.II
 
@@ -349,12 +350,10 @@ def test_polish_seeds_round_trip(semi_model):
         assert a.state_class is b.state_class
 
 
-def test_newton_polish_reports_trace_on_failure(semi_model):
-    from fanochain import ConvergenceError
-
-    with pytest.raises(ConvergenceError) as info:
+def test_polish_seeds_reports_trace_on_failure(semi_model):
+    with pytest.raises(ConvergenceError, match=r"seed z = \(0\.5-0\.2j\) on sheet II") as info:
         # absurd tolerance cannot be met; the trace must come back
-        newton_polish(semi_model, 0.5 - 0.2j, II, tol=1e-40, max_iter=5)
+        polish_seeds(semi_model, [(0.5 - 0.2j, II)], root_tol=1e-40)
     assert len(info.value.trace) > 0
 
 
@@ -363,9 +362,19 @@ def test_newton_polish_reports_trace_on_failure(semi_model):
 def test_seed_at_branch_point_fails_loudly(semi_model, z0, sheet):
     # eta is singular at z = +-1: a seed there is refused
     with pytest.raises(BranchPointError, match="branch point"):
-        newton_polish(semi_model, complex(z0), sheet)
-    with pytest.raises(BranchPointError, match="branch point"):
         polish_seeds(semi_model, [(complex(z0), sheet)])
+
+
+def test_polish_seeds_refuses_a_root_on_the_other_sheet():
+    # Newton on p from w(-1.3, sheet II) = -2.13 lands on the sheet-I bound
+    # state w = -0.2847: an error naming the seed, not a state on sheet I
+    model = ChainModel.semi_infinite(2, -1.8, 0.4)
+    (bound,) = [s for s in discrete_states(model) if s.state_class is StateClass.BOUND_I]
+    message = r"seed z = \(-1\.3\+0j\) on sheet II.*other sheet"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        polish_seeds(model, [(-1.3 + 0j, II)])
+    assert info.value.trace[-1] == pytest.approx(bound.z, abs=1e-12)
+    assert bound.z == pytest.approx(-0.5 * (0.2847 + 1 / 0.2847), abs=1e-3)
 
 
 # -------------------------------------------- argument-principle equivalence

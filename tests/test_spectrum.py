@@ -207,6 +207,20 @@ def test_decompose_closure_and_positivity(semi_model):
     assert set(sg.resonance_f) == {"i", "ii", "iii"}
 
 
+def test_decompose_computes_each_resonance_norm_once(semi_model, monkeypatch):
+    from fanochain import spectrum
+
+    calls = []
+
+    def counted(model, state):
+        calls.append(state.label)
+        return normalization(model, state)
+
+    monkeypatch.setattr(spectrum, "normalization", counted)
+    sg = decompose(semi_model)
+    assert sorted(calls) == sorted(sg.resonance_f) == ["i", "ii", "iii"]
+
+
 def test_decompose_g_zero_single_line():
     m = ChainModel.semi_infinite(4, -0.5, 0.0, transition_weight=1.3)
     sg = decompose(m)

@@ -13,17 +13,18 @@ from fanochain import (
     StateClass,
     discrete_states,
     eta,
+    eta_deriv,
     find_ep,
     scan_for_ep_seeds,
     self_energy,
     trace,
 )
 from fanochain import sweep
-from fanochain.dispersion import _OK, ROOT_TOL, _census
+from fanochain.dispersion import _OK, ROOT_TOL, _census, _rates
 from fanochain.states import attach_norms
-from fanochain.sweep import EpSeed, _closest_pairs, _rates
+from fanochain.sweep import EP_TOL, EpSeed, _closest_pairs
 
-from oracles import trace_by_continuation
+from oracles import find_ep_in_z, trace_by_continuation
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -97,14 +98,17 @@ def test_trace_axis_crossing_marked():
 @pytest.mark.parametrize(
     "model",
     [
+        ChainModel.semi_infinite(1, -0.5, 0.2),
         ChainModel.semi_infinite(4, -0.5, 0.2),
+        ChainModel.semi_infinite(12, -0.45, 0.2),
         ChainModel.semi_infinite(7, -0.3, 0.15, v=1.3),
         ChainModel.infinite(-0.6, 0.2),
     ],
-    ids=["n_d=4", "n_d=7,v=1.3", "infinite"],
+    ids=["n_d=1", "n_d=4", "n_d=12", "n_d=7,v=1.3", "infinite"],
 )
 def test_rates_are_norm_and_coupling_derivative(model):
-    # the w-form predictor: dz/de_d = N and dz/dg = 2 g Sigma N at every root
+    # the w-form rates at the census roots and the norms of the states both
+    # match the Sigma form: dz/de_d = N = 1/eta'(z) and dz/dg = 2 g Sigma N
     e_d, g = np.array([model.e_d]), np.array([model.g])
     census = _census(model, e_d, g, ROOT_TOL)
     dz_ded = _rates(model, "e_d", census.w, e_d, g)[0]
@@ -113,9 +117,11 @@ def test_rates_are_norm_and_coupling_derivative(model):
     assert len(states) == census.w.shape[1]
     for s in states:
         j = np.abs(census.z[0] - s.z).argmin()
-        assert dz_ded[j] == pytest.approx(s.norm, rel=1e-12)
+        norm = 1.0 / eta_deriv(model, s.sheeted())
+        assert s.norm == pytest.approx(norm, rel=1e-12)
+        assert dz_ded[j] == pytest.approx(norm, rel=1e-12)
         sigma = self_energy(model, s.sheeted())
-        assert dz_dg[j] == pytest.approx(2 * model.g * sigma * s.norm, rel=1e-12)
+        assert dz_dg[j] == pytest.approx(2 * model.g * sigma * norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("parameter", ["e_d", "g"])
@@ -322,6 +328,27 @@ def test_ep_square_root_splitting():
         split.append(abs(res[0] - res[1]))
     slope = np.polyfit(np.log(deltas), np.log(split), 1)[0]
     assert slope == pytest.approx(0.5, abs=0.05)
+
+
+EP_SCANS = {
+    f"n_d={n_d}": (n_d, (0.02, 0.5), (-0.95, 0.95), 24) for n_d in (3, 4, 5, 6, 8)
+}
+EP_SCANS["readme"] = (4, (0.1, 0.25), (-0.8, 0.0), 16)
+
+
+@pytest.mark.parametrize("scan", list(EP_SCANS.values()), ids=list(EP_SCANS))
+def test_find_ep_matches_z_plane_solve(scan):
+    # Newton in w agrees with the damped 4x4 Newton in (z, g, e_d) on every seed
+    n_d, g_range, ed_range, n = scan
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
+    seeds = scan_for_ep_seeds(model, g_range, ed_range, n, n)
+    assert len(seeds) == ({3: 0, 4: 2, 5: 4, 6: 4, 8: 6}[n_d] if n == 24 else 1)
+    for seed in seeds:
+        ep = find_ep(model, seed)
+        ref = find_ep_in_z(model, (seed.g, seed.e_d, seed.z))
+        assert abs(ep.g - ref.g) < 1e-9 and abs(ep.e_d - ref.e_d) < 1e-9
+        assert abs(ep.z - ref.z) < 1e-9
+        assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
 def test_find_ep_bad_seed_raises():
