@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ModelError, RootCountError
 from .model import ChainModel, validate
-from .selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv, sqrt_branch
+from .selfenergy import Sheet, SheetedEnergy, _sheeted_s, _sigma, self_energy, self_energy_deriv, sqrt_branch
 
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
@@ -70,6 +70,12 @@ class DiscreteState:
     norm: complex | None = None
     near_degenerate: bool = False
     label: str | None = None
+    w: complex | None = None  # the root of p(w) the state came from, else z - s(z)
+
+    def __post_init__(self):
+        if self.w is None:
+            z = complex(self.z) + 0.0  # a real z on the +i0 side of the cut
+            object.__setattr__(self, "w", complex(z - _sheeted_s(np.complex128(z), self.sheet)))
 
     @property
     def epsilon(self) -> float:
@@ -352,45 +358,25 @@ def discrete_states(
 
     if model.g == 0.0:
         # Decoupled impurity: the single eigenvalue sits at e_d.
-        inside = abs(model.e_d) < 1.0
-        cls = StateClass.BIC if inside else StateClass.BOUND_I
-        state = DiscreteState(
-            z=complex(model.e_d, 0.0),
-            sheet=Sheet.I,
-            state_class=cls,
-            residual=0.0,
-        )
-        return [state]
+        cls = _BIC if abs(model.e_d) < 1.0 else _BOUND_I
+        return _states([model.e_d], [None], [False], [cls], [0.0], [False])
 
     census = _census(model, [model.e_d], [model.g], root_tol)
-    states = [
-        DiscreteState(
-            z=complex(z),
-            sheet=Sheet.II if ii else Sheet.I,
-            state_class=_CLASSES[c],
-            residual=float(r),
-            near_degenerate=bool(near),
-        )
-        for z, ii, c, r, near in zip(
-            census.z[0], census.sheet_ii[0], census.cls[0], census.residual[0],
-            census.near_degenerate[0],
-        )
-    ]
-    degree = len(states)
-    fault = census.fault[0]
+    z, residual = census.z[0].tolist(), census.residual[0].tolist()
+    fault, kept, cls = census.fault[0], census.kept[0], census.cls[0]
     if fault == _GATE:
         # eta has a square-root singularity at z = +-1: this close to a band
         # edge, one ulp of z moves |eta| by far more than root_tol.
-        rejected = [s for s in states if not s.residual < root_tol]
+        rejected = [i for i, r in enumerate(residual) if not r < root_tol]
         reasons = [
-            f"z = {s.z:.17g} on sheet {s.sheet.name}, "
-            f"{min(abs(s.z - 1), abs(s.z + 1)):.1e} from the band edge: "
-            f"|eta| = {s.residual:.1e} >= root_tol = {root_tol:.1e}"
-            for s in rejected
+            f"z = {z[i]:.17g} on sheet {'II' if census.sheet_ii[0, i] else 'I'}, "
+            f"{min(abs(z[i] - 1), abs(z[i] + 1)):.1e} from the band edge: "
+            f"|eta| = {residual[i]:.1e} >= root_tol = {root_tol:.1e}"
+            for i in rejected
         ]
         raise RootCountError(
-            f"{len(rejected)} of {degree} roots failed the |eta| gate: " + "; ".join(reasons),
-            candidates=[(s.z, s.residual) for s in rejected],
+            f"{len(rejected)} of {len(z)} roots failed the |eta| gate: " + "; ".join(reasons),
+            candidates=[(z[i], residual[i]) for i in rejected],
         )
 
     # Structural audit: every root of p is one state, except that a BIC
@@ -399,25 +385,33 @@ def discrete_states(
     # level -- is parameter-dependent: outside the band at weak coupling a
     # resonance pair degenerates into two extra real virtual states.  That
     # census is asserted where it holds, not here.)
-    accepted = [s for s, kept in zip(states, census.kept[0]) if kept]
+    accepted = [(z[i], residual[i]) for i in np.flatnonzero(kept)]
     if fault == _COUNT:
         raise RootCountError(
-            f"polynomial of degree {degree} yielded {len(accepted)} classified "
+            f"polynomial of degree {len(z)} yielded {len(accepted)} classified "
             f"states (expected {census.expected[0]})",
-            candidates=[(s.z, s.residual) for s in accepted],
+            candidates=accepted,
         )
     if fault == _PAIRING:
-        n_res = sum(s.state_class is StateClass.RESONANCE for s in accepted)
-        n_anti = sum(s.state_class is StateClass.ANTIRESONANCE for s in accepted)
+        n_res, n_anti = ((kept & (cls == c)).sum() for c in (_RESONANCE, _ANTIRESONANCE))
         raise RootCountError(
-            f"unpaired resonances: {n_res} vs {n_anti} anti-resonances",
-            candidates=[(s.z, s.residual) for s in accepted],
+            f"unpaired resonances: {n_res} vs {n_anti} anti-resonances", candidates=accepted
         )
 
     if not include_antiresonances:
-        accepted = [s for s in accepted if s.state_class is not StateClass.ANTIRESONANCE]
+        kept = kept & (cls != _ANTIRESONANCE)
+    fields = census.z, census.w, census.sheet_ii, census.cls, census.residual, census.near_degenerate
+    return _states(*(a[0, kept] for a in fields))
 
-    return _sort_and_label(accepted)
+
+def _states(z, w, sheet_ii, cls, residual, near) -> list[DiscreteState]:
+    """Sorted, labelled DiscreteStates of classified roots w of p (class codes cls; a w
+    of None is read off z), one per entry of the parallel sequences _classify gives."""
+    return _sort_and_label([
+        DiscreteState(complex(a), Sheet.II if ii else Sheet.I, _CLASSES[c], float(r),
+                      near_degenerate=bool(n), w=None if x is None else complex(x))
+        for a, x, ii, c, r, n in zip(z, w, sheet_ii, cls, residual, near)
+    ])
 
 
 def _dedup(z: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,7 +488,6 @@ def polish_seeds(
     e_d, g2 = np.array([model.e_d]), np.array([model.g**2])
     path = _newton(_w_coefficients(model, e_d, g2)[:, ::-1], w, 80)
     z, sheet_ii, cls, residual, _ = _classify(model, path[-1], e_d[:, None], g2[:, None])
-    out = []
     for i, (z0, sheet) in enumerate(seeds):
         at = f"seed z = {complex(z0)} on sheet {sheet.name}: Newton on p(w) reached z = {z[0, i]}"
         trace = [complex(0.5 * (x[0, i] + 1.0 / x[0, i])) for x in path]
@@ -504,8 +497,5 @@ def polish_seeds(
             )
         if sheet_ii[0, i] != (sheet is Sheet.II):
             raise ConvergenceError(f"{at}, a root on the other sheet", trace=trace)
-        state = DiscreteState(complex(z[0, i]), sheet, _CLASSES[cls[0, i]], float(residual[0, i]))
-        out.append(state)
     kept, near = _dedup(z, cls)
-    out = [replace(s, near_degenerate=bool(n)) for s, k, n in zip(out, kept[0], near[0]) if k]
-    return _sort_and_label(out)
+    return _states(*(a[kept] for a in (z, path[-1], sheet_ii, cls, residual, near)))

@@ -22,21 +22,21 @@ import numpy as np
 from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rates
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
-from .selfenergy import Sheet, _sheeted_s
 
 #: |1 - g^2 Sigma'| = |de_d/dz| below this counts as sitting on an exceptional point.
 EP_GUARD = 1e-10
 
 
 def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
-    """dz/de_d at each state's root w = z - s(z) of p, by one _rates call for the list."""
+    """dz/de_d at each state's root w of p, by one _rates call for the list; exactly 1
+    at g = 0 (z = e_d), where _rates reads 0/0 for a level on a band edge, w = +-1."""
     for s in states:
         if s.residual > 10 * ROOT_TOL:
             raise FanochainError(f"state residual {s.residual:.3e} too large for a residue")
-    # + 0.0 turns an imaginary -0.0 into +0.0: real z on the +i0 side of the cut
-    z = np.array([s.z for s in states], dtype=complex) + 0.0
-    w = z - _sheeted_s(z, np.array([s.sheet is Sheet.II for s in states], dtype=bool))
-    norms = _rates(model, "e_d", w[None, :], np.array([model.e_d]), np.array([model.g]))[0].tolist()
+    if model.g == 0.0:
+        return [1 + 0j] * len(states)
+    w = np.array([[s.w for s in states]], dtype=complex)
+    norms = _rates(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))[0].tolist()
     for s, n in zip(states, norms):
         if abs(n) > 1 / EP_GUARD:
             raise NearExceptionalPointError(

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispersion import _BIC, _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass
 from .dispersion import _census, _rates, _w_coefficients, _w_rows, discrete_states
@@ -45,7 +46,7 @@ class TrajectoryPoint:
     z: complex
     bic: bool = False          # branch pinned on the real axis (zero width)
     collision: bool = False    # another branch claimed (nearly) the same root
-    crossed_axis: bool = False  # passed through a BIC pinch since last sample
+    crossed_axis: bool = False  # the root nearest the Euler prediction lay above the axis
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,12 @@ class EpResult:
     residual_eta_prime: float
 
 
+def _census_block(model: ChainModel) -> tuple[int, int]:
+    """The degree deg of p(w) and the most rows one batched census holds, SCAN_BLOCK / deg^2."""
+    deg = 2 * model.n_d if model.is_semi_infinite else 4
+    return deg, max(1, SCAN_BLOCK // deg**2)
+
+
 def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
     """Trace every resonance branch over the sorted parameter values.
 
@@ -92,10 +99,13 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     as one stack of polynomials p(w), in blocks of at most SCAN_BLOCK /
     deg^2 values, and each branch is linked to the sheet-II root nearest
     its Euler prediction at the next value, with the rate read off p.
-    A link above the axis (Im z > 1e-12) has passed a BIC pinch: the
-    branch takes the decaying conjugate, marked crossed_axis.  A link
-    within 1e-12 of the axis is pinned to it and marked bic; at a BIC e_d,
-    where the census collapses the conjugate pair, the branch goes on from
+    A link above the axis (Im z > 1e-12) is taken as its decaying
+    conjugate and marked crossed_axis.  The flag marks an Euler overshoot,
+    not a crossing: near a BIC pinch the branch touches the axis and turns
+    back, and the prediction from the sample before lands above it; with a
+    sample exactly on the BIC, rounding decides the flag.  A link within
+    1e-12 of the axis is pinned to it and marked bic; at a BIC e_d, where
+    the census collapses the conjugate pair, the branch goes on from
     the Im w > 0 member (E + i0 on sheet II, as real in-band energies are
     read).  Past a real-axis EP a branch follows, of the two real roots
     nearest it, the one with the larger |w|.  Branches closer than
@@ -129,8 +139,8 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     if through.size:
         a, b = values[through[0] : through[0] + 2]
         raise ConvergenceError(f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]")
-    deg = 2 * model.n_d if model.is_semi_infinite else 4
-    links = max(1, SCAN_BLOCK // deg**2 - 1)
+    deg, block = _census_block(model)
+    links = max(1, block - 1)
     linked, crossed = [[s.z for s in start]], [[False] * len(start)]
     # Blocks overlap by one value, so each block links its own values.
     for first in range(0, n - 1, links):
@@ -264,8 +274,7 @@ def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
     g_cells, ed_cells = (c.ravel() for c in np.meshgrid(gs, eds, indexing="ij"))
     dist = np.full(g_cells.size, np.inf)
     mid = np.zeros(g_cells.size, dtype=complex)
-    deg = 2 * model.n_d if model.is_semi_infinite else 4
-    block = max(1, SCAN_BLOCK // deg**2)
+    _, block = _census_block(model)
     for start in range(0, g_cells.size, block):
         cells = slice(start, start + block)
         census = _census(model, ed_cells[cells], g_cells[cells], ROOT_TOL)
@@ -326,21 +335,13 @@ def scan_for_ep_seeds(
     eds = np.linspace(ed_range[0], ed_range[1], n_ed)
 
     dist, mid = _closest_pairs(model, gs, eds)
-    seeds = []
-    for i in range(n_g):
-        for j in range(n_ed):
-            d = dist[i, j]
-            if not np.isfinite(d) or d >= threshold:
-                continue
-            neighbours = [
-                dist[i + di, j + dj]
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di or dj) and 0 <= i + di < n_g and 0 <= j + dj < n_ed
-            ]
-            if all(d <= nb for nb in neighbours):
-                seeds.append(
-                    EpSeed(g=float(gs[i]), e_d=float(eds[j]), z=complex(mid[i, j]), pair_distance=float(d))
-                )
+    # a finite cell below the threshold (a nan threshold bars none) and at most every
+    # neighbour in its 3 x 3 window (cells off the grid are inf)
+    window = sliding_window_view(np.pad(dist, 1, constant_values=np.inf), (3, 3))
+    minimum = np.isfinite(dist) & ~(dist >= threshold) & (dist <= window.min(axis=(-2, -1)))
+    seeds = [
+        EpSeed(g=float(gs[i]), e_d=float(eds[j]), z=complex(mid[i, j]), pair_distance=float(dist[i, j]))
+        for i, j in zip(*np.nonzero(minimum))
+    ]
     seeds.sort(key=lambda s: s.pair_distance)
     return seeds

@@ -39,6 +39,21 @@ def test_roots_counts(tmp_path, capsys):
     assert sum("resonance" in r for r in records) == 3
 
 
+@pytest.mark.parametrize(
+    "e_d, record", [("1", "b1,boundI,1,0,1,0,0"), ("0.5", "bic1,bic,0.5,0,1,0,0")]
+)
+def test_roots_and_lines_of_decoupled_impurity(tmp_path, capsys, e_d, record):
+    # g = 0: the one state is labelled, and its norm and line weight are exactly 1
+    model = ["--chain", "semi", "--nd", "4", "--g", "0", "--ed", e_d]
+    assert run(["roots", *model]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [record]
+    out = tmp_path / "g0.csv"
+    assert run(["spectrum", *model, "--points", "3", "--out", str(out)]) == 0
+    lines = (tmp_path / "g0.csv.lines.csv").read_text()
+    assert lines == f"energy,weight\n{e_d},1\n"
+    assert "nan" not in out.read_text() + lines
+
+
 def test_roots_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]

@@ -17,7 +17,7 @@ from fanochain import (
     eta,
     self_energy,
 )
-from fanochain.dispersion import ROOT_TOL, polish_seeds
+from fanochain.dispersion import ROOT_TOL, _census, polish_seeds
 from oracles import newton_polish, sigma_quadrature, winding_number
 
 I, II = Sheet.I, Sheet.II
@@ -318,6 +318,35 @@ def test_g_zero_single_state():
     states = discrete_states(m)
     assert len(states) == 1
     assert states[0].z == pytest.approx(-0.5 + 0j)
+
+
+@pytest.mark.parametrize("e_d, label", [(-0.5, "bic1"), (0.5, "bic1"), (-1.0, "b1"), (1.5, "b1")])
+@pytest.mark.parametrize("chain", ["semi", "infinite"])
+def test_g_zero_state_is_labelled(chain, e_d, label):
+    m = ChainModel.semi_infinite(4, e_d, 0.0) if chain == "semi" else ChainModel.infinite(e_d, 0.0)
+    (state,) = discrete_states(m)
+    assert state.label == label
+    assert state.state_class is (StateClass.BIC if label == "bic1" else StateClass.BOUND_I)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ChainModel.semi_infinite(4, -0.5, 0.2),
+        ChainModel.semi_infinite(4, 0.0, 0.2),  # exact BIC e_d
+        ChainModel.semi_infinite(2, -1.8, 0.4),  # a sheet-I bound state
+        ChainModel.infinite(-0.6, 0.2),
+    ],
+)
+def test_states_carry_their_root_w(model):
+    # the census w itself, not z - s(z) rebuilt from the rounded z
+    roots = _census(model, [model.e_d], [model.g], ROOT_TOL).w[0].tolist()
+    states = discrete_states(model, include_antiresonances=True)
+    assert all(s.w in roots for s in states)
+    for s in polish_seeds(model, [(s.z, s.sheet) for s in states]):
+        assert min(abs(s.w - w) for w in roots) <= 1e-12 * abs(s.w)
+        if s.state_class is not StateClass.BIC:
+            assert 0.5 * (s.w + 1 / s.w) == pytest.approx(s.z, abs=1e-12)
 
 
 def test_near_ep_pair_flagged():

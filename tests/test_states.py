@@ -1,13 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 from fanochain import (
     ChainModel,
+    DiscreteState,
     FanochainError,
     NearExceptionalPointError,
+    Sheet,
     StateClass,
     attach_norms,
     bound_weight,
+    decompose,
     discrete_states,
     normalization,
 )
@@ -127,8 +131,6 @@ def test_near_ep_divergence():
 
 def test_ep_guard_triggers():
     # park the state record exactly on the coalescence point
-    from fanochain import DiscreteState, Sheet
-
     m = ChainModel.semi_infinite(4, EP_ED, EP_G)
     fake = DiscreteState(z=EP_Z, sheet=Sheet.II, state_class=StateClass.RESONANCE, residual=0.0)
     with pytest.raises(NearExceptionalPointError):
@@ -153,3 +155,49 @@ def test_bic_norm_convention():
 def test_attach_norms_fills_everything(semi_model):
     states = attach_norms(semi_model, discrete_states(semi_model))
     assert all(s.norm is not None for s in states)
+
+
+@pytest.mark.parametrize("e_d", [-1.0, 1.0, 1.5, 0.5])
+@pytest.mark.parametrize("chain", ["semi", "infinite"])
+def test_decoupled_norm_is_exactly_one(chain, e_d):
+    # g = 0: z = e_d, so dz/de_d = 1 exactly, also with the level on a band
+    # edge, where the rate read off p(w) would be 0/0 at w = +-1
+    m = ChainModel.semi_infinite(4, e_d, 0.0) if chain == "semi" else ChainModel.infinite(e_d, 0.0)
+    (state,) = attach_norms(m, discrete_states(m))
+    assert state.norm == 1
+    sg = decompose(m)
+    assert sg.bound_lines == [(e_d, m.transition_weight)]
+    assert np.isfinite(sg.total).all()
+
+
+@pytest.mark.parametrize(
+    "n_d, e_d, g",
+    [
+        (16, 0.32390934022193196, 0.14650119786731408),
+        (2, -0.2533849720175845, 0.43265920602992475),
+        (3, -0.4999875392814377, 0.49760463721661075),
+    ],
+)
+def test_band_edge_norm_matches_mpmath(n_d, e_d, g):
+    # a real root this close to z = +-1 is resolved by its w, not by z
+    m = ChainModel.semi_infinite(n_d, e_d, g)
+    state = min(attach_norms(m, discrete_states(m)), key=lambda s: min(abs(s.z - 1), abs(s.z + 1)))
+    assert min(abs(state.z - 1), abs(state.z + 1)) < 1e-4
+    with mpmath.workdps(50):
+        e, G = mpmath.mpf(e_d), mpmath.mpf(g) ** 2
+        ks = range(1, n_d + 1)
+        p = lambda w: w * w - 2 * e * w + 1 - 4 * G * mpmath.fsum(w ** (2 * k) for k in ks)
+        dp = lambda w: 2 * w - 2 * e - 8 * G * mpmath.fsum(k * w ** (2 * k - 1) for k in ks)
+        w = mpmath.findroot(p, mpmath.mpf(state.w.real))
+        ref = complex((w * w - 1) / (w * dp(w)))
+    assert abs(state.norm - ref) <= 1e-12 * abs(ref)
+
+
+def test_hand_made_state_reads_w_off_z():
+    for z in (0.3, complex(0.3, -0.0)):
+        state = DiscreteState(z=z, sheet=Sheet.I, state_class=StateClass.BIC, residual=0.0)
+        assert state.w == pytest.approx(0.3 - 1j * np.sqrt(0.91), abs=1e-15)
+    state = DiscreteState(z=0.3, sheet=Sheet.II, state_class=StateClass.BOUND_II, residual=0.0)
+    assert state.w == pytest.approx(0.3 + 1j * np.sqrt(0.91), abs=1e-15)
+    state = DiscreteState(z=-1.5, sheet=Sheet.I, state_class=StateClass.BOUND_I, residual=0.0)
+    assert state.w == pytest.approx(-1.5 + np.sqrt(1.25), abs=1e-15)
