@@ -199,21 +199,20 @@ def _w_rows(model: ChainModel) -> np.ndarray:
     return rows
 
 
-def _rates(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
-    """dz/d(parameter) at the roots w of p, one row of roots per (e_d, g) row.
+def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
+    """(-dp/dq, p'(w)) at the roots w of p, one row of roots per (e_d, g) row.
 
-    z = (w + 1/w)/2 and p(w; e_d, g) = 0 give dz/dq = (w^2 - 1)/(2 w^2) *
-    (-dp/dq) / p'(w); p is linear in e_d and in g^2, so dp/dq is a
-    coefficient row of _w_rows.  This is dz/de_d = N, the normalization,
-    and dz/dg = 2 g Sigma N, with no self-energy evaluated.
+    Their ratio is the rate dw/dq of a root, since p(w; e_d, g) = 0; p is
+    linear in e_d and in g^2, so dp/dq is a coefficient row of _w_rows.
+    With z = (w + 1/w)/2, dz/dq = (w^2 - 1)/(2 w^2) dw/dq: dz/de_d = N, the
+    normalization, and dz/dg = 2 g Sigma N, with no self-energy evaluated.
     """
     rows = _w_rows(model)
     dp_dq = rows[1:2] if parameter == "e_d" else 2.0 * g[:, None] * rows[2]
     coeffs = _w_coefficients(model, e_d, g * g)
     dp_dw = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
     dp, slope = _horner_pair(dp_dq[:, ::-1], dp_dw[:, ::-1], w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (w * w - 1.0) / (2.0 * w * w) * -dp / slope
+    return -dp, slope
 
 
 #: StateClass by the integer code the batched census uses.

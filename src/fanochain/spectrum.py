@@ -175,7 +175,9 @@ def decompose(
 
     Near-degenerate resonance pairs (an exceptional point nearby) are
     decomposed all the same -- their components are individually huge and
-    cancel -- and carry the near_degenerate flag in the metadata.
+    cancel -- and carry the near_degenerate flag in the metadata.  A
+    continuum residual that is not finite (a nan Omega or norm) raises
+    FanochainError.
     """
     validate(model)
     if omega is None:
@@ -209,6 +211,11 @@ def decompose(
             )
         )
 
+    continuum = total - res_sum
+    bad = ~(np.abs(continuum) < np.inf)
+    if bad.any():
+        raise FanochainError(f"continuum residual is not finite at Omega = {omega[bad][0]}")
+
     lines: list[tuple[float, float]] = []
     for s in states:
         if s.state_class is StateClass.BOUND_I:
@@ -223,7 +230,7 @@ def decompose(
         resonance_f=f_by,
         resonance_fs=fs_by,
         resonance_fa=fa_by,
-        continuum_residual=total - res_sum,
+        continuum_residual=continuum,
         bound_lines=lines,
         per_state_meta=meta,
     )

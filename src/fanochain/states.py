@@ -7,7 +7,7 @@ The residue of the impurity Green's function at a discrete eigenvalue,
 is simultaneously the product of left/right eigenvector overlaps with the
 impurity orbital and the parametric derivative of the eigenvalue.  It is
 read off p(w) at the state's root w by the rate kernel that also drives
-trajectories (dispersion._rates), with no self-energy evaluated.  It is
+trajectories (dispersion._rate_terms), with no self-energy evaluated.  It is
 complex for resonances (their eigenvectors live outside the Hilbert space)
 and this single number carries everything the spectrum needs: no
 eigenvector components are ever materialized.
@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rates
+from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rate_terms
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
 
@@ -27,22 +27,26 @@ from .model import ChainModel
 EP_GUARD = 1e-10
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # an infinite or nan norm meets the guards
 def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
-    """dz/de_d at each state's root w of p, by one _rates call for the list; exactly 1
-    at g = 0 (z = e_d), where _rates reads 0/0 for a level on a band edge, w = +-1."""
+    """dz/de_d = (w^2 - 1)/(2 w^2) dw/de_d at each state's root w of p, one _rate_terms call
+    for the list; exactly 1 at g = 0 (z = e_d), where dw/de_d is 0/0 for a level at w = +-1."""
     for s in states:
-        if s.residual > 10 * ROOT_TOL:
+        if not s.residual <= 10 * ROOT_TOL:
             raise FanochainError(f"state residual {s.residual:.3e} too large for a residue")
     if model.g == 0.0:
         return [1 + 0j] * len(states)
     w = np.array([[s.w for s in states]], dtype=complex)
-    norms = _rates(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))[0].tolist()
+    minus_dp, slope = _rate_terms(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))
+    norms = ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0].tolist()
     for s, n in zip(states, norms):
         if abs(n) > 1 / EP_GUARD:
             raise NearExceptionalPointError(
                 f"|1 - g^2 Sigma'| = {1 / abs(n):.3e} at z = {s.z}: "
                 "normalization constant diverges at the exceptional point"
             )
+        if not abs(n) <= 1 / EP_GUARD:
+            raise FanochainError(f"normalization constant {n} at z = {s.z} is not a number")
     return norms
 
 
@@ -80,7 +84,7 @@ def bound_weight(model: ChainModel, state: DiscreteState) -> float:
             f"{state.state_class.value}"
         )
     w = state.norm if state.norm is not None else normalization(model, state)
-    if abs(w.imag) > 1e-10 or w.real <= 0:
+    if not (abs(w.imag) <= 1e-10 and w.real > 0):
         raise FanochainError(f"bound-state residue should be real positive, got {w}")
     return w.real
 

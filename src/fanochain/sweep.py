@@ -2,9 +2,10 @@
 
 A trajectory solves every value of its sweep at once, as one stack of
 dispersion polynomials p(w) (the batched census of the EP scan), and then
-links each branch from one value to the next: to the root nearest its
-Euler prediction, where the rate is the identity dz/de_d = N (the
-normalization constant), or dz/dg = 2 g Sigma N, read off p in closed form.
+links each branch from one value to the next in w, where both sheets form
+one plane and roots move continuously through the band: to the root
+nearest its Euler prediction, with dw/dq = -(dp/dq)/p'(w) read off p in
+closed form (in z this is the identity dz/de_d = N, the normalization).
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone.
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dispersion import _BIC, _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass
-from .dispersion import _census, _rates, _w_coefficients, _w_rows, discrete_states
-from .dispersion import roman_label
+from .dispersion import _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass, roman_label
+from .dispersion import _census, _rate_terms, _w_coefficients, _w_rows, discrete_states
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
@@ -46,7 +46,7 @@ class TrajectoryPoint:
     z: complex
     bic: bool = False          # branch pinned on the real axis (zero width)
     collision: bool = False    # another branch claimed (nearly) the same root
-    crossed_axis: bool = False  # the root nearest the Euler prediction lay above the axis
+    crossed_axis: bool = False  # linked to an anti-resonance (Im w > 0), went on from its conjugate
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,14 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     Branches are the resonances of discrete_states at the first value,
     labelled (i), (ii), ... by ascending Re z.  The whole sweep is solved
     as one stack of polynomials p(w), in blocks of at most SCAN_BLOCK /
-    deg^2 values, and each branch is linked to the sheet-II root nearest
-    its Euler prediction at the next value, with the rate read off p.
-    A link above the axis (Im z > 1e-12) is taken as its decaying
-    conjugate and marked crossed_axis.  The flag marks an Euler overshoot,
-    not a crossing: near a BIC pinch the branch touches the axis and turns
-    back, and the prediction from the sample before lands above it; with a
-    sample exactly on the BIC, rounding decides the flag.  A link within
-    1e-12 of the axis is pinned to it and marked bic; at a BIC e_d, where
-    the census collapses the conjugate pair, the branch goes on from
-    the Im w > 0 member (E + i0 on sheet II, as real in-band energies are
-    read).  Past a real-axis EP a branch follows, of the two real roots
-    nearest it, the one with the larger |w|.  Branches closer than
-    COLLISION_TOL are marked collision.
+    deg^2 values, and each branch is linked in w to the root nearest its
+    Euler prediction w + (dw/dq) dq at the next value, sheet-I roots aside.
+    At a BIC pinch the decaying root only touches |w| = 1.  A link to an
+    anti-resonance (Im w > 0) goes on from its conjugate and is marked
+    crossed_axis.  Past a real-axis EP a branch follows, of the real roots
+    nearer it than any other root was, the one with the larger |w|.  A
+    point within 1e-12 of the axis is pinned to it and marked bic;
+    branches closer than COLLISION_TOL are marked collision.
 
     Raises ConvergenceError if a linked root misses |eta| < root_tol (a
     fault on a root no branch links to does not count), or if a root
@@ -146,34 +141,35 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     for first in range(0, n - 1, links):
         rows = np.arange(first, min(first + links, n - 1) + 1)
         census = _census(model, e_d[rows], g[rows], root_tol)
-        rate = _rates(model, parameter, census.w, e_d[rows], g[rows])
+        minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = minus_dp / slope
         rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
-        pred = census.z[:-1] + rate[:-1] * np.diff(values[rows])[:, None]
-        gap = np.abs(census.z[1:, None, :] - pred[:, :, None])
+        pred = census.w[:-1] + rate[:-1] * np.diff(values[rows])[:, None]
+        gap = np.abs(census.w[1:, None, :] - pred[:, :, None])
         gap[np.broadcast_to((census.cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
         nearest = gap.argmin(axis=-1).tolist()
         z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
         if first == 0:
-            current = [min(range(deg), key=lambda j: abs(z[0][j] - s.z)) for s in start]
+            current = [min(range(deg), key=lambda j: abs(w[0][j] - s.w)) for s in start]
         for k in range(len(rows) - 1):
             here, up = [], []
             for i, j in enumerate(current):
                 m = nearest[k][j]
-                if cls[k + 1][m] == _BOUND_II and z[k][j].imag != 0.0:
-                    reals = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II]
-                    pair = sorted(reals, key=lambda c: abs(z[k + 1][c] - z[k][j]))[:2]
-                    m = max(pair, key=lambda c: abs(w[k + 1][c]))
-                elif cls[k + 1][m] == _BIC:
-                    m = max(range(deg), key=lambda c: (cls[k + 1][c] == _BIC, w[k + 1][c].imag))
+                if cls[k + 1][m] == _BOUND_II and w[k][j].imag != 0.0:  # past a real-axis EP
+                    last, now = w[k], w[k + 1]
+                    split = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II
+                             and abs(now[c] - last[j]) <= min(abs(now[c] - x) for x in last)]
+                    m = max(split, key=lambda c: abs(now[c]), default=m)
                 if not census.residual[k + 1, m] < root_tol:
                     raise ConvergenceError(
                         f"branch {roman_label(i)} at {parameter} = {values[rows[k + 1]]}: |eta| = "
                         f"{census.residual[k + 1, m]:.3e} >= root_tol at z = {z[k + 1][m]}"
                     )
-                up.append(z[k + 1][m].imag > 1e-12)
+                up.append(w[k + 1][m].imag > 0.0)
                 if up[-1]:
-                    conj = z[k + 1][m].conjugate()
-                    m = min(range(deg), key=lambda c: abs(z[k + 1][c] - conj))
+                    conj = w[k + 1][m].conjugate()
+                    m = min(range(deg), key=lambda c: abs(w[k + 1][c] - conj))
                 here.append(m)
             current = here
             linked.append([z[k + 1][m] for m in here])

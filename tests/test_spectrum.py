@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fanochain import (
     BranchPointError,
     ChainModel,
     DiscreteState,
+    FanochainError,
     Sheet,
     StateClass,
     decompose,
@@ -205,6 +207,14 @@ def test_decompose_closure_and_positivity(semi_model):
     recon = sg.resonance_sum + sg.continuum_residual
     assert recon == pytest.approx(sg.total, rel=1e-12, abs=1e-12)
     assert set(sg.resonance_f) == {"i", "ii", "iii"}
+
+
+def test_decompose_refuses_non_finite_continuum(semi_model):
+    with pytest.raises(FanochainError, match=r"not finite at Omega = nan"):
+        decompose(semi_model, omega=[0.1, np.nan])
+    states = [replace(s, norm=complex(np.nan, np.nan)) for s in discrete_states(semi_model)]
+    with pytest.raises(FanochainError, match=r"not finite at Omega = -0\.999"):
+        decompose(semi_model, states=states)
 
 
 def test_decompose_computes_each_resonance_norm_once(semi_model, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -201,3 +203,24 @@ def test_hand_made_state_reads_w_off_z():
     assert state.w == pytest.approx(0.3 + 1j * np.sqrt(0.91), abs=1e-15)
     state = DiscreteState(z=-1.5, sheet=Sheet.I, state_class=StateClass.BOUND_I, residual=0.0)
     assert state.w == pytest.approx(-1.5 + np.sqrt(1.25), abs=1e-15)
+
+
+def test_nan_state_normalization_refused():
+    m = ChainModel.semi_infinite(4, -0.5, 0.2)
+    state = DiscreteState(complex(np.nan, -0.1), Sheet.II, StateClass.RESONANCE, residual=0.0)
+    with pytest.raises(FanochainError, match="not a number"):
+        normalization(m, state)
+
+
+def test_nan_residual_refused():
+    m = ChainModel.semi_infinite(4, -0.5, 0.2)
+    state = replace(resonances(m)[0], residual=np.nan)
+    with pytest.raises(FanochainError, match="residual nan too large"):
+        normalization(m, state)
+
+
+def test_nan_bound_norm_refused_by_bound_weight():
+    m = ChainModel.semi_infinite(4, -1.5, 0.2)
+    bound = next(s for s in discrete_states(m) if s.state_class is StateClass.BOUND_I)
+    with pytest.raises(FanochainError, match="real positive"):
+        bound_weight(m, replace(bound, norm=complex(np.nan, 0.0)))

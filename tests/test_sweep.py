@@ -20,7 +20,7 @@ from fanochain import (
     trace,
 )
 from fanochain import sweep
-from fanochain.dispersion import _OK, ROOT_TOL, _census, _rates
+from fanochain.dispersion import _OK, ROOT_TOL, _census, _rate_terms
 from fanochain.states import attach_norms
 from fanochain.sweep import EP_TOL, EpSeed, _closest_pairs
 
@@ -86,13 +86,22 @@ def test_trace_points_continuous():
 
 
 def test_trace_axis_crossing_marked():
-    # with g > g_EP branch (ii) passes through the central BIC pinch
+    # the branch turns into a virtual state at g = 0.1853 and splits off the
+    # axis again; its first link after that lands on the anti-resonance
+    m = ChainModel.semi_infinite(2, 0.92, 0.1, v=0.7)
+    (branch,) = trace(m, "g", np.linspace(0.02, 0.6, 201)).branches
+    assert [p.value for p in branch.points if p.crossed_axis] == [pytest.approx(0.1882)]
+    assert all(p.z.imag <= 1e-12 for p in branch.points)
+
+
+def test_trace_passes_bic_pinch_on_decaying_side():
+    # with g > g_EP branch (ii) passes through the central BIC pinch: in w
+    # it touches |w| = 1 and turns back, so no link needs reflecting
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     tr = trace(m, "e_d", grid(-0.45, 0.45, 91, avoid=(0.0,)))
-    crossings = [p for b in tr.branches for p in b.points if p.crossed_axis]
-    assert crossings, "expected a marked passage through the BIC pinch"
+    assert max(p.z.imag for p in tr.branches[1].points) > -1e-4
     for b in tr.branches:
-        assert all(p.z.imag <= 1e-12 for p in b.points)
+        assert all(p.z.imag < 0 and not p.crossed_axis for p in b.points)
 
 
 @pytest.mark.parametrize(
@@ -111,8 +120,13 @@ def test_rates_are_norm_and_coupling_derivative(model):
     # match the Sigma form: dz/de_d = N = 1/eta'(z) and dz/dg = 2 g Sigma N
     e_d, g = np.array([model.e_d]), np.array([model.g])
     census = _census(model, e_d, g, ROOT_TOL)
-    dz_ded = _rates(model, "e_d", census.w, e_d, g)[0]
-    dz_dg = _rates(model, "g", census.w, e_d, g)[0]
+    w = census.w
+
+    def dz_dq(parameter):
+        minus_dp, slope = _rate_terms(model, parameter, w, e_d, g)
+        return ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0]
+
+    dz_ded, dz_dg = dz_dq("e_d"), dz_dq("g")
     states = attach_norms(model, discrete_states(model, include_antiresonances=True))
     assert len(states) == census.w.shape[1]
     for s in states:
@@ -126,15 +140,16 @@ def test_rates_are_norm_and_coupling_derivative(model):
 
 @pytest.mark.parametrize("parameter", ["e_d", "g"])
 def test_rates_euler_error_is_second_order(parameter):
-    # halving the step quarters the Euler error of every root
+    # halving the step quarters the Euler error in w of every root
     model = ChainModel.semi_infinite(4, -0.6, 0.16)
 
     def euler_error(h):
         q = np.array([getattr(model, parameter), getattr(model, parameter) + h])
         e_d, g = (q, np.full(2, model.g)) if parameter == "e_d" else (np.full(2, model.e_d), q)
-        census = _census(model, e_d, g, ROOT_TOL)
-        pred = census.z[0] + _rates(model, parameter, census.w, e_d, g)[0] * h
-        return np.abs(census.z[1][None, :] - pred[:, None]).min(axis=1)
+        w = _census(model, e_d, g, ROOT_TOL).w
+        minus_dp, slope = _rate_terms(model, parameter, w, e_d, g)
+        pred = w[0] + (minus_dp / slope)[0] * h
+        return np.abs(w[1][None, :] - pred[:, None]).min(axis=1)
 
     np.testing.assert_allclose(euler_error(2e-3) / euler_error(1e-3), 4.0, rtol=0.02)
 
@@ -215,10 +230,10 @@ def test_trace_matches_continuation(sweep_name):
     for b, ref in zip(got.branches, want.branches):
         assert [p.value for p in b.points] == [p.value for p in ref.points]
         assert max(abs(p.z - q.z) for p, q in zip(b.points, ref.points)) <= 1e-9
+        # crossed_axis is left out: the oracle, linking in z, marks an Euler
+        # overshoot at a BIC pinch, which the link in w never makes
         for p, q in zip(b.points, ref.points):
-            assert (p.bic, p.collision, p.crossed_axis) == (q.bic, q.collision, q.crossed_axis), (
-                b.label, p.value
-            )
+            assert (p.bic, p.collision) == (q.bic, q.collision), (b.label, p.value)
 
 
 def test_trace_sweeps_exercise_their_edge_cases():
@@ -233,7 +248,9 @@ def test_trace_sweeps_exercise_their_edge_cases():
         e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
         return int((_census(model, e_d, g, ROOT_TOL).fault != _OK).sum())
 
-    assert flags("bic-pinch", "crossed_axis") > 0
+    # the oracle reflects the branch where it passes the pinch
+    oracle = trace_by_continuation(*TRACE_SWEEPS["bic-pinch"])
+    assert sum(p.crossed_axis for b in oracle.branches for p in b.points) > 0
     assert trace(*TRACE_SWEEPS["bic-endpoint"]).branches[0].points[-1].bic
     for name in ("real-axis-ep", "n_d=1:e_d"):
         # a resonance that turns into a real virtual state outside the band
@@ -257,15 +274,49 @@ def test_trace_blocks_match_single_block(sweep_name, links, monkeypatch):
 
 
 def test_trace_leaves_sampled_bic_through_the_pinch():
-    # the sweep samples the BIC at e_d = 0: the pinned point is E + i0 on
-    # sheet II, so the branch leaves it on the growing side and is reflected
+    # the sweep samples the BIC at e_d = 0: the pinned point is the Im w < 0
+    # member of the pair on |w| = 1, so the branch leaves it on the decaying side
     model = ChainModel.semi_infinite(8, 0.0, 0.2)
     values = np.linspace(-0.999, 0.999, 201)
     k = int(np.abs(values).argmin())
     assert abs(values[k]) < 1e-12
     (branch,) = [b for b in trace(model, "e_d", values).branches if b.points[k].bic]
     assert branch.points[k].z.imag == 0.0 and abs(branch.points[k].z) < 1e-15
-    assert branch.points[k + 1].crossed_axis and branch.points[k + 1].z.imag < 0
+    assert branch.points[k + 1].z.imag < 0
+    assert not any(p.crossed_axis for p in branch.points)
+
+
+JUMP_SWEEPS = {
+    # linked in z, branch (i) jumped at g = 0.19385 from 1.0330 - 0.0443i to
+    # the virtual state at -2.2915 and ended on the real axis
+    "n_d=2:g": (ChainModel.semi_infinite(2, 0.907, 0.1, v=0.7), "g", np.linspace(0.02, 0.63, 201)),
+    # near e_d = -0.98 the pair w = -1.30 +- 0.10i meets the axis and one of
+    # its real roots then pairs off with the next, all between two samples:
+    # linked in z, branch (i) jumped to the far virtual state near z = 1.43
+    "n_d=4:e_d:g=0.063": (
+        ChainModel.semi_infinite(4, 0.0, 0.063, v=0.7), "e_d", np.linspace(-0.999, 0.999, 401)
+    ),
+    # as above; here the larger |w| of all real roots, not only of those
+    # split off the branch, jumps
+    "n_d=4:e_d:g=0.065": (
+        ChainModel.semi_infinite(4, 0.0, 0.065, v=0.7), "e_d", np.linspace(-0.999, 0.999, 401)
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep_name", JUMP_SWEEPS)
+def test_trace_links_no_distant_root(sweep_name):
+    model, parameter, values = JUMP_SWEEPS[sweep_name]
+    for b in trace(model, parameter, values).branches:
+        steps = np.abs(np.diff([p.z for p in b.points]))
+        assert steps.max() < 0.1, (b.label, values[steps.argmax() + 1])
+
+
+def test_trace_stays_on_the_resonance_past_the_virtual_states():
+    (branch,) = trace(*JUMP_SWEEPS["n_d=2:g"]).branches
+    end = branch.points[-1]
+    assert end.z == pytest.approx(0.4074 - 0.1953j, abs=1e-3)
+    assert end.z.imag < 0 and not end.bic
 
 
 def test_trace_refuses_root_through_infinity():
