@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "roots", "discrete eigenvalues with norms")
     p.add_argument("--root-tol", type=float, default=ROOT_TOL)
     p.add_argument(
-        "--seeds", help="JSON roots file to re-polish instead of the polynomial path"
+        "--seeds",
+        help="JSON roots file: report the states nearest its (z, sheet) records, with their labels",
     )
     p.add_argument(
         "--antiresonances", action="store_true", help="include anti-resonance partners"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,27 +151,6 @@ def _horner_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     return y[:n], y[n:]
 
 
-def _newton(desc: np.ndarray, w: np.ndarray, steps: int) -> list[np.ndarray]:
-    """Iterates of Newton from w (first) on the rows of desc (descending), row by row.
-
-    A step is kept only where it lowers |p|; the iteration ends once none is."""
-    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
-    p, slope = _horner_pair(desc, deriv, w)
-    path = [w]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps):
-            trial = w - p / slope
-            p_trial, slope_trial = _horner_pair(desc, deriv, trial)
-            better = np.abs(p_trial) < np.abs(p)
-            if not better.any():
-                break
-            w = np.where(better, trial, w)
-            p = np.where(better, p_trial, p)
-            slope = np.where(better, slope_trial, slope)
-            path.append(w)
-    return path
-
-
 def _w_roots(coeffs: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of a stack of polynomials p(w), Newton-polished on p.
 
@@ -180,16 +159,29 @@ def _w_roots(coeffs: np.ndarray) -> np.ndarray:
     The companion matrices are built as np.roots builds them and go to one
     np.linalg.eigvals call, and the Horner loop starts from zero as
     np.polyval does, so a single row gives bit for bit the roots np.roots
-    and np.polyval would.  Three Newton steps follow (see _newton).  Real
-    coefficients keep real roots exactly real and conjugate pairs exactly
-    conjugate.
+    and np.polyval would.  Three Newton steps on p follow; a step is kept
+    only where it lowers |p|, and they end once none is.  Real coefficients
+    keep real roots exactly real and conjugate pairs exactly conjugate.
     """
     desc = coeffs[:, ::-1]
     n, deg = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, deg, deg))
     companion[:, :1, :] = (-desc[:, 1:] / desc[:, :1])[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    return _newton(desc, np.linalg.eigvals(companion), 3)[-1]
+    w = np.linalg.eigvals(companion)
+    deriv = desc[:, :-1] * np.arange(deg, 0, -1)
+    p, slope = _horner_pair(desc, deriv, w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            trial = w - p / slope
+            p_trial, slope_trial = _horner_pair(desc, deriv, trial)
+            better = np.abs(p_trial) < np.abs(p)
+            if not better.any():
+                break
+            w = np.where(better, trial, w)
+            p = np.where(better, p_trial, p)
+            slope = np.where(better, slope_trial, slope)
+    return w
 
 
 def _w_rows(model: ChainModel) -> np.ndarray:
@@ -247,10 +239,12 @@ class _Census:
 def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified and audited.
 
-    This is the work of discrete_states done on arrays: classify each root
-    (_classify), gate on |eta(z)| < root_tol, drop duplicates and audit the
-    count and the resonance/anti-resonance pairing.  A row whose ``fault``
-    is not _OK is one where discrete_states raises.
+    This is the work of discrete_states done on arrays.  Each root maps to
+    z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d the
+    |w| = 1 pair collapses to that one zero-width state.  Then the roots
+    are gated on |eta(z)| < root_tol, duplicates dropped, and the count and
+    the resonance/anti-resonance pairing audited.  A row whose ``fault`` is
+    not _OK is one where discrete_states raises.
 
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
     rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
@@ -271,26 +265,7 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
     w = _w_roots(coeffs)
-    z, sheet_ii, cls, residual, e_bic = _classify(model, w, e_d, g2)
 
-    kept, near = _dedup(z, cls)
-    expected = w.shape[1] - ~np.isnan(e_bic[:, 0])
-    res = (kept & (cls == _RESONANCE)).sum(axis=1)
-    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
-    fault = np.where(
-        ~(residual < root_tol).all(axis=1),
-        _GATE,
-        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
-    )
-    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
-
-
-def _classify(model: ChainModel, w: np.ndarray, e_d: np.ndarray, g2: np.ndarray):
-    """(z, sheet_ii, cls, |eta|, e_bic) of roots w of p, for (rows, 1) columns e_d and g2.
-
-    z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d (e_bic,
-    else nan) the |w| = 1 pair collapses to that one zero-width state.
-    """
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
     real_w = w.imag == 0.0
@@ -319,7 +294,17 @@ def _classify(model: ChainModel, w: np.ndarray, e_d: np.ndarray, g2: np.ndarray)
     with np.errstate(divide="ignore", invalid="ignore"):
         (sigma,) = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
         residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
-    return z, sheet_ii, cls, residual, e_bic
+
+    kept, near = _dedup(z, cls)
+    expected = w.shape[1] - ~np.isnan(e_bic[:, 0])
+    res = (kept & (cls == _RESONANCE)).sum(axis=1)
+    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
+    fault = np.where(
+        ~(residual < root_tol).all(axis=1),
+        _GATE,
+        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
+    )
+    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
 
 
 def discrete_states(
@@ -399,18 +384,41 @@ def discrete_states(
 
     if not include_antiresonances:
         kept = kept & (cls != _ANTIRESONANCE)
-    fields = census.z, census.w, census.sheet_ii, census.cls, census.residual, census.near_degenerate
-    return _states(*(a[0, kept] for a in fields))
+    # A BIC keeps the Im w < 0 member of its pair, the w a hand-built BIC state gets.
+    w = np.where((cls == _BIC) & (census.w[0].imag > 0), census.w[0].conj(), census.w[0])
+    fields = census.z[0], w, census.sheet_ii[0], cls, census.residual[0], census.near_degenerate[0]
+    return _states(*(a[kept] for a in fields))
+
+
+#: Sort group of each class code: resonances, BICs, real states, anti-resonances.
+_GROUP = np.array([2, 2, 0, 3, 1])
 
 
 def _states(z, w, sheet_ii, cls, residual, near) -> list[DiscreteState]:
-    """Sorted, labelled DiscreteStates of classified roots w of p (class codes cls; a w
-    of None is read off z), one per entry of the parallel sequences _classify gives."""
-    return _sort_and_label([
-        DiscreteState(complex(a), Sheet.II if ii else Sheet.I, _CLASSES[c], float(r),
-                      near_degenerate=bool(n), w=None if x is None else complex(x))
-        for a, x, ii, c, r, n in zip(z, w, sheet_ii, cls, residual, near)
-    ])
+    """Sorted, labelled DiscreteStates of classified roots w of p (class codes cls; a w of
+    None is read off z), one per entry of the parallel sequences.
+
+    Resonances come first, labelled (i), (ii), ... by ascending width, as
+    the narrowest (dominant) state is singled out in spectra; then BICs
+    bic1, ... and real solutions b1, b2, ... by ascending energy; then
+    anti-resonances a1, ... by descending Im z.  Ties keep the input order.
+    """
+    z, cls = np.asarray(z, dtype=complex), np.asarray(cls, dtype=int)
+    paired = (cls == _RESONANCE) | (cls == _ANTIRESONANCE)
+    # lexsort is stable and sorts by its last key first
+    keys = np.where(paired, z.real, 0.0), np.where(paired, -z.imag, z.real), _GROUP[cls]
+    order = np.lexsort(keys)
+    group = _GROUP[cls[order]]
+    rank = np.arange(len(order)) - np.searchsorted(group, group)  # place within its group
+    return [
+        DiscreteState(
+            complex(z[i]), Sheet.II if sheet_ii[i] else Sheet.I, _CLASSES[cls[i]],
+            float(residual[i]), near_degenerate=bool(near[i]),
+            label=roman_label(k) if gr == 0 else ("bic", "b", "a")[gr - 1] + str(k + 1),
+            w=None if w[i] is None else complex(w[i]),
+        )
+        for i, gr, k in zip(order.tolist(), group.tolist(), rank.tolist())
+    ]
 
 
 def _dedup(z: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,66 +443,41 @@ def roman_label(index: int) -> str:
     return _ROMAN[index] if index < len(_ROMAN) else f"r{index + 1}"
 
 
-def _sort_and_label(states: list[DiscreteState]) -> list[DiscreteState]:
-    """Deterministic order and branch labels.
-
-    Resonances are labelled (i), (ii), ... by ascending width, matching
-    how the narrowest (dominant) state is singled out in spectra; real
-    solutions get b1, b2, ... by ascending energy, anti-resonances a1, ...
-    """
-    resonances = sorted(
-        (s for s in states if s.state_class is StateClass.RESONANCE),
-        key=lambda s: (s.gamma, s.epsilon),
-    )
-    bics = sorted((s for s in states if s.state_class is StateClass.BIC), key=lambda s: s.epsilon)
-    reals = sorted(
-        (s for s in states if s.state_class in (StateClass.BOUND_I, StateClass.BOUND_II)),
-        key=lambda s: s.epsilon,
-    )
-    antis = sorted(
-        (s for s in states if s.state_class is StateClass.ANTIRESONANCE),
-        key=lambda s: (-s.z.imag, s.epsilon),
-    )
-    out = []
-    for idx, s in enumerate(resonances):
-        out.append(replace(s, label=roman_label(idx)))
-    for idx, s in enumerate(bics):
-        out.append(replace(s, label=f"bic{idx + 1}"))
-    for idx, s in enumerate(reals):
-        out.append(replace(s, label=f"b{idx + 1}"))
-    for idx, s in enumerate(antis):
-        out.append(replace(s, label=f"a{idx + 1}"))
-    return out
-
-
 def polish_seeds(
     model: ChainModel,
     seeds: list[tuple[complex, Sheet]],
     root_tol: float = ROOT_TOL,
 ) -> list[DiscreteState]:
-    """Newton-polish user-supplied (z, sheet) seeds on p(w) and classify the results.
+    """The states of discrete_states nearest user-supplied (z, sheet) seeds.
 
-    Each seed maps to its one w = z - s(z) on its sheet, and Newton on p
-    (as in discrete_states, up to 80 steps) takes it to a root, classified
-    as discrete_states classifies roots.  Used by the CLI round trip, where
-    previously exported roots are re-ingested verbatim.  A seed at z = +-1
-    raises BranchPointError; a root that misses |eta| < root_tol or lies
-    on the other sheet raises ConvergenceError naming the seed, with the
-    Newton iterates in z as its trace.
+    Each seed maps to its one w = z - s(z) on its sheet and picks the state,
+    anti-resonances included, whose root w of p is nearest.  The result is
+    the picked states, each once, in census order and with census labels,
+    so a seed list exported from the same model gives back exactly the
+    states it came from.  Used by the CLI round trip, where previously
+    exported roots are re-ingested verbatim.
+
+    Raises
+    ------
+    BranchPointError
+        For a seed at z = +-1.
+    ConvergenceError
+        If a seed's nearest state lies on the other sheet; the message names
+        the seed, and the trace holds the seed z and the state's z.
+    RootCountError
+        As discrete_states does, if the census of the model fails.
     """
-    validate(model)
-    w = np.array([[complex(z0) - sqrt_branch(SheetedEnergy(z0, sheet)) for z0, sheet in seeds]])
-    e_d, g2 = np.array([model.e_d]), np.array([model.g**2])
-    path = _newton(_w_coefficients(model, e_d, g2)[:, ::-1], w, 80)
-    z, sheet_ii, cls, residual, _ = _classify(model, path[-1], e_d[:, None], g2[:, None])
-    for i, (z0, sheet) in enumerate(seeds):
-        at = f"seed z = {complex(z0)} on sheet {sheet.name}: Newton on p(w) reached z = {z[0, i]}"
-        trace = [complex(0.5 * (x[0, i] + 1.0 / x[0, i])) for x in path]
-        if not residual[0, i] < root_tol:
+    states = discrete_states(model, root_tol, include_antiresonances=True)
+    roots = np.array([s.w for s in states])
+    picked = set()
+    for z0, sheet in seeds:
+        z0 = complex(z0)
+        i = int(np.abs(roots - (z0 - sqrt_branch(SheetedEnergy(z0, sheet)))).argmin())
+        if states[i].sheet is not sheet:
             raise ConvergenceError(
-                f"{at} with |eta| = {residual[0, i]:.3e} >= root_tol = {root_tol:.1e}", trace=trace
+                f"seed z = {z0} on sheet {sheet.name}: the nearest root in w is z = {states[i].z} "
+                f"on sheet {states[i].sheet.name}, a root on the other sheet",
+                trace=[z0, states[i].z],
             )
-        if sheet_ii[0, i] != (sheet is Sheet.II):
-            raise ConvergenceError(f"{at}, a root on the other sheet", trace=trace)
-    kept, near = _dedup(z, cls)
-    return _states(*(a[kept] for a in (z, path[-1], sheet_ii, cls, residual, near)))
+        picked.add(i)
+    return [states[i] for i in sorted(picked)]

@@ -17,9 +17,6 @@ from .errors import ModelError
 SEMI_INFINITE = "semi-infinite"
 INFINITE = "infinite"
 
-#: Band edges in model units.  Fixed; downstream code relies on it.
-BAND_EDGE = 1.0
-
 
 @dataclass(frozen=True)
 class ChainModel:

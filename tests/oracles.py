@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from fanochain.dispersion import ROOT_TOL, StateClass, discrete_states, eta, eta_deriv, roman_label
+from fanochain.dispersion import ROOT_TOL, DiscreteState, StateClass, discrete_states, eta
+from fanochain.dispersion import eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
@@ -329,3 +330,35 @@ def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
     if bic:
         cur = complex(cur.real, 0.0)
     return TrajectoryPoint(value=float(v_to), z=cur, bic=bic, crossed_axis=crossed)
+
+
+def sort_and_label(states: list[DiscreteState]) -> list[DiscreteState]:
+    """Deterministic order and branch labels, one sorted() per class group.
+
+    Resonances are labelled (i), (ii), ... by ascending width, matching
+    how the narrowest (dominant) state is singled out in spectra; real
+    solutions get b1, b2, ... by ascending energy, anti-resonances a1, ...
+    """
+    resonances = sorted(
+        (s for s in states if s.state_class is StateClass.RESONANCE),
+        key=lambda s: (s.gamma, s.epsilon),
+    )
+    bics = sorted((s for s in states if s.state_class is StateClass.BIC), key=lambda s: s.epsilon)
+    reals = sorted(
+        (s for s in states if s.state_class in (StateClass.BOUND_I, StateClass.BOUND_II)),
+        key=lambda s: s.epsilon,
+    )
+    antis = sorted(
+        (s for s in states if s.state_class is StateClass.ANTIRESONANCE),
+        key=lambda s: (-s.z.imag, s.epsilon),
+    )
+    out = []
+    for idx, s in enumerate(resonances):
+        out.append(replace(s, label=roman_label(idx)))
+    for idx, s in enumerate(bics):
+        out.append(replace(s, label=f"bic{idx + 1}"))
+    for idx, s in enumerate(reals):
+        out.append(replace(s, label=f"b{idx + 1}"))
+    for idx, s in enumerate(antis):
+        out.append(replace(s, label=f"a{idx + 1}"))
+    return out

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanochain import (
     BranchPointError,
@@ -17,8 +20,8 @@ from fanochain import (
     eta,
     self_energy,
 )
-from fanochain.dispersion import ROOT_TOL, _census, polish_seeds
-from oracles import newton_polish, sigma_quadrature, winding_number
+from fanochain.dispersion import _CLASSES, ROOT_TOL, DiscreteState, _census, _states, polish_seeds
+from oracles import newton_polish, sigma_quadrature, sort_and_label, winding_number
 
 I, II = Sheet.I, Sheet.II
 
@@ -359,6 +362,27 @@ def test_near_ep_pair_flagged():
     assert all(s.state_class is StateClass.RESONANCE for s in flagged)
 
 
+# Few distinct parts, signed zeros among them, so that Re z and Im z tie often.
+_TIED = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5])
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_CLASSES) - 1), _TIED, _TIED), max_size=14))
+def test_states_order_and_labels_match_reference(rows):
+    # each w tags its row, so a tie resolved in another order shows
+    n = len(rows)
+    z = [complex(re, im) for _, re, im in rows]
+    cls = [c for c, _, _ in rows]
+    sheet_ii = [k % 2 == 1 for k in range(n)]
+    residual = [k / 8 for k in range(n)]
+    near = [k % 3 == 0 for k in range(n)]
+    reference = sort_and_label([
+        DiscreteState(z[k], II if sheet_ii[k] else I, _CLASSES[cls[k]], residual[k],
+                      near_degenerate=near[k], w=complex(k))
+        for k in range(n)
+    ])
+    assert _states(z, list(range(n)), sheet_ii, cls, residual, near) == reference
+
+
 def test_labels_by_ascending_width(semi_model):
     res = [s for s in discrete_states(semi_model) if s.state_class is StateClass.RESONANCE]
     labels = {s.label: s.gamma for s in res}
@@ -366,24 +390,46 @@ def test_labels_by_ascending_width(semi_model):
     assert labels["i"] < labels["ii"] < labels["iii"]
 
 
-def test_polish_seeds_round_trip(semi_model):
-    states = discrete_states(semi_model)
-    seeds = [(s.z, s.sheet) for s in states]
-    again = polish_seeds(semi_model, seeds)
-    assert len(again) == len(states)
-    for a, b in zip(
-        sorted(states, key=lambda s: (s.z.real, s.z.imag)),
-        sorted(again, key=lambda s: (s.z.real, s.z.imag)),
-    ):
-        assert a.z == pytest.approx(b.z, abs=1e-12)
-        assert a.state_class is b.state_class
+@pytest.mark.parametrize(
+    "model, anti",
+    [
+        (ChainModel.semi_infinite(4, -0.5, 0.2), None),
+        (ChainModel.semi_infinite(7, 0.4, 0.3, v=1.3), True),
+        (ChainModel.semi_infinite(4, -0.7071067811865476, 0.2), None),
+        (ChainModel.infinite(-0.6, 0.2), None),
+        (ChainModel.semi_infinite(4, 0.3, 0.0), None),
+        # real roots near the band edges, where Newton from the seeds missed the gate
+        (ChainModel.semi_infinite(20, -1.1553290280037287, 0.24086912104183864), None),
+    ],
+    ids=["readme", "antiresonances", "exact-bic", "infinite", "decoupled", "band-edge"],
+)
+def test_polish_seeds_round_trip(model, anti):
+    # the seeds a roots export holds give back exactly the states they came from
+    states = discrete_states(model, include_antiresonances=anti)
+    assert polish_seeds(model, [(s.z, s.sheet) for s in states]) == states
 
 
-def test_polish_seeds_reports_trace_on_failure(semi_model):
-    with pytest.raises(ConvergenceError, match=r"seed z = \(0\.5-0\.2j\) on sheet II") as info:
-        # absurd tolerance cannot be met; the trace must come back
+def test_polish_seeds_keeps_census_labels_of_a_partial_seed_set():
+    model = ChainModel.semi_infinite(4, -0.39819697427829692, 0.17284479822974877)
+    states = discrete_states(model)
+    picked = [s for s in states if s.near_degenerate][1:] + [states[-1]]
+    seeds = [(s.z, s.sheet) for s in reversed(picked)] * 2
+    assert polish_seeds(model, seeds) == picked
+
+
+def test_polish_seeds_fails_with_the_census(semi_model):
+    # a root_tol no root meets fails the census, whatever the seeds
+    with pytest.raises(RootCountError, match=r"failed the \|eta\| gate"):
         polish_seeds(semi_model, [(0.5 - 0.2j, II)], root_tol=1e-40)
-    assert len(info.value.trace) > 0
+
+
+@pytest.mark.parametrize("e_d", [-0.5, 0.3])
+def test_polish_seeds_refuses_a_sheet_ii_seed_of_a_decoupled_level(e_d):
+    # at g = 0 the one state is the level on sheet I; its mirror seed on sheet II is no state
+    model = ChainModel.semi_infinite(4, e_d, 0.0)
+    message = re.escape(f"seed z = {complex(e_d)} on sheet II") + ".*other sheet"
+    with pytest.raises(ConvergenceError, match=message):
+        polish_seeds(model, [(complex(e_d), II)])
 
 
 @pytest.mark.parametrize("sheet", [I, II])
