@@ -4,13 +4,20 @@ Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 Each subcommand builds one columnar record, which one CSV writer (floats
 with 17 significant digits) and one JSON writer (floats as Python's
 shortest repr) turn into files that round-trip losslessly; identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  The JSON text is exactly
+json.dumps(..., indent=2, sort_keys=True) of one object per row, or of
+the spectrum's wrapper object, but written a column at a time: each
+column becomes cell text once, and one %-template per row lays the
+cells out.  (json.dumps with an indent runs its pure-Python encoder
+cell by cell, the slowest part of a 20001-point spectrum.)
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -157,12 +164,6 @@ def _csv(record: dict) -> str:
     return ",".join(cols) + "\n" + "".join(line % row + "\n" for row in zip(*cols.values()))
 
 
-def _dicts(record: dict) -> list[dict]:
-    """The record as one mapping per row."""
-    cols = _lists(record)
-    return [dict(zip(cols, row)) for row in zip(*cols.values())]
-
-
 def _write(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -171,12 +172,62 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_column(column: list) -> tuple[str, list]:
+    """The %-placeholder and cells that print a column's cells as json.dumps does.
+
+    A column of finite floats goes to %r as it is, since a float's repr is
+    its JSON text; any other column becomes text here, by one json.dumps
+    per distinct (type, value), so that True, 1 and 1.0 stay apart.
+    """
+    if set(map(type, column)) <= {float} and all(map(math.isfinite, column)):
+        return "%r", column
+    keys = list(zip(map(type, column), column))
+    text = {k: json.dumps(k[1]) for k in set(keys)}
+    return "%s", [text[k] for k in keys]
+
+
+def _json_array(items: list[str], level: int) -> str:
+    """A JSON array, `level` deep, of items that already carry their indent."""
+    return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]" if items else "[]"
+
+
+def _json_rows(record: dict, level: int = 0, keyed: bool = True) -> str:
+    """json.dumps(rows, indent=2, sort_keys=True) of the record's rows, `level` deep.
+
+    A row is an object of the record's fields (keyed) or the array of its
+    cells in column order.  Each column becomes cells once, and one
+    %-template per row, its keys sorted once, writes the rows.
+    """
+    cols = _lists(record)
+    names = sorted(cols) if keyed else list(cols)
+    columns = [_json_column(cols[k]) for k in names]
+    pad = "  " * (level + 1)
+    keys = [json.dumps(k).replace("%", "%%") + ": " for k in names] if keyed else [""] * len(names)
+    fields = ",\n".join(f"{pad}  {k}{f}" for k, (f, _) in zip(keys, columns))
+    start, end = "{}" if keyed else "[]"
+    template = f"{pad}{start}\n{fields}\n{pad}{end}"
+    return _json_array([template % row for row in zip(*(c for _, c in columns))], level)
+
+
+def _json_spectrum(axis: str, record: dict, meta: dict, lines: dict) -> str:
+    """json.dumps(wrapper, indent=2, sort_keys=True) + newline, for the spectrum.
+
+    The wrapper object holds the axis name, the record's column names, one
+    array of cells per grid point (rows), and one object per row of the
+    meta and lines records.
+    """
+    fields = {
+        "axis": json.dumps(axis),
+        "columns": _json_array([f"    {json.dumps(c)}" for c in record], 1),
+        "lines": _json_rows(lines, 1),
+        "meta": _json_rows(meta, 1),
+        "rows": _json_rows(record, 1, keyed=False),
+    }
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in sorted(fields.items())) + "\n}\n"
 
 
 def _emit(args, record: dict) -> None:
-    _write(args.out, _csv(record) if args.format == "csv" else _json(_dicts(record)))
+    _write(args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n")
 
 
 def _read_seeds(path: str) -> list[tuple[complex, Sheet]]:
@@ -188,10 +239,16 @@ def _read_seeds(path: str) -> list[tuple[complex, Sheet]]:
     seeds = []
     for i, rec in enumerate(records):
         try:
-            seeds.append((complex(rec["re_z"], rec["im_z"]), Sheet(rec.get("sheet", 2))))
+            re_z, im_z, sheet = rec["re_z"], rec["im_z"], rec.get("sheet", 2)
+            if bool in (type(re_z), type(im_z), type(sheet)):
+                raise TypeError("a JSON boolean is not a coordinate or a sheet")
+            z = complex(re_z, im_z)
+            if not cmath.isfinite(z):
+                raise ValueError("NaN and Infinity are not coordinates")
+            seeds.append((z, Sheet(sheet)))
         except (TypeError, KeyError, ValueError, OverflowError):
             raise ModelError(
-                f"seed record {i} {json.dumps(rec)}: need an object with numeric "
+                f"seed record {i} {json.dumps(rec)}: need an object with finite numeric "
                 "re_z and im_z and an optional sheet of 1 or 2"
             ) from None
     return seeds
@@ -248,14 +305,7 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
         "q": [m.q for m in meta],
         "near_degenerate": [m.near_degenerate for m in meta],
     }
-    payload = {
-        "axis": axis,
-        "meta": _dicts(meta_record),
-        "lines": _dicts(lines),
-        "columns": list(record),
-        "rows": list(zip(*_lists(record).values())),
-    }
-    _write(args.out, _json(payload))
+    _write(args.out, _json_spectrum(axis, record, meta_record, lines))
 
 
 def _cmd_trajectory(model: ChainModel, args) -> None:

@@ -457,27 +457,52 @@ def polish_seeds(
     states it came from.  Used by the CLI round trip, where previously
     exported roots are re-ingested verbatim.
 
+    A pick must be unambiguous: the seed's w lies nearer its root than half
+    that root's distance to the nearest other root, and no two seeds pick
+    one state.  A round trip moves w by rounding only, far inside that.
+
     Raises
     ------
     BranchPointError
         For a seed at z = +-1.
     ConvergenceError
-        If a seed's nearest state lies on the other sheet; the message names
-        the seed, and the trace holds the seed z and the state's z.
+        If a seed's nearest state lies on the other sheet, if a seed is not
+        within half the gap around its nearest state, or if two seeds pick
+        one state; the message names the seeds and states, and the trace
+        holds the seed z values and the state's z.
     RootCountError
         As discrete_states does, if the census of the model fails.
     """
     states = discrete_states(model, root_tol, include_antiresonances=True)
     roots = np.array([s.w for s in states])
-    picked = set()
-    for z0, sheet in seeds:
+    gaps = np.abs(roots[:, None] - roots)
+    np.fill_diagonal(gaps, np.inf)
+    picked = {}
+    for n, (z0, sheet) in enumerate(seeds):
         z0 = complex(z0)
-        i = int(np.abs(roots - (z0 - sqrt_branch(SheetedEnergy(z0, sheet)))).argmin())
-        if states[i].sheet is not sheet:
+        dist = np.abs(roots - (z0 - sqrt_branch(SheetedEnergy(z0, sheet))))
+        i = int(dist.argmin())
+        state, seed = states[i], f"seed z = {z0} on sheet {sheet.name}"
+        if state.sheet is not sheet:
             raise ConvergenceError(
-                f"seed z = {z0} on sheet {sheet.name}: the nearest root in w is z = {states[i].z} "
-                f"on sheet {states[i].sheet.name}, a root on the other sheet",
-                trace=[z0, states[i].z],
+                f"{seed}: the nearest root in w is z = {state.z} "
+                f"on sheet {state.sheet.name}, a root on the other sheet",
+                trace=[z0, state.z],
             )
-        picked.add(i)
+        j = int(gaps[i].argmin())
+        if not dist[i] < gaps[i, j] / 2:
+            raise ConvergenceError(
+                f"{seed} is {dist[i]:.3g} in w from its nearest state {state.label} "
+                f"(z = {state.z}), not within half the gap {gaps[i, j]:.3g} to state "
+                f"{states[j].label} (z = {states[j].z}): an ambiguous seed",
+                trace=[z0, state.z],
+            )
+        if i in picked:
+            m, z1 = picked[i]
+            raise ConvergenceError(
+                f"seeds {m} and {n} (z = {z1} and z = {z0} on sheet {sheet.name}) both pick "
+                f"state {state.label} (z = {state.z}): a duplicate seed",
+                trace=[z1, z0, state.z],
+            )
+        picked[i] = n, z0
     return [states[i] for i in sorted(picked)]

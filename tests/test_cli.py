@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanochain import (
     ChainModel,
@@ -20,7 +22,7 @@ from fanochain import (
     self_energy_deriv,
     trace,
 )
-from fanochain.cli import run
+from fanochain.cli import _json_rows, _json_spectrum, run
 from fanochain.dispersion import polish_seeds
 
 
@@ -236,6 +238,11 @@ def test_float_formatting_17_digits(tmp_path):
         [1.0],  # not an object
         [{"re_z": "a", "im_z": 0.0}],  # non-numeric coordinate
         [{"re_z": -0.4, "im_z": -0.1, "sheet": "x"}],  # no such sheet
+        [{"re_z": 0.5, "im_z": False, "sheet": True}],  # booleans are not numbers
+        [{"re_z": True, "im_z": -0.1}],
+        [{"re_z": -0.4, "im_z": -0.1, "sheet": False}],
+        [{"re_z": math.nan, "im_z": -0.1}],  # not a number, though JSON reads it
+        [{"re_z": -0.4, "im_z": -math.inf}],
     ],
 )
 def test_malformed_seed_record_is_usage_error(tmp_path, capsys, records):
@@ -256,6 +263,30 @@ def test_seed_at_branch_point_is_numerical_failure(tmp_path, capsys):
               "--seeds", str(seeds)])
     assert rc == 3
     assert capsys.readouterr().err == "numerical failure: z = (1+0j) is a branch point\n"
+
+
+def test_seeds_of_another_model_are_refused(tmp_path, capsys):
+    # the e_d = -0.5 export fed to the e_d = 0.5 model: two of its seeds pick
+    # one state, where the states would come back as a shorter list
+    seeds = tmp_path / "seeds.json"
+    assert run(["roots", *SEMI, "--format", "json", "--out", str(seeds)]) == 0
+    rc = run(["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "0.5",
+              "--seeds", str(seeds)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: seeds ")
+
+
+def test_two_seeds_near_one_state_are_refused(tmp_path, capsys):
+    (ii,) = [s for s in discrete_states(ChainModel.semi_infinite(4, -0.5, 0.2)) if s.label == "ii"]
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([
+        {"re_z": ii.z.real, "im_z": ii.z.imag, "sheet": 2},
+        {"re_z": ii.z.real + 1e-3, "im_z": ii.z.imag - 1e-3, "sheet": 2},
+    ]))
+    assert run(["roots", *SEMI, "--seeds", str(seeds)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: seeds 0 and 1 ")
+    assert f"both pick state ii (z = {ii.z})" in err
 
 
 @pytest.mark.parametrize(
@@ -463,3 +494,47 @@ def test_negative_zero_is_written_as_zero(tmp_path, sheet):
     assert "-0" not in row.values()
     assert run(argv + ["--format", "json", "--out", str(out)]) == 0
     assert "-0.0" not in out.read_text()
+
+
+# ------------------------------------------------------------ JSON writer
+# The columnar writer against json.dumps(indent=2, sort_keys=True) on random
+# records: float edge cases, ints, bools, null and strings that need escapes.
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.225e-308, 1e300, -1e-300, math.inf, -math.inf, math.nan]
+)
+_TEXT = st.text(st.sampled_from('a%"\\/\n\té€😀') | st.characters(), max_size=6)
+_CELLS = _FLOATS | st.integers() | st.booleans() | st.none() | _TEXT
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    record = {}
+    for name in draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True)):
+        column = draw(st.lists(draw(st.sampled_from([_FLOATS, _CELLS])), min_size=n, max_size=n))
+        floats = all(type(x) is float for x in column)
+        record[name] = np.array(column) if floats and draw(st.booleans()) else column
+    return record
+
+
+def _rows(record):
+    return [list(r) for r in zip(*(list(c) for c in record.values()))]
+
+
+@given(_records())
+def test_json_rows_match_json_dumps(record):
+    objects = [dict(zip(record, row)) for row in _rows(record)]
+    assert _json_rows(record) + "\n" == sorted_json(objects)
+
+
+@given(_records(), _records(), _records(), _TEXT)
+def test_json_spectrum_matches_json_dumps(record, meta, lines, axis):
+    payload = {
+        "axis": axis,
+        "columns": list(record),
+        "lines": [dict(zip(lines, row)) for row in _rows(lines)],
+        "meta": [dict(zip(meta, row)) for row in _rows(meta)],
+        "rows": _rows(record),
+    }
+    assert _json_spectrum(axis, record, meta, lines) == sorted_json(payload)

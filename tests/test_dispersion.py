@@ -413,8 +413,28 @@ def test_polish_seeds_keeps_census_labels_of_a_partial_seed_set():
     model = ChainModel.semi_infinite(4, -0.39819697427829692, 0.17284479822974877)
     states = discrete_states(model)
     picked = [s for s in states if s.near_degenerate][1:] + [states[-1]]
-    seeds = [(s.z, s.sheet) for s in reversed(picked)] * 2
+    seeds = [(s.z, s.sheet) for s in reversed(picked)]
     assert polish_seeds(model, seeds) == picked
+
+
+def test_polish_seeds_refuses_two_seeds_of_one_state(semi_model):
+    # a repeated seed would come back as one state, a list shorter than the seeds
+    first, second = discrete_states(semi_model)[:2]
+    seeds = [(first.z, II), (second.z, II), (first.z + 1e-3j, II)]
+    message = re.escape(f"seeds 0 and 2 (z = {first.z} and z = {first.z + 1e-3j} on sheet II)")
+    with pytest.raises(ConvergenceError, match=message + f".*pick state {first.label}") as info:
+        polish_seeds(semi_model, seeds)
+    assert info.value.trace == [first.z, first.z + 1e-3j, first.z]
+
+
+def test_polish_seeds_refuses_a_seed_between_two_states():
+    # the near-EP pair of resonances: a seed off the middle of the pair, as
+    # far from either root in w as they are from each other, picks neither
+    model = ChainModel.semi_infinite(4, -0.39819697427829692, 0.17284479822974877)
+    a, b = [s for s in discrete_states(model) if s.near_degenerate]
+    w = (a.w + b.w) / 2 + 1j * (b.w - a.w)
+    with pytest.raises(ConvergenceError, match="not within half the gap.*ambiguous seed"):
+        polish_seeds(model, [((w + 1 / w) / 2, II)])
 
 
 def test_polish_seeds_fails_with_the_census(semi_model):
