@@ -100,8 +100,12 @@ def bic_energies(model: ChainModel) -> list[float]:
     validate(model)
     if not model.is_semi_infinite:
         raise ModelError("no BIC in the infinite chain")
-    n = model.n_d
-    return sorted(-math.cos(math.pi * k / n) for k in range(1, n))
+    return _bic_energies(model.n_d)
+
+
+def _bic_energies(n_d: int) -> list[float]:
+    """bic_energies of a valid semi-infinite chain with n_d sites."""
+    return sorted(-math.cos(math.pi * k / n_d) for k in range(1, n_d))
 
 
 def eta(model: ChainModel, z: SheetedEnergy) -> complex:
@@ -160,8 +164,11 @@ def _w_roots(coeffs: np.ndarray) -> np.ndarray:
     np.linalg.eigvals call, and the Horner loop starts from zero as
     np.polyval does, so a single row gives bit for bit the roots np.roots
     and np.polyval would.  Three Newton steps on p follow; a step is kept
-    only where it lowers |p|, and they end once none is.  Real coefficients
-    keep real roots exactly real and conjugate pairs exactly conjugate.
+    only where it lowers |p|, and they end once none is.  The descending
+    rows of p and of p' (led by a zero, which leaves Horner's value
+    unchanged) are stacked once, so each round is one _horner pass.  Real
+    coefficients keep real roots exactly real and conjugate pairs exactly
+    conjugate.
     """
     desc = coeffs[:, ::-1]
     n, deg = desc.shape[0], desc.shape[1] - 1
@@ -169,12 +176,16 @@ def _w_roots(coeffs: np.ndarray) -> np.ndarray:
     companion[:, :1, :] = (-desc[:, 1:] / desc[:, :1])[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     w = np.linalg.eigvals(companion)
-    deriv = desc[:, :-1] * np.arange(deg, 0, -1)
-    p, slope = _horner_pair(desc, deriv, w)
+    rows = np.zeros((2 * n, deg + 1))
+    rows[:n] = desc
+    rows[n:, 1:] = desc[:, :-1] * np.arange(deg, 0, -1)
+    y = _horner(rows, np.concatenate([w, w]))
+    p, slope = y[:n], y[n:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(3):
             trial = w - p / slope
-            p_trial, slope_trial = _horner_pair(desc, deriv, trial)
+            y = _horner(rows, np.concatenate([trial, trial]))
+            p_trial, slope_trial = y[:n], y[n:]
             better = np.abs(p_trial) < np.abs(p)
             if not better.any():
                 break
@@ -241,7 +252,8 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
 
     This is the work of discrete_states done on arrays.  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d the
-    |w| = 1 pair collapses to that one zero-width state.  Then the roots
+    |w| = 1 pair collapses to that one zero-width state (the collapse runs
+    only when some row's e_d hits a BIC energy).  Then the roots
     are gated on |eta(z)| < root_tol, duplicates dropped, and the count and
     the resonance/anti-resonance pairing audited.  A row whose ``fault`` is
     not _OK is one where discrete_states raises.
@@ -275,18 +287,21 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
         np.where(sheet_ii, _BOUND_II, _BOUND_I),
         np.where(z.imag < 0, _RESONANCE, _ANTIRESONANCE),
     )
-    e_bic = np.full(e_d.shape, np.nan)
-    if model.is_semi_infinite:
-        energies = np.array(bic_energies(model))
-        # The BIC energies lie far apart: a row hits at most one.
-        i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
+    z = np.where(real_w, z.real, z)
+    energies = np.array(_bic_energies(model.n_d) if model.is_semi_infinite else [])
+    # The BIC energies lie far apart: a row hits at most one.
+    i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
+    expected = np.full(len(rows), w.shape[1])
+    if i.size:
+        e_bic = np.full(e_d.shape, np.nan)
         e_bic[i, 0] = energies[k]
-    # Impurity level exactly on a BIC: Sigma vanishes there, so the
-    # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
-    bic = np.abs(z - e_bic) < 1e-6
-    z = np.where(bic, e_bic, np.where(real_w, z.real, z))
-    sheet_ii &= ~bic
-    cls = np.where(bic, _BIC, cls)
+        expected[i] -= 1
+        # Impurity level exactly on a BIC: Sigma vanishes there, so the
+        # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
+        bic = np.abs(z - e_bic) < 1e-6
+        z = np.where(bic, e_bic, z)
+        sheet_ii &= ~bic
+        cls = np.where(bic, _BIC, cls)
 
     # |eta| on the declared sheet, with real z on the +i0 side of the cut;
     # eta is singular at the branch points.
@@ -296,7 +311,6 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
         residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
 
     kept, near = _dedup(z, cls)
-    expected = w.shape[1] - ~np.isnan(e_bic[:, 0])
     res = (kept & (cls == _RESONANCE)).sum(axis=1)
     anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
     fault = np.where(
@@ -346,6 +360,20 @@ def discrete_states(
         return _states([model.e_d], [None], [False], [cls], [0.0], [False])
 
     census = _census(model, [model.e_d], [model.g], root_tol)
+    fault, kept, cls = census.fault[0], census.kept[0], census.cls[0]
+    if fault != _OK:
+        _raise_fault(census, root_tol)
+
+    if not include_antiresonances:
+        kept = kept & (cls != _ANTIRESONANCE)
+    # A BIC keeps the Im w < 0 member of its pair, the w a hand-built BIC state gets.
+    w = np.where((cls == _BIC) & (census.w[0].imag > 0), census.w[0].conj(), census.w[0])
+    fields = census.z[0], w, census.sheet_ii[0], cls, census.residual[0], census.near_degenerate[0]
+    return _states(*(a[kept] for a in fields))
+
+
+def _raise_fault(census: _Census, root_tol: float):
+    """Raise the RootCountError of the single-row census, whose fault is not _OK."""
     z, residual = census.z[0].tolist(), census.residual[0].tolist()
     fault, kept, cls = census.fault[0], census.kept[0], census.cls[0]
     if fault == _GATE:
@@ -381,13 +409,6 @@ def discrete_states(
         raise RootCountError(
             f"unpaired resonances: {n_res} vs {n_anti} anti-resonances", candidates=accepted
         )
-
-    if not include_antiresonances:
-        kept = kept & (cls != _ANTIRESONANCE)
-    # A BIC keeps the Im w < 0 member of its pair, the w a hand-built BIC state gets.
-    w = np.where((cls == _BIC) & (census.w[0].imag > 0), census.w[0].conj(), census.w[0])
-    fields = census.z[0], w, census.sheet_ii[0], cls, census.residual[0], census.near_degenerate[0]
-    return _states(*(a[kept] for a in fields))
 
 
 #: Sort group of each class code: resonances, BICs, real states, anti-resonances.

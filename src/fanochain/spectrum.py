@@ -21,7 +21,7 @@ sum, rather than from explicit continuum eigenstates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .dispersion import DiscreteState, StateClass, discrete_states
 from .errors import BranchPointError, FanochainError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, _sigma
-from .states import bic_line_weight, bound_weight, normalization
+from .states import _norms, bic_line_weight, bound_weight, normalization
 
 #: Default Omega grid: resolves widths down to ~1e-3 across the open band.
 DEFAULT_GRID_POINTS = 2001
@@ -83,27 +83,31 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     """Exact absorption curve from the impurity Green's function.
 
     Points outside the open band return 0 (that weight lives in the
-    discrete lines); points exactly at +-1 are refused.
+    discrete lines), and so does a BIC pole inside it, where the curve is
+    0/0 (its weight is a line too); points exactly at +-1 are refused.
+    The curve is computed on the whole grid, and one np.where zeroes both
+    kinds of point.
     """
     validate(model)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(np.abs(omega) == 1.0):
         raise BranchPointError("grid point exactly at a band edge")
-    out = np.zeros_like(omega)
-    inside = np.abs(omega) < 1.0
-    if np.any(inside):
-        z = omega[inside].astype(complex)  # imag +0.0: the +i0 boundary value
-        (sig,) = _sigma(z, Sheet.I, model.n_d, model.v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # imag +0.0: the +i0 boundary value
+        (sig,) = _sigma(omega.astype(complex), Sheet.I, model.n_d, model.v)
         num = -model.g**2 * sig.imag  # = -Im Sigma >= 0
-        den = (omega[inside] - model.e_d - model.g**2 * sig.real) ** 2 + (
-            model.g**2 * sig.imag
-        ) ** 2
-        vals = np.zeros_like(num)
-        ok = den > 0.0
-        # num = den = 0 happens only on a BIC pole, whose weight is a line
-        vals[ok] = (model.transition_weight / np.pi) * num[ok] / den[ok]
-        out[inside] = vals
-    return out
+        den = (omega - model.e_d - model.g**2 * sig.real) ** 2 + (model.g**2 * sig.imag) ** 2
+        vals = (model.transition_weight / np.pi) * num / den
+    return np.where((np.abs(omega) < 1.0) & (den > 0.0), vals, 0.0)
+
+
+def _component(omega: np.ndarray, eps: float, gam: float, n: complex, weight: float):
+    """(f, fS, fA) of a resonance at eps - i gam with normalization n."""
+    d = omega - eps
+    denom = d**2 + gam**2
+    fs = (weight / np.pi) * gam / denom * n.real
+    fa = (weight / np.pi) * d / denom * (-n.imag)
+    return fs + fa, fs, fa
 
 
 def resonance_component(
@@ -118,12 +122,7 @@ def resonance_component(
         raise FanochainError(f"resonance_component needs a resonance, got {state.state_class.value}")
     n = state.norm if state.norm is not None else normalization(model, state)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    eps, gam = state.epsilon, state.gamma
-    w = model.transition_weight
-    denom = (omega - eps) ** 2 + gam**2
-    fs = (w / np.pi) * gam / denom * n.real
-    fa = (w / np.pi) * (omega - eps) / denom * (-n.imag)
-    return fs + fa, fs, fa
+    return _component(omega, state.epsilon, state.gamma, n, model.transition_weight)
 
 
 def degree_of_asymmetry(norm: complex) -> float:
@@ -188,16 +187,16 @@ def decompose(
 
     total = green_spectrum(model, omega)
 
+    resonances = [s for s in states if s.state_class is StateClass.RESONANCE]
+    missing = iter(_norms(model, [s for s in resonances if s.norm is None]))
     f_by, fs_by, fa_by, meta = {}, {}, {}, []
     res_sum = np.zeros_like(total)
-    for s in states:
-        if s.state_class is not StateClass.RESONANCE:
-            continue
-        n = s.norm if s.norm is not None else normalization(model, s)
-        f, fs, fa = resonance_component(model, replace(s, norm=n), omega)
+    for s in resonances:
+        n = s.norm if s.norm is not None else next(missing)
+        f, fs, fa = _component(omega, s.epsilon, s.gamma, n, model.transition_weight)
         label = s.label or f"z={s.z:.6g}"
         f_by[label], fs_by[label], fa_by[label] = f, fs, fa
-        res_sum = res_sum + f
+        res_sum += f
         da = degree_of_asymmetry(n)
         meta.append(
             ResonanceMeta(

@@ -15,8 +15,6 @@ eigenvector components are ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rate_terms
@@ -30,16 +28,19 @@ EP_GUARD = 1e-10
 @np.errstate(divide="ignore", invalid="ignore")  # an infinite or nan norm meets the guards
 def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
     """dz/de_d = (w^2 - 1)/(2 w^2) dw/de_d at each state's root w of p, one _rate_terms call
-    for the list; exactly 1 at g = 0 (z = e_d), where dw/de_d is 0/0 for a level at w = +-1."""
-    for s in states:
+    for the list; exactly 1 at g = 0 (z = e_d), where dw/de_d is 0/0 for a level at w = +-1.
+
+    The states are checked in list order, each for its residual and then for its norm, so
+    the first bad state raises what normalization would raise for it alone."""
+    if model.g == 0.0 or not states:
+        norms = [1 + 0j] * len(states)
+    else:
+        w = np.array([[s.w for s in states]], dtype=complex)
+        minus_dp, slope = _rate_terms(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))
+        norms = ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0].tolist()
+    for s, n in zip(states, norms):
         if not s.residual <= 10 * ROOT_TOL:
             raise FanochainError(f"state residual {s.residual:.3e} too large for a residue")
-    if model.g == 0.0:
-        return [1 + 0j] * len(states)
-    w = np.array([[s.w for s in states]], dtype=complex)
-    minus_dp, slope = _rate_terms(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))
-    norms = ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0].tolist()
-    for s, n in zip(states, norms):
         if abs(n) > 1 / EP_GUARD:
             raise NearExceptionalPointError(
                 f"|1 - g^2 Sigma'| = {1 / abs(n):.3e} at z = {s.z}: "
@@ -109,5 +110,10 @@ def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[Discret
     """
     norms = iter(_norms(model, [s for s in states if s.state_class is not StateClass.BIC]))
     return [
-        replace(s, norm=1 + 0j if s.state_class is StateClass.BIC else next(norms)) for s in states
+        DiscreteState(
+            s.z, s.sheet, s.state_class, s.residual,
+            1 + 0j if s.state_class is StateClass.BIC else next(norms),
+            s.near_degenerate, s.label, s.w,
+        )
+        for s in states
     ]

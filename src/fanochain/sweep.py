@@ -44,7 +44,7 @@ class TrajectoryPoint:
 
     value: float
     z: complex
-    bic: bool = False          # branch pinned on the real axis (zero width)
+    bic: bool = False          # branch pinned on the real axis inside the band (zero width)
     collision: bool = False    # another branch claimed (nearly) the same root
     crossed_axis: bool = False  # linked to an anti-resonance (Im w > 0), went on from its conjugate
 
@@ -103,8 +103,8 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     anti-resonance (Im w > 0) goes on from its conjugate and is marked
     crossed_axis.  Past a real-axis EP a branch follows, of the real roots
     nearer it than any other root was, the one with the larger |w|.  A
-    point within 1e-12 of the axis is pinned to it and marked bic;
-    branches closer than COLLISION_TOL are marked collision.
+    point within 1e-12 of the axis is pinned to it, and marked bic if it
+    lies inside the band (|Re z| < 1); branches closer than COLLISION_TOL are marked collision.
 
     Raises ConvergenceError if a linked root misses |eta| < root_tol (a
     fault on a root no branch links to does not count), or if a root
@@ -176,9 +176,10 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             crossed.append(up)
 
     zs = np.array(linked)
-    bic = np.abs(zs.imag) <= 1e-12
-    bic[0] = False  # the start states carry no flags
-    zs = np.where(bic, zs.real, zs)
+    pinned = np.abs(zs.imag) <= 1e-12
+    pinned[0] = False  # the start states carry no flags
+    zs = np.where(pinned, zs.real, zs)
+    bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
     collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
     collision[0] = False
     columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))

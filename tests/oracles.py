@@ -258,7 +258,8 @@ def trace_by_continuation(
     eta in z on sheet II.  The step is halved while Newton fails or its
     correction exceeds 10% of the predicted move.  A corrected root above
     the axis is reflected to its conjugate and marked crossed_axis; one
-    within 1e-12 of the axis at a sample is pinned there and marked bic.
+    within 1e-12 of the axis at a sample is pinned there, and marked bic if
+    it lies inside the band.
     This is a path-follower in z, independent of the w-plane census that
     sweep.trace links.
     """
@@ -326,9 +327,10 @@ def _continue_branch(model, parameter, z, v_from, v_to, root_tol, max_halvings):
         h *= 2.0
         halvings = max(0, halvings - 1)
 
-    bic = abs(cur.imag) <= 1e-12
-    if bic:
+    pinned = abs(cur.imag) <= 1e-12
+    if pinned:
         cur = complex(cur.real, 0.0)
+    bic = pinned and abs(cur.real) < 1.0
     return TrajectoryPoint(value=float(v_to), z=cur, bic=bic, crossed_axis=crossed)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,11 @@ from fanochain import (
     ChainModel,
     DiscreteState,
     FanochainError,
+    NearExceptionalPointError,
     Sheet,
+    SheetedEnergy,
     StateClass,
+    attach_norms,
     decompose,
     default_grid,
     degree_of_asymmetry,
@@ -21,8 +25,15 @@ from fanochain import (
     green_spectrum,
     normalization,
     resonance_component,
+    self_energy,
 )
+from fanochain.states import _norms
 from oracles import sigma_boundary_quadrature
+
+#: The README exceptional point of the n_d = 4 chain (as in test_states.py).
+EP_G = 0.17284479822974877
+EP_ED = -0.39819697427829692
+EP_Z = -0.412751820558699 - 0.15068433377044882j
 
 
 def total_oracle(model, omega):
@@ -64,6 +75,23 @@ def test_green_positive_and_zero_outside(semi_model):
     vals = green_spectrum(semi_model, omega)
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert np.all(vals >= 0.0)
+
+
+def test_green_zeroes_out_of_band_and_pole_points_without_warnings():
+    # n_d = 2, e_d = 0 sits on the BIC energy 0, so Omega = 0 is the 0/0 pole
+    m = ChainModel.semi_infinite(2, 0.0, 0.2)
+    omega = np.array([-3.0, -1.2, -0.999, -0.6, -1e-3, 0.0, 0.25, 0.9, 1.0001, 7.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = green_spectrum(m, omega)
+    outside = (np.abs(omega) > 1.0) | (omega == 0.0)
+    assert np.all(vals[outside] == 0.0)
+    for o, got in zip(omega[~outside], vals[~outside]):
+        sig = self_energy(m, SheetedEnergy(complex(o, 0.0), Sheet.I))
+        g2 = m.g**2
+        den = (o - m.e_d - g2 * sig.real) ** 2 + (g2 * sig.imag) ** 2
+        want = (m.transition_weight / math.pi) * (-g2 * sig.imag) / den
+        assert got > 0.0 and got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_green_band_edge_rejected(semi_model):
@@ -222,13 +250,47 @@ def test_decompose_computes_each_resonance_norm_once(semi_model, monkeypatch):
 
     calls = []
 
-    def counted(model, state):
-        calls.append(state.label)
-        return normalization(model, state)
+    def counted(model, states):
+        calls.append([s.label for s in states])
+        return _norms(model, states)
 
-    monkeypatch.setattr(spectrum, "normalization", counted)
+    monkeypatch.setattr(spectrum, "_norms", counted)
     sg = decompose(semi_model)
-    assert sorted(calls) == sorted(sg.resonance_f) == ["i", "ii", "iii"]
+    # one call for all the resonances, and none for states that carry a norm
+    assert calls == [sorted(sg.resonance_f)] == [["i", "ii", "iii"]]
+    decompose(semi_model, states=attach_norms(semi_model, discrete_states(semi_model)))
+    assert calls[1:] == [[]]
+
+
+def test_decompose_batched_norms_raise_what_normalization_raises(semi_model):
+    # the first bad resonance in list order names the error, as if each were
+    # normalized on its own: here an EP-like norm before a bad residual
+    res = [s for s in discrete_states(semi_model) if s.state_class is StateClass.RESONANCE]
+    on_ep = DiscreteState(
+        z=EP_Z, sheet=Sheet.II, state_class=StateClass.RESONANCE, residual=0.0, label="i"
+    )
+    bad = replace(res[1], residual=1.0)
+    m = semi_model.with_params(e_d=EP_ED, g=EP_G)
+    with pytest.raises(NearExceptionalPointError):
+        normalization(m, on_ep)
+    with pytest.raises(NearExceptionalPointError):
+        decompose(m, states=[on_ep, bad])
+    with pytest.raises(FanochainError, match="residual 1.000e\\+00 too large"):
+        decompose(m, states=[bad, on_ep])
+
+
+def test_decompose_components_equal_resonance_component(semi_model, infinite_model):
+    omega = default_grid(501)
+    for m in (semi_model, infinite_model):
+        states = attach_norms(m, discrete_states(m, include_antiresonances=True))
+        sg = decompose(m, omega, states)
+        res = [s for s in states if s.state_class is StateClass.RESONANCE]
+        assert sorted(sg.resonance_f) == sorted(s.label for s in res)
+        for s in res:
+            f, fs, fa = resonance_component(m, s, omega)
+            assert np.array_equal(sg.resonance_f[s.label], f)
+            assert np.array_equal(sg.resonance_fs[s.label], fs)
+            assert np.array_equal(sg.resonance_fa[s.label], fa)
 
 
 def test_decompose_g_zero_single_line():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -157,6 +157,27 @@ def test_bic_norm_convention():
 def test_attach_norms_fills_everything(semi_model):
     states = attach_norms(semi_model, discrete_states(semi_model))
     assert all(s.norm is not None for s in states)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ChainModel.semi_infinite(4, -0.5, 0.2),
+        ChainModel.semi_infinite(4, 0.0, 0.2),  # with a BIC
+        ChainModel.semi_infinite(3, -1.8, 0.4),  # with bound states
+        ChainModel.infinite(-0.6, 0.2),
+    ],
+)
+def test_attach_norms_changes_no_field_but_norm(model):
+    states = discrete_states(model, include_antiresonances=True)
+    normed = attach_norms(model, states)
+    assert len(normed) == len(states)
+    for old, new in zip(states, normed):
+        assert type(new) is DiscreteState and new is not old
+        for f in fields(DiscreteState):
+            if f.name != "norm":
+                assert getattr(new, f.name) is getattr(old, f.name), f.name
+        assert new.norm == (1 if old.state_class is StateClass.BIC else normalization(model, old))
 
 
 @pytest.mark.parametrize("e_d", [-1.0, 1.0, 1.5, 0.5])

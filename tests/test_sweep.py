@@ -256,7 +256,8 @@ def test_trace_sweeps_exercise_their_edge_cases():
         # a resonance that turns into a real virtual state outside the band
         (branch,) = trace(*TRACE_SWEEPS[name]).branches
         assert branch.points[0].z.imag < 0 and abs(branch.points[-1].z.real) > 1
-        assert branch.points[-1].bic
+        # pinned on the axis, but a virtual state outside the band is no BIC
+        assert not branch.points[-1].bic and branch.points[-1].z.imag == 0.0
     # band-edge roots no branch links to fail the census gate on some values
     assert faulting_rows("n_d=8:g") > 0 and faulting_rows("n_d=12:g") > 0
 
