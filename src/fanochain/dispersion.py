@@ -232,31 +232,28 @@ class _Census:
 
     Only the rows listed in ``rows`` are solved: those with g > 0 whose
     leading coefficient survives.  All other arrays have one row per
-    solved row and one column per root of p.
+    solved row, and the root arrays one column per root of p.  The census
+    is not audited: _audit gates and checks it where a caller needs that.
     """
 
-    rows: np.ndarray             # indices into the (e_d, g) input
-    w: np.ndarray                # the root of p (a real array if every root is real)
-    z: np.ndarray                # complex energy of each root
-    sheet_ii: np.ndarray         # root lies on sheet II
-    cls: np.ndarray              # StateClass code, index into _CLASSES
-    residual: np.ndarray         # |eta(z)| on the declared sheet
-    kept: np.ndarray             # not a duplicate of an earlier root
-    near_degenerate: np.ndarray  # kept, with a same-class partner within NEAR_DEGENERATE_TOL
-    expected: np.ndarray         # states the row must yield: deg, less one at a BIC e_d
-    fault: np.ndarray            # _OK or the first audit the row fails
+    rows: np.ndarray      # indices into the (e_d, g) input
+    e_d: np.ndarray       # (rows, 1) impurity level of each solved row
+    g2: np.ndarray        # (rows, 1) g^2 of each solved row
+    w: np.ndarray         # the root of p (a real array if every root is real)
+    z: np.ndarray         # complex energy of each root
+    sheet_ii: np.ndarray  # root lies on sheet II
+    cls: np.ndarray       # StateClass code, index into _CLASSES
+    expected: np.ndarray  # states the row must yield: deg, less one at a BIC e_d
 
 
-def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
-    """Roots of p(w) for every (e_d, g) row of one chain, classified and audited.
+def _census(model: ChainModel, e_d, g) -> _Census:
+    """Roots of p(w) for every (e_d, g) row of one chain, classified.
 
-    This is the work of discrete_states done on arrays.  Each root maps to
+    This is the solve of discrete_states done on arrays.  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d the
     |w| = 1 pair collapses to that one zero-width state (the collapse runs
-    only when some row's e_d hits a BIC energy).  Then the roots
-    are gated on |eta(z)| < root_tol, duplicates dropped, and the count and
-    the resonance/anti-resonance pairing audited.  A row whose ``fault`` is
-    not _OK is one where discrete_states raises.
+    only when some row's e_d hits a BIC energy).  Nothing here gates or
+    audits the roots; see _audit.
 
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
     rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
@@ -302,23 +299,39 @@ def _census(model: ChainModel, e_d, g, root_tol: float) -> _Census:
         z = np.where(bic, e_bic, z)
         sheet_ii &= ~bic
         cls = np.where(bic, _BIC, cls)
+    return _Census(rows, e_d, g2, w, z, sheet_ii, cls, expected)
 
-    # |eta| on the declared sheet, with real z on the +i0 side of the cut;
-    # eta is singular at the branch points.
+
+def _residual(model: ChainModel, z, sheet_ii, e_d, g2) -> np.ndarray:
+    """|eta(z)| on the declared sheet (sheet_ii true on sheet II), elementwise,
+    with real z on the +i0 side of the cut; inf at the branch points, where
+    eta is singular."""
     branch = (z == 1.0) | (z == -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         (sigma,) = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
-        residual = np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
+        return np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
 
-    kept, near = _dedup(z, cls)
-    res = (kept & (cls == _RESONANCE)).sum(axis=1)
-    anti = (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
+
+def _audit(model: ChainModel, census: _Census, root_tol: float):
+    """(residual, kept, near_degenerate, fault) of every root of a census.
+
+    The roots are gated on |eta(z)| < root_tol, duplicates dropped
+    (``kept`` is false for a duplicate of an earlier root), and the count
+    and the resonance/anti-resonance pairing audited; ``near_degenerate``
+    flags a kept root with a same-class partner within
+    NEAR_DEGENERATE_TOL.  ``fault`` holds, per row, _OK or the first audit
+    the row fails: a row where discrete_states raises.
+    """
+    residual = _residual(model, census.z, census.sheet_ii, census.e_d, census.g2)
+    kept, near = _dedup(census.z, census.cls)
+    res = (kept & (census.cls == _RESONANCE)).sum(axis=1)
+    anti = (kept & (census.cls == _ANTIRESONANCE)).sum(axis=1)
     fault = np.where(
         ~(residual < root_tol).all(axis=1),
         _GATE,
-        np.where(kept.sum(axis=1) != expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
+        np.where(kept.sum(axis=1) != census.expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
     )
-    return _Census(rows, w, z, sheet_ii, cls, residual, kept, near, expected, fault)
+    return residual, kept, near, fault
 
 
 def discrete_states(
@@ -359,23 +372,25 @@ def discrete_states(
         cls = _BIC if abs(model.e_d) < 1.0 else _BOUND_I
         return _states([model.e_d], [None], [False], [cls], [0.0], [False])
 
-    census = _census(model, [model.e_d], [model.g], root_tol)
-    fault, kept, cls = census.fault[0], census.kept[0], census.cls[0]
-    if fault != _OK:
-        _raise_fault(census, root_tol)
+    census = _census(model, [model.e_d], [model.g])
+    residual, kept, near, fault = _audit(model, census, root_tol)
+    if fault[0] != _OK:
+        _raise_fault(census, residual, kept, fault, root_tol)
+    kept, cls = kept[0], census.cls[0]
 
     if not include_antiresonances:
         kept = kept & (cls != _ANTIRESONANCE)
     # A BIC keeps the Im w < 0 member of its pair, the w a hand-built BIC state gets.
     w = np.where((cls == _BIC) & (census.w[0].imag > 0), census.w[0].conj(), census.w[0])
-    fields = census.z[0], w, census.sheet_ii[0], cls, census.residual[0], census.near_degenerate[0]
+    fields = census.z[0], w, census.sheet_ii[0], cls, residual[0], near[0]
     return _states(*(a[kept] for a in fields))
 
 
-def _raise_fault(census: _Census, root_tol: float):
-    """Raise the RootCountError of the single-row census, whose fault is not _OK."""
-    z, residual = census.z[0].tolist(), census.residual[0].tolist()
-    fault, kept, cls = census.fault[0], census.kept[0], census.cls[0]
+def _raise_fault(census: _Census, residual, kept, fault, root_tol: float):
+    """Raise the RootCountError of the single-row census, whose audit (the
+    residual, kept and fault arrays of _audit) found a fault."""
+    z, residual = census.z[0].tolist(), residual[0].tolist()
+    fault, kept, cls = fault[0], kept[0], census.cls[0]
     if fault == _GATE:
         # eta has a square-root singularity at z = +-1: this close to a band
         # edge, one ulp of z moves |eta| by far more than root_tol.

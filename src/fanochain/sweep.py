@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispersion import _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass, roman_label
-from .dispersion import _census, _rate_terms, _w_coefficients, _w_rows, discrete_states
-from .errors import ConvergenceError, FanochainError, ModelError
+from .dispersion import _audit, _census, _rate_terms, _residual, _w_coefficients, _w_rows
+from .dispersion import discrete_states
+from .errors import ConvergenceError, ModelError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
 
@@ -38,9 +40,8 @@ COLLISION_TOL = 1e-6
 SCAN_BLOCK = 2**19
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One sampled point of one branch."""
+class TrajectoryPoint(NamedTuple):
+    """One sampled point of one branch (a named tuple: immutable, equal by fields)."""
 
     value: float
     z: complex
@@ -106,17 +107,32 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     point within 1e-12 of the axis is pinned to it, and marked bic if it
     lies inside the band (|Re z| < 1); branches closer than COLLISION_TOL are marked collision.
 
-    Raises ConvergenceError if a linked root misses |eta| < root_tol (a
-    fault on a root no branch links to does not count), or if a root
-    passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
+    Past the first value the census of the sweep is not audited as
+    discrete_states audits a model: the |eta| < root_tol gate reads only
+    the roots the branches link to (before a crossed_axis conjugation),
+    once each block is linked, and no other root is gated, deduplicated
+    or counted.
+
+    Raises
+    ------
+    ModelError
+        If the parameter is not 'e_d' or 'g', if there are fewer than two
+        values or they are not strictly increasing, or if the model at the
+        first or last value is invalid.
+    RootCountError
+        As discrete_states does at the first value.
+    ConvergenceError
+        If a linked root misses |eta| < root_tol (the message names the
+        first such value and, there, the lowest branch), or if a root
+        passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
     """
     if parameter not in ("e_d", "g"):
-        raise FanochainError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
+        raise ModelError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 2:
-        raise FanochainError("need at least two parameter values")
+        raise ModelError("need at least two parameter values")
     if not np.all(np.diff(values) > 0):
-        raise FanochainError("parameter values must be strictly increasing")
+        raise ModelError("parameter values must be strictly increasing")
     validate(model)
     start_model = model.with_params(**{parameter: float(values[0])})
     model.with_params(**{parameter: float(values[-1])})
@@ -140,7 +156,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     # Blocks overlap by one value, so each block links its own values.
     for first in range(0, n - 1, links):
         rows = np.arange(first, min(first + links, n - 1) + 1)
-        census = _census(model, e_d[rows], g[rows], root_tol)
+        census = _census(model, e_d[rows], g[rows])
         minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = minus_dp / slope
@@ -152,20 +168,17 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
         if first == 0:
             current = [min(range(deg), key=lambda j: abs(w[0][j] - s.w)) for s in start]
+        gated = []  # the root each branch links to at each step, before a conjugation
         for k in range(len(rows) - 1):
             here, up = [], []
-            for i, j in enumerate(current):
+            for j in current:
                 m = nearest[k][j]
                 if cls[k + 1][m] == _BOUND_II and w[k][j].imag != 0.0:  # past a real-axis EP
                     last, now = w[k], w[k + 1]
                     split = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II
                              and abs(now[c] - last[j]) <= min(abs(now[c] - x) for x in last)]
                     m = max(split, key=lambda c: abs(now[c]), default=m)
-                if not census.residual[k + 1, m] < root_tol:
-                    raise ConvergenceError(
-                        f"branch {roman_label(i)} at {parameter} = {values[rows[k + 1]]}: |eta| = "
-                        f"{census.residual[k + 1, m]:.3e} >= root_tol at z = {z[k + 1][m]}"
-                    )
+                gated.append(m)
                 up.append(w[k + 1][m].imag > 0.0)
                 if up[-1]:
                     conj = w[k + 1][m].conjugate()
@@ -174,6 +187,16 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             current = here
             linked.append([z[k + 1][m] for m in here])
             crossed.append(up)
+        step = np.repeat(np.arange(1, len(rows)), len(start))
+        residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
+                             census.e_d[step, 0], census.g2[step, 0])
+        failed = np.flatnonzero(~(residual < root_tol))
+        if failed.size:
+            k, i = divmod(int(failed[0]), len(start))
+            raise ConvergenceError(
+                f"branch {roman_label(i)} at {parameter} = {values[rows[k + 1]]}: |eta| = "
+                f"{residual[failed[0]]:.3e} >= root_tol at z = {z[k + 1][gated[failed[0]]]}"
+            )
 
     zs = np.array(linked)
     pinned = np.abs(zs.imag) <= 1e-12
@@ -183,8 +206,9 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
     collision[0] = False
     columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
+    point = TrajectoryPoint._make
     branches = [
-        TrajectoryBranch(roman_label(i), [TrajectoryPoint(*p) for p in zip(values.tolist(), *cols)])
+        TrajectoryBranch(roman_label(i), list(map(point, zip(values.tolist(), *cols))))
         for i, cols in enumerate(columns)
     ]
     return Trajectory(parameter=parameter, values=values, branches=branches)
@@ -274,9 +298,10 @@ def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
     _, block = _census_block(model)
     for start in range(0, g_cells.size, block):
         cells = slice(start, start + block)
-        census = _census(model, ed_cells[cells], g_cells[cells], ROOT_TOL)
+        census = _census(model, ed_cells[cells], g_cells[cells])
+        _, kept, _, fault = _audit(model, census, ROOT_TOL)
         z = census.z
-        resonance = census.kept & (census.cls == _RESONANCE) & (census.fault == _OK)[:, None]
+        resonance = kept & (census.cls == _RESONANCE) & (fault == _OK)[:, None]
         a, b = np.triu_indices(z.shape[1], 1)
         gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
         if gap.size:  # empty when no cell was solved or p has fewer than two roots
@@ -317,11 +342,12 @@ def scan_for_ep_seeds(
     Raises
     ------
     ModelError
-        If a range endpoint is not finite or the g range starts below 0.
+        If a grid size is not positive, a range endpoint is not finite or
+        the g range starts below 0.
     """
     validate(model)
     if n_g <= 0 or n_ed <= 0:
-        raise FanochainError("grid sizes must be positive")
+        raise ModelError("grid sizes must be positive")
     if not all(math.isfinite(x) for x in (*g_range, *ed_range)):
         raise ModelError(f"scan ranges must be finite, got g {g_range}, e_d {ed_range}")
     if g_range[0] < 0:

@@ -279,8 +279,8 @@ def trace_by_continuation(
         for i in range(len(new_points)):
             for j in range(i + 1, len(new_points)):
                 if abs(new_points[i].z - new_points[j].z) < COLLISION_TOL:
-                    new_points[i] = replace(new_points[i], collision=True)
-                    new_points[j] = replace(new_points[j], collision=True)
+                    new_points[i] = new_points[i]._replace(collision=True)
+                    new_points[j] = new_points[j]._replace(collision=True)
         for br, pt in zip(branches, new_points):
             br.append(pt)
         current = [pt.z for pt in new_points]

@@ -219,6 +219,16 @@ def test_missing_model_args(capsys):
     assert run(["roots", "--chain", "semi"]) == 2
 
 
+@pytest.mark.parametrize(
+    "start, stop", [("0.5", "-0.5"), ("0.5", "0.5"), ("nan", "0.5")], ids=["reversed", "empty", "nan"]
+)
+def test_trajectory_sweep_not_increasing_is_usage_error(capsys, start, stop):
+    rc = run(["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5",
+              "--start", start, "--stop", stop])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: parameter values must be strictly increasing")
+
+
 def test_float_formatting_17_digits(tmp_path):
     out = tmp_path / "r.csv"
     assert run(

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from fanochain import (
     eta,
     self_energy,
 )
-from fanochain.dispersion import _CLASSES, ROOT_TOL, DiscreteState, _census, _states, polish_seeds
+from fanochain.dispersion import _CLASSES, _OK, ROOT_TOL, DiscreteState, _audit, _census, _states
+from fanochain.dispersion import _raise_fault, polish_seeds
 from oracles import newton_polish, sigma_quadrature, sort_and_label, winding_number
 
 I, II = Sheet.I, Sheet.II
@@ -332,6 +334,55 @@ def test_g_zero_state_is_labelled(chain, e_d, label):
     assert state.state_class is (StateClass.BIC if label == "bic1" else StateClass.BOUND_I)
 
 
+def test_audited_census_rows_agree_with_discrete_states():
+    # a stack of seeded (e_d, g) rows per chain, some on an exact BIC e_d and
+    # one next to the README EP: row i of the audited census is
+    # discrete_states of that row, states or error
+    faults = bics = flagged = 0
+    for n_d in [*range(1, 25), None]:
+        rng = np.random.default_rng(n_d or 0)
+        e_d, g = rng.uniform(-1.5, 1.5, 24), rng.uniform(0.02, 0.5, 24)
+        if n_d:
+            model = ChainModel.semi_infinite(n_d, 0.0, 0.2)
+            on_bic = rng.permutation(bic_energies(model))[:3]
+            e_d[: len(on_bic)] = on_bic
+            if n_d == 4:
+                e_d[-1], g[-1] = -0.39819697427829692, 0.17284479822974877
+        else:
+            model = ChainModel.infinite(0.0, 0.2)
+        census = _census(model, e_d, g)
+        residual, kept, near, fault = _audit(model, census, ROOT_TOL)
+        assert census.rows.tolist() == list(range(24))
+        bics += int((census.expected < census.w.shape[1]).sum())
+        flagged += int(near.sum())
+        for i in range(24):
+            m = model.with_params(e_d=float(e_d[i]), g=float(g[i]))
+            if fault[i] != _OK:
+                faults += 1
+                one = replace(census, **{f.name: getattr(census, f.name)[i : i + 1]
+                                         for f in fields(census)})
+                row = [a[i : i + 1] for a in (residual, kept, fault)]
+                with pytest.raises(RootCountError) as want:
+                    _raise_fault(one, *row, ROOT_TOL)
+                with pytest.raises(RootCountError, match=f"^{re.escape(str(want.value))}$"):
+                    discrete_states(m)
+                continue
+            states = discrete_states(m, include_antiresonances=True)
+            assert len(states) == int(kept[i].sum())
+            want = sorted(
+                (s.z.real, s.z.imag, s.residual, s.near_degenerate, s.sheet is Sheet.II)
+                for s in states
+            )
+            got = sorted(
+                (z.real, z.imag, r, bool(d), bool(s2))
+                for z, r, d, s2, k in zip(census.z[i].tolist(), residual[i].tolist(), near[i],
+                                          census.sheet_ii[i], kept[i])
+                if k
+            )
+            assert got == want
+    assert faults > 0 and bics > 0 and flagged > 0
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -343,7 +394,7 @@ def test_g_zero_state_is_labelled(chain, e_d, label):
 )
 def test_states_carry_their_root_w(model):
     # the census w itself, not z - s(z) rebuilt from the rounded z
-    roots = _census(model, [model.e_d], [model.g], ROOT_TOL).w[0].tolist()
+    roots = _census(model, [model.e_d], [model.g]).w[0].tolist()
     states = discrete_states(model, include_antiresonances=True)
     assert all(s.w in roots for s in states)
     for s in polish_seeds(model, [(s.z, s.sheet) for s in states]):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from fanochain import (
     trace,
 )
 from fanochain import sweep
-from fanochain.dispersion import _OK, ROOT_TOL, _census, _rate_terms
+from fanochain.dispersion import _OK, ROOT_TOL, _audit, _census, _rate_terms
 from fanochain.states import attach_norms
-from fanochain.sweep import EP_TOL, EpSeed, _closest_pairs
+from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint, _closest_pairs
 
 from oracles import find_ep_in_z, trace_by_continuation
 
@@ -119,7 +120,7 @@ def test_rates_are_norm_and_coupling_derivative(model):
     # the w-form rates at the census roots and the norms of the states both
     # match the Sigma form: dz/de_d = N = 1/eta'(z) and dz/dg = 2 g Sigma N
     e_d, g = np.array([model.e_d]), np.array([model.g])
-    census = _census(model, e_d, g, ROOT_TOL)
+    census = _census(model, e_d, g)
     w = census.w
 
     def dz_dq(parameter):
@@ -146,7 +147,7 @@ def test_rates_euler_error_is_second_order(parameter):
     def euler_error(h):
         q = np.array([getattr(model, parameter), getattr(model, parameter) + h])
         e_d, g = (q, np.full(2, model.g)) if parameter == "e_d" else (np.full(2, model.e_d), q)
-        w = _census(model, e_d, g, ROOT_TOL).w
+        w = _census(model, e_d, g).w
         minus_dp, slope = _rate_terms(model, parameter, w, e_d, g)
         pred = w[0] + (minus_dp / slope)[0] * h
         return np.abs(w[1][None, :] - pred[:, None]).min(axis=1)
@@ -246,7 +247,7 @@ def test_trace_sweeps_exercise_their_edge_cases():
         model, parameter, values = TRACE_SWEEPS[name]
         fixed = np.full(len(values), getattr(model, "g" if parameter == "e_d" else "e_d"))
         e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
-        return int((_census(model, e_d, g, ROOT_TOL).fault != _OK).sum())
+        return int((_audit(model, _census(model, e_d, g), ROOT_TOL)[3] != _OK).sum())
 
     # the oracle reflects the branch where it passes the pinch
     oracle = trace_by_continuation(*TRACE_SWEEPS["bic-pinch"])
@@ -272,6 +273,53 @@ def test_trace_blocks_match_single_block(sweep_name, links, monkeypatch):
     # a block of links + 1 values links them; consecutive blocks share a value
     monkeypatch.setattr(sweep, "SCAN_BLOCK", (links + 1) * deg**2)
     assert trace(model, parameter, values).branches == whole.branches
+
+
+def test_trace_gate_names_the_first_failing_value_and_lowest_branch(monkeypatch):
+    # a root_tol that 13 linked roots of this sweep miss: the gate reads the
+    # linked roots once a block is linked, whatever the blocks
+    model, values, tol = ChainModel.semi_infinite(4, -0.3, 0.2), np.linspace(0.05, 0.4, 61), 1e-15
+    deg = 2 * model.n_d
+    # |eta| of each branch at each value after the first: the linked roots, as
+    # no point is pinned to the axis or crossed it
+    branches = trace(model, "g", values).branches
+    assert not any(p.z.imag == 0.0 or p.crossed_axis for b in branches for p in b.points)
+    linked = [
+        [abs(eta(model.with_params(g=g), SheetedEnergy(b.points[k].z, Sheet.II))) for b in branches]
+        for k, g in enumerate(values[1:].tolist(), 1)
+    ]
+    assert sum(r >= tol for row in linked for r in row) >= 10
+    messages = set()
+    for rows in (1, 7, len(values)):
+        monkeypatch.setattr(sweep, "SCAN_BLOCK", rows * deg**2)
+        with pytest.raises(ConvergenceError) as exc:
+            trace(model, "g", values, root_tol=tol)
+        messages.add(str(exc.value))
+    (message,) = messages
+    # the first failing value is the tenth, inside the second block of 7 values;
+    # there branches i and ii pass and iii, the lowest that fails, is named
+    k = next(k for k, row in enumerate(linked, 1) if max(row) >= tol)
+    assert k == 9 and [r >= tol for r in linked[k - 1]] == [False, False, True]
+    assert message.startswith(f"branch iii at g = {values[k]}: |eta| = ")
+    trace(model, "g", values[:k], root_tol=tol)
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        trace(model, "g", values[: k + 1], root_tol=tol)
+
+
+def test_trajectory_point_is_an_immutable_named_tuple():
+    assert TrajectoryPoint._fields == ("value", "z", "bic", "collision", "crossed_axis")
+    defaults = {"bic": False, "collision": False, "crossed_axis": False}
+    assert TrajectoryPoint._field_defaults == defaults
+    p = TrajectoryPoint(0.5, -0.3 - 0.1j)
+    assert p == TrajectoryPoint(0.5, -0.3 - 0.1j, False, False, False)
+    assert hash(p) == hash(TrajectoryPoint(value=0.5, z=-0.3 - 0.1j))
+    assert p != TrajectoryPoint(0.5, -0.3 - 0.1j, collision=True)
+    with pytest.raises(AttributeError):
+        p.z = 0j
+    q = p._replace(collision=True)
+    assert tuple(q) == (0.5, -0.3 - 0.1j, False, True, False) and not p.collision
+    tr = trace(ChainModel.semi_infinite(2, -0.5, 0.2), "e_d", [-0.5, -0.4])
+    assert all(type(p) is TrajectoryPoint for b in tr.branches for p in b.points)
 
 
 def test_trace_leaves_sampled_bic_through_the_pinch():
