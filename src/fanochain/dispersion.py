@@ -42,10 +42,7 @@ from .selfenergy import Sheet, SheetedEnergy, _sheeted_s, _sigma, self_energy, s
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
 
-#: Roots closer than this are one root reported twice.
-DEDUP_TOL = 1e-9
-
-#: Pairs surviving dedup but closer than this are flagged near-degenerate.
+#: Two roots of one class closer than this are flagged near-degenerate.
 NEAR_DEGENERATE_TOL = 1e-6
 
 
@@ -54,8 +51,8 @@ class StateClass(enum.Enum):
 
     BOUND_I = "boundI"          # real, outside the band, physical sheet
     BOUND_II = "boundII"        # real, outside the band, second sheet (virtual)
-    RESONANCE = "resonance"     # Im z < 0, second sheet
-    ANTIRESONANCE = "antiresonance"  # Im z > 0, conjugate continuation
+    RESONANCE = "resonance"     # Im z < 0 (or Im z == 0 and Im w < 0), second sheet
+    ANTIRESONANCE = "antiresonance"  # its conjugate partner
     BIC = "bic"                 # real, inside the band, zero width
 
 
@@ -222,9 +219,6 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
 _CLASSES = tuple(StateClass)
 _BOUND_I, _BOUND_II, _RESONANCE, _ANTIRESONANCE, _BIC = range(len(_CLASSES))
 
-#: Census faults, in the order discrete_states checks them.
-_OK, _GATE, _COUNT, _PAIRING = range(4)
-
 
 @dataclass(frozen=True)
 class _Census:
@@ -232,8 +226,10 @@ class _Census:
 
     Only the rows listed in ``rows`` are solved: those with g > 0 whose
     leading coefficient survives.  All other arrays have one row per
-    solved row, and the root arrays one column per root of p.  The census
-    is not audited: _audit gates and checks it where a caller needs that.
+    solved row, and the root arrays one column per root of p.  Every kept
+    root is one state by construction: each conjugate pair is one
+    resonance and one anti-resonance, and a BIC is one member of its pair.
+    The roots are not gated: _audit does that where a caller needs it.
     """
 
     rows: np.ndarray      # indices into the (e_d, g) input
@@ -243,17 +239,20 @@ class _Census:
     z: np.ndarray         # complex energy of each root
     sheet_ii: np.ndarray  # root lies on sheet II
     cls: np.ndarray       # StateClass code, index into _CLASSES
-    expected: np.ndarray  # states the row must yield: deg, less one at a BIC e_d
+    kept: np.ndarray      # false only for the Im w > 0 member of a BIC pair
 
 
 def _census(model: ChainModel, e_d, g) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified.
 
     This is the solve of discrete_states done on arrays.  Each root maps to
-    z = (w + 1/w)/2 on the sheet read from |w|; at an exact BIC e_d the
-    |w| = 1 pair collapses to that one zero-width state (the collapse runs
-    only when some row's e_d hits a BIC energy).  Nothing here gates or
-    audits the roots; see _audit.
+    z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
+    pair (exact, as p is real) the resonance is the member with Im z < 0,
+    or with Im w < 0 where Im z rounds to 0; the other is its
+    anti-resonance.  At an exact BIC e_d the |w| = 1 pair collapses to that
+    one zero-width state, its Im w < 0 member, and the other member is not
+    kept (the collapse runs only when some row's e_d hits a BIC energy).
+    Nothing here gates the roots; see _audit.
 
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
     rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
@@ -282,24 +281,25 @@ def _census(model: ChainModel, e_d, g) -> _Census:
     cls = np.where(
         real_w,
         np.where(sheet_ii, _BOUND_II, _BOUND_I),
-        np.where(z.imag < 0, _RESONANCE, _ANTIRESONANCE),
+        np.where((z.imag < 0) | ((z.imag == 0) & (w.imag < 0)), _RESONANCE, _ANTIRESONANCE),
     )
     z = np.where(real_w, z.real, z)
     energies = np.array(_bic_energies(model.n_d) if model.is_semi_infinite else [])
     # The BIC energies lie far apart: a row hits at most one.
     i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
-    expected = np.full(len(rows), w.shape[1])
+    kept = np.ones(w.shape, dtype=bool)
     if i.size:
         e_bic = np.full(e_d.shape, np.nan)
         e_bic[i, 0] = energies[k]
-        expected[i] -= 1
         # Impurity level exactly on a BIC: Sigma vanishes there, so the
-        # conjugate pair on |w| = 1 is the one zero-width state z = e_d.
+        # conjugate pair on |w| = 1 is the one zero-width state z = e_d,
+        # kept as its Im w < 0 member, the w a hand-built BIC state gets.
         bic = np.abs(z - e_bic) < 1e-6
         z = np.where(bic, e_bic, z)
         sheet_ii &= ~bic
         cls = np.where(bic, _BIC, cls)
-    return _Census(rows, e_d, g2, w, z, sheet_ii, cls, expected)
+        kept = ~(bic & (w.imag > 0))
+    return _Census(rows, e_d, g2, w, z, sheet_ii, cls, kept)
 
 
 def _residual(model: ChainModel, z, sheet_ii, e_d, g2) -> np.ndarray:
@@ -313,25 +313,22 @@ def _residual(model: ChainModel, z, sheet_ii, e_d, g2) -> np.ndarray:
 
 
 def _audit(model: ChainModel, census: _Census, root_tol: float):
-    """(residual, kept, near_degenerate, fault) of every root of a census.
+    """(residual, near_degenerate, failed) of every root of a census.
 
-    The roots are gated on |eta(z)| < root_tol, duplicates dropped
-    (``kept`` is false for a duplicate of an earlier root), and the count
-    and the resonance/anti-resonance pairing audited; ``near_degenerate``
-    flags a kept root with a same-class partner within
-    NEAR_DEGENERATE_TOL.  ``fault`` holds, per row, _OK or the first audit
-    the row fails: a row where discrete_states raises.
+    ``residual`` is |eta(z)| of each root on its sheet, and ``failed``
+    marks, per row, a root that misses |eta| < root_tol: a row where
+    discrete_states raises.  ``near_degenerate`` flags a kept root with a
+    kept partner of its class within NEAR_DEGENERATE_TOL.
     """
     residual = _residual(model, census.z, census.sheet_ii, census.e_d, census.g2)
-    kept, near = _dedup(census.z, census.cls)
-    res = (kept & (census.cls == _RESONANCE)).sum(axis=1)
-    anti = (kept & (census.cls == _ANTIRESONANCE)).sum(axis=1)
-    fault = np.where(
-        ~(residual < root_tol).all(axis=1),
-        _GATE,
-        np.where(kept.sum(axis=1) != census.expected, _COUNT, np.where(res != anti, _PAIRING, _OK)),
+    n = census.z.shape[1]
+    near = (
+        (census.cls[:, :, None] == census.cls[:, None, :])
+        & (np.abs(census.z[:, :, None] - census.z[:, None, :]) < NEAR_DEGENERATE_TOL)
+        & ~np.eye(n, dtype=bool)
+        & census.kept[:, None, :]
     )
-    return residual, kept, near, fault
+    return residual, near.any(axis=-1) & census.kept, ~(residual < root_tol).all(axis=1)
 
 
 def discrete_states(
@@ -345,10 +342,13 @@ def discrete_states(
     matrix and are Newton-polished on p.  Each maps to z = (w + 1/w)/2 on
     a sheet fixed by w alone: a real w is a real state outside the band,
     on sheet I (bound state) if |w| < 1 and on sheet II (virtual state)
-    otherwise; a complex w is a sheet-II resonance (Im z < 0) or
-    anti-resonance (Im z > 0).  When e_d sits exactly on a BIC energy the
-    conjugate pair on |w| = 1 collapses to that one zero-width state.
-    Every state must meet |eta(z)| < root_tol on its declared sheet.
+    otherwise; a complex w is a sheet-II state, and each conjugate pair of
+    them is one resonance (Im z < 0, or Im z = 0 and Im w < 0 where its
+    width is below the rounding of z) and one anti-resonance.  When e_d
+    sits exactly on a BIC energy the conjugate pair on |w| = 1 collapses
+    to that one zero-width state.  So every root of p is one state, except
+    that a BIC is one pair.  Every state must meet |eta(z)| < root_tol on
+    its declared sheet.
 
     By default the anti-resonances are dropped from the semi-infinite
     output (leaving the n_d + 1 physical solutions) and kept for the
@@ -359,9 +359,7 @@ def discrete_states(
     ------
     RootCountError
         If a root misses the |eta| gate (typically a real root so close to
-        a band edge that no double z resolves it), or the states do not
-        account for every root of p with resonances and anti-resonances
-        paired.
+        a band edge that no double z resolves it).
     """
     validate(model)
     if include_antiresonances is None:
@@ -373,57 +371,33 @@ def discrete_states(
         return _states([model.e_d], [None], [False], [cls], [0.0], [False])
 
     census = _census(model, [model.e_d], [model.g])
-    residual, kept, near, fault = _audit(model, census, root_tol)
-    if fault[0] != _OK:
-        _raise_fault(census, residual, kept, fault, root_tol)
-    kept, cls = kept[0], census.cls[0]
-
+    residual, near, failed = _audit(model, census, root_tol)
+    if failed[0]:
+        _raise_fault(census, residual, root_tol)
+    kept, cls = census.kept[0], census.cls[0]
     if not include_antiresonances:
         kept = kept & (cls != _ANTIRESONANCE)
-    # A BIC keeps the Im w < 0 member of its pair, the w a hand-built BIC state gets.
-    w = np.where((cls == _BIC) & (census.w[0].imag > 0), census.w[0].conj(), census.w[0])
-    fields = census.z[0], w, census.sheet_ii[0], cls, residual[0], near[0]
+    fields = census.z[0], census.w[0], census.sheet_ii[0], cls, residual[0], near[0]
     return _states(*(a[kept] for a in fields))
 
 
-def _raise_fault(census: _Census, residual, kept, fault, root_tol: float):
-    """Raise the RootCountError of the single-row census, whose audit (the
-    residual, kept and fault arrays of _audit) found a fault."""
+def _raise_fault(census: _Census, residual, root_tol: float):
+    """Raise the RootCountError of the single-row census, some of whose roots
+    (their residuals from _audit) miss the |eta| gate."""
     z, residual = census.z[0].tolist(), residual[0].tolist()
-    fault, kept, cls = fault[0], kept[0], census.cls[0]
-    if fault == _GATE:
-        # eta has a square-root singularity at z = +-1: this close to a band
-        # edge, one ulp of z moves |eta| by far more than root_tol.
-        rejected = [i for i, r in enumerate(residual) if not r < root_tol]
-        reasons = [
-            f"z = {z[i]:.17g} on sheet {'II' if census.sheet_ii[0, i] else 'I'}, "
-            f"{min(abs(z[i] - 1), abs(z[i] + 1)):.1e} from the band edge: "
-            f"|eta| = {residual[i]:.1e} >= root_tol = {root_tol:.1e}"
-            for i in rejected
-        ]
-        raise RootCountError(
-            f"{len(rejected)} of {len(z)} roots failed the |eta| gate: " + "; ".join(reasons),
-            candidates=[(z[i], residual[i]) for i in rejected],
-        )
-
-    # Structural audit: every root of p is one state, except that a BIC
-    # absorbs the conjugate pair it came from.  (The physics census --
-    # n_d - 1 resonances plus two real solutions for an in-band impurity
-    # level -- is parameter-dependent: outside the band at weak coupling a
-    # resonance pair degenerates into two extra real virtual states.  That
-    # census is asserted where it holds, not here.)
-    accepted = [(z[i], residual[i]) for i in np.flatnonzero(kept)]
-    if fault == _COUNT:
-        raise RootCountError(
-            f"polynomial of degree {len(z)} yielded {len(accepted)} classified "
-            f"states (expected {census.expected[0]})",
-            candidates=accepted,
-        )
-    if fault == _PAIRING:
-        n_res, n_anti = ((kept & (cls == c)).sum() for c in (_RESONANCE, _ANTIRESONANCE))
-        raise RootCountError(
-            f"unpaired resonances: {n_res} vs {n_anti} anti-resonances", candidates=accepted
-        )
+    # eta has a square-root singularity at z = +-1: this close to a band
+    # edge, one ulp of z moves |eta| by far more than root_tol.
+    rejected = [i for i, r in enumerate(residual) if not r < root_tol]
+    reasons = [
+        f"z = {z[i]:.17g} on sheet {'II' if census.sheet_ii[0, i] else 'I'}, "
+        f"{min(abs(z[i] - 1), abs(z[i] + 1)):.1e} from the band edge: "
+        f"|eta| = {residual[i]:.1e} >= root_tol = {root_tol:.1e}"
+        for i in rejected
+    ]
+    raise RootCountError(
+        f"{len(rejected)} of {len(z)} roots failed the |eta| gate: " + "; ".join(reasons),
+        candidates=[(z[i], residual[i]) for i in rejected],
+    )
 
 
 #: Sort group of each class code: resonances, BICs, real states, anti-resonances.
@@ -455,21 +429,6 @@ def _states(z, w, sheet_ii, cls, residual, near) -> list[DiscreteState]:
         )
         for i, gr, k in zip(order.tolist(), group.tolist(), rank.tolist())
     ]
-
-
-def _dedup(z: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep and near-degenerate flags for rows of classified roots.
-
-    A root is dropped when an earlier root of its row has the same class
-    and lies within DEDUP_TOL; two kept roots of one class closer than
-    NEAR_DEGENERATE_TOL are both flagged near-degenerate.
-    """
-    n = z.shape[-1]
-    same = cls[..., :, None] == cls[..., None, :]
-    gap = np.abs(z[..., :, None] - z[..., None, :])
-    kept = ~(same & (gap < DEDUP_TOL) & np.tri(n, k=-1, dtype=bool)).any(axis=-1)
-    near = same & (gap < NEAR_DEGENERATE_TOL) & ~np.eye(n, dtype=bool) & kept[..., None, :]
-    return kept, near.any(axis=-1) & kept
 
 
 _ROMAN = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]

@@ -26,10 +26,11 @@ class ConvergenceError(FanochainError):
 
 
 class RootCountError(FanochainError):
-    """The discrete-state filter ended with an unexpected number of roots.
+    """A root of the dispersion polynomial missed the |eta| < root_tol gate.
 
-    Carries every candidate root together with its dispersion residual so
-    the failure can be inspected without re-running the solve.
+    Every root is one state by construction, so this is the only census
+    fault.  Carries each rejected root with its dispersion residual so the
+    failure can be inspected without re-running the solve.
     """
 
     def __init__(self, message, candidates=None):

@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dispersion import _BOUND_I, _BOUND_II, _OK, _RESONANCE, ROOT_TOL, StateClass, roman_label
+from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
 from .dispersion import _audit, _census, _rate_terms, _residual, _w_coefficients, _w_rows
-from .dispersion import discrete_states
 from .errors import ConvergenceError, ModelError
 from .model import ChainModel, validate
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
@@ -95,11 +94,12 @@ def _census_block(model: ChainModel) -> tuple[int, int]:
 def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
     """Trace every resonance branch over the sorted parameter values.
 
-    Branches are the resonances of discrete_states at the first value,
-    labelled (i), (ii), ... by ascending Re z.  The whole sweep is solved
-    as one stack of polynomials p(w), in blocks of at most SCAN_BLOCK /
-    deg^2 values, and each branch is linked in w to the root nearest its
-    Euler prediction w + (dw/dq) dq at the next value, sheet-I roots aside.
+    The whole sweep is solved as one stack of polynomials p(w), in blocks
+    of at most SCAN_BLOCK / deg^2 values.  Branches are the resonances of
+    its first row, classed as discrete_states classes them and labelled
+    (i), (ii), ... by ascending Re z (then ascending width).  Each branch
+    is linked in w to the root nearest its Euler prediction
+    w + (dw/dq) dq at the next value, sheet-I roots aside.
     At a BIC pinch the decaying root only touches |w| = 1.  A link to an
     anti-resonance (Im w > 0) goes on from its conjugate and is marked
     crossed_axis.  Past a real-axis EP a branch follows, of the real roots
@@ -107,11 +107,10 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     point within 1e-12 of the axis is pinned to it, and marked bic if it
     lies inside the band (|Re z| < 1); branches closer than COLLISION_TOL are marked collision.
 
-    Past the first value the census of the sweep is not audited as
-    discrete_states audits a model: the |eta| < root_tol gate reads only
-    the roots the branches link to (before a crossed_axis conjugation),
-    once each block is linked, and no other root is gated, deduplicated
-    or counted.
+    The census of the sweep is not audited as discrete_states audits a
+    model: the |eta| < root_tol gate reads only the start roots and the
+    roots the branches link to (before a crossed_axis conjugation), once
+    each block is linked, and no other root is gated.
 
     Raises
     ------
@@ -119,12 +118,10 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         If the parameter is not 'e_d' or 'g', if there are fewer than two
         values or they are not strictly increasing, or if the model at the
         first or last value is invalid.
-    RootCountError
-        As discrete_states does at the first value.
     ConvergenceError
-        If a linked root misses |eta| < root_tol (the message names the
-        first such value and, there, the lowest branch), or if a root
-        passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
+        If a start or linked root misses |eta| < root_tol (the message
+        names the first such value and, there, the lowest branch), or if a
+        root passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
     """
     if parameter not in ("e_d", "g"):
         raise ModelError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
@@ -134,29 +131,36 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     if not np.all(np.diff(values) > 0):
         raise ModelError("parameter values must be strictly increasing")
     validate(model)
-    start_model = model.with_params(**{parameter: float(values[0])})
+    model.with_params(**{parameter: float(values[0])})
     model.with_params(**{parameter: float(values[-1])})
-    start = [s for s in discrete_states(start_model) if s.state_class is StateClass.RESONANCE]
-    start.sort(key=lambda s: s.epsilon)
-    if not start:
-        return Trajectory(parameter=parameter, values=values)
-
     n = len(values)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
     # The leading coefficient of p changes sign where a root passes w = infinity.
     lead = _w_coefficients(model, e_d, g * g)[:, -1]
+    # The census leaves out a first value with g = 0 (a decoupled level) or, at
+    # n_d = 1, with a root at w = infinity: either has one real state, no resonance.
+    if g[0] == 0 or lead[0] == 0:
+        return Trajectory(parameter=parameter, values=values)
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
-    if through.size:
-        a, b = values[through[0] : through[0] + 2]
-        raise ConvergenceError(f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]")
     deg, block = _census_block(model)
     links = max(1, block - 1)
-    linked, crossed = [[s.z for s in start]], [[False] * len(start)]
     # Blocks overlap by one value, so each block links its own values.
     for first in range(0, n - 1, links):
         rows = np.arange(first, min(first + links, n - 1) + 1)
         census = _census(model, e_d[rows], g[rows])
+        if first == 0:
+            current = np.flatnonzero(census.cls[0] == _RESONANCE)
+            z0 = census.z[0, current]
+            current = current[np.lexsort((-z0.imag, z0.real))].tolist()
+            if not current:
+                return Trajectory(parameter=parameter, values=values)
+            if through.size:
+                a, b = values[through[0] : through[0] + 2]
+                raise ConvergenceError(
+                    f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
+                )
+            linked, crossed = [census.z[0, current].tolist()], [[False] * len(current)]
         minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = minus_dp / slope
@@ -166,9 +170,8 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         gap[np.broadcast_to((census.cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
         nearest = gap.argmin(axis=-1).tolist()
         z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
-        if first == 0:
-            current = [min(range(deg), key=lambda j: abs(w[0][j] - s.w)) for s in start]
-        gated = []  # the root each branch links to at each step, before a conjugation
+        # the start roots, then the root each branch links to at each step, before a conjugation
+        gated = current[:] if first == 0 else []
         for k in range(len(rows) - 1):
             here, up = [], []
             for j in current:
@@ -187,15 +190,16 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             current = here
             linked.append([z[k + 1][m] for m in here])
             crossed.append(up)
-        step = np.repeat(np.arange(1, len(rows)), len(start))
+        step = np.repeat(np.arange(first > 0, len(rows)), len(current))
         residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
                              census.e_d[step, 0], census.g2[step, 0])
         failed = np.flatnonzero(~(residual < root_tol))
         if failed.size:
-            k, i = divmod(int(failed[0]), len(start))
+            f = int(failed[0])
+            k, i = step[f], f % len(current)
             raise ConvergenceError(
-                f"branch {roman_label(i)} at {parameter} = {values[rows[k + 1]]}: |eta| = "
-                f"{residual[failed[0]]:.3e} >= root_tol at z = {z[k + 1][gated[failed[0]]]}"
+                f"branch {roman_label(i)} at {parameter} = {values[rows[k]]}: |eta| = "
+                f"{residual[f]:.3e} >= root_tol at z = {z[k][gated[f]]}"
             )
 
     zs = np.array(linked)
@@ -299,9 +303,9 @@ def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
     for start in range(0, g_cells.size, block):
         cells = slice(start, start + block)
         census = _census(model, ed_cells[cells], g_cells[cells])
-        _, kept, _, fault = _audit(model, census, ROOT_TOL)
+        _, _, failed = _audit(model, census, ROOT_TOL)
         z = census.z
-        resonance = kept & (census.cls == _RESONANCE) & (fault == _OK)[:, None]
+        resonance = (census.cls == _RESONANCE) & ~failed[:, None]
         a, b = np.triu_indices(z.shape[1], 1)
         gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
         if gap.size:  # empty when no cell was solved or p has fewer than two roots
@@ -329,9 +333,9 @@ def scan_for_ep_seeds(
     The whole grid is solved at once: its dispersion polynomials differ
     only in the e_d and g coefficients, so they form one stack of
     companion matrices for a single eigenvalue call, classified and
-    audited as discrete_states does.  A cell where discrete_states would
-    raise (a root failing the |eta| gate, or a failed count or pairing
-    audit) holds no pair and is skipped, as is a cell with g = 0.
+    gated as discrete_states does.  A cell where discrete_states would
+    raise (a root failing the |eta| gate) holds no pair and is skipped, as
+    is a cell with g = 0.
 
     The threshold is deliberately generous: the pair splitting grows like
     the square root of the parameter distance to the coalescence point

@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from fanochain.dispersion import ROOT_TOL, DiscreteState, StateClass, discrete_states, eta
-from fanochain.dispersion import eta_deriv, roman_label
+from fanochain.dispersion import _ANTIRESONANCE, _RESONANCE, ROOT_TOL, DiscreteState, StateClass
+from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
@@ -364,3 +364,34 @@ def sort_and_label(states: list[DiscreteState]) -> list[DiscreteState]:
     for idx, s in enumerate(antis):
         out.append(replace(s, label=f"a{idx + 1}"))
     return out
+
+
+#: Roots of one class closer than this are one root reported twice, by census_by_z.
+DEDUP_TOL = 1e-9
+
+
+def census_by_z(census, at_bic: np.ndarray):
+    """The census rule that classed each complex root by itself, as a reference.
+
+    Reads the roots, z values and real/BIC classes of a dispersion._Census
+    and re-decides the rest as the package once did: a complex root is a
+    resonance when Im z < 0 and an anti-resonance otherwise, whatever its
+    conjugate partner; a root within DEDUP_TOL of an earlier root of its
+    class is a duplicate and dropped; and a row must then keep every root
+    of p, one fewer where at_bic (its e_d on a BIC energy), with as many
+    resonances as anti-resonances.  Returns the classes, the kept mask and,
+    per row, None or the audit the row fails, "count" or "pairing".
+    """
+    z, n = census.z, census.z.shape[1]
+    paired = (census.cls == _RESONANCE) | (census.cls == _ANTIRESONANCE)
+    cls = np.where(paired, np.where(z.imag < 0, _RESONANCE, _ANTIRESONANCE), census.cls)
+    same = cls[:, :, None] == cls[:, None, :]
+    close = np.abs(z[:, :, None] - z[:, None, :]) < DEDUP_TOL
+    kept = ~(same & close & np.tri(n, k=-1, dtype=bool)).any(axis=-1)
+    count = kept.sum(axis=1).tolist()
+    res, anti = ((kept & (cls == c)).sum(axis=1).tolist() for c in (_RESONANCE, _ANTIRESONANCE))
+    fault = [
+        "count" if k != n - b else "pairing" if r != a else None
+        for k, b, r, a in zip(count, at_bic.tolist(), res, anti)
+    ]
+    return cls, kept, fault

@@ -9,6 +9,7 @@ from fanochain import (
     ConvergenceError,
     FanochainError,
     ModelError,
+    RootCountError,
     Sheet,
     SheetedEnergy,
     StateClass,
@@ -21,7 +22,7 @@ from fanochain import (
     trace,
 )
 from fanochain import sweep
-from fanochain.dispersion import _OK, ROOT_TOL, _audit, _census, _rate_terms
+from fanochain.dispersion import ROOT_TOL, _audit, _census, _rate_terms
 from fanochain.states import attach_norms
 from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint, _closest_pairs
 
@@ -247,7 +248,7 @@ def test_trace_sweeps_exercise_their_edge_cases():
         model, parameter, values = TRACE_SWEEPS[name]
         fixed = np.full(len(values), getattr(model, "g" if parameter == "e_d" else "e_d"))
         e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
-        return int((_audit(model, _census(model, e_d, g), ROOT_TOL)[3] != _OK).sum())
+        return int(_audit(model, _census(model, e_d, g), ROOT_TOL)[2].sum())
 
     # the oracle reflects the branch where it passes the pinch
     oracle = trace_by_continuation(*TRACE_SWEEPS["bic-pinch"])
@@ -376,10 +377,39 @@ def test_trace_refuses_root_through_infinity():
         trace(model, "g", np.linspace(0.15, 0.4, 126))
 
 
+@pytest.mark.parametrize(
+    "model, values",
+    [
+        # the first value decouples the level, or puts the one root of
+        # n_d = 1 at w = infinity (4 g^2 v^2 = 1) and the other at z = -1:
+        # the census leaves that row out, and neither has a resonance
+        (ChainModel.semi_infinite(4, -0.5, 0.2), np.linspace(0.0, 0.3, 31)),
+        (ChainModel.semi_infinite(1, -0.5, 0.2), np.linspace(0.5, 0.8, 31)),
+        # no resonance at the start, so the later passage through w = infinity is not followed
+        (ChainModel.semi_infinite(1, 0.95, 0.2), np.linspace(0.2, 0.8, 31)),
+    ],
+)
+def test_trace_without_start_resonance_has_no_branches(model, values):
+    assert trace(model, "g", values).branches == []
+
+
 def test_trace_gates_linked_roots():
+    # the start roots are gated at the trace's root_tol too, so the first value fails
     model = ChainModel.semi_infinite(4, -0.5, 0.16)
-    with pytest.raises(ConvergenceError, match=r"branch i at e_d = -0\.8: \|eta\| = "):
+    with pytest.raises(ConvergenceError, match=r"branch i at e_d = -0\.9: \|eta\| = "):
         trace(model, "e_d", [-0.9, -0.8], root_tol=1e-30)
+
+
+def test_trace_starts_past_band_edge_roots_no_branch_links():
+    # at g = 0.02 both sheet-I bound states lie within 1e-7 of a band edge and
+    # miss the |eta| gate of discrete_states; no branch links to them
+    model = ChainModel.infinite(0.05, 0.2)
+    values = np.linspace(0.02, 0.4, 201)
+    with pytest.raises(RootCountError, match="band edge"):
+        discrete_states(model.with_params(g=0.02))
+    (branch,) = trace(model, "g", values).branches
+    for p in branch.points:
+        assert abs(eta(model.with_params(g=p.value), SheetedEnergy(p.z, Sheet.II))) <= 1e-9, p
 
 
 # --------------------------------------------------------------------- find_ep
