@@ -138,10 +138,6 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
     # The leading coefficient of p changes sign where a root passes w = infinity.
     lead = _w_coefficients(model, e_d, g * g)[:, -1]
-    # The census leaves out a first value with g = 0 (a decoupled level) or, at
-    # n_d = 1, with a root at w = infinity: either has one real state, no resonance.
-    if g[0] == 0 or lead[0] == 0:
-        return Trajectory(parameter=parameter, values=values)
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
     deg, block = _census_block(model)
     links = max(1, block - 1)
@@ -150,6 +146,8 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         rows = np.arange(first, min(first + links, n - 1) + 1)
         census = _census(model, e_d[rows], g[rows])
         if first == 0:
+            if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
+                return Trajectory(parameter=parameter, values=values)
             current = np.flatnonzero(census.cls[0] == _RESONANCE)
             z0 = census.z[0, current]
             current = current[np.lexsort((-z0.imag, z0.real))].tolist()

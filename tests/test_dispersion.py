@@ -438,25 +438,51 @@ def test_pair_below_the_rounding_of_z_is_one_resonance_and_one_antiresonance():
     assert pair[0].w == pair[1].w.conjugate() and pair[0].w.imag < 0
 
 
-@pytest.mark.parametrize("offset", [5e-13, -5e-13, 1e-9, -1e-9])
-def test_near_bic_models_give_the_full_census(offset):
+# (n_d, g) -> signs of the 1e-9 offsets where a near-BIC resonance still has
+# Im w > 0: its Im z rounds to -6e-17, not 0, so the sign of Im z picks the
+# non-decaying member of the pair (the FOUND note on dispersion._census in
+# CHANGES.md).  Taking the class from Im w alone should turn these green.
+_IM_Z_PICKS_GROWING = {
+    (3, 0.2): "+", (3, 0.45): "-+", (5, 0.05): "+", (5, 0.2): "-+", (6, 0.2): "-+",
+    (7, 0.05): "-+", (7, 0.2): "-+", (7, 0.45): "-+", (8, 0.05): "-+", (8, 0.2): "-",
+    (8, 0.45): "-+", (9, 0.05): "-+", (9, 0.2): "-+", (10, 0.05): "-", (10, 0.2): "-+",
+    (10, 0.45): "-+", (11, 0.05): "-+", (11, 0.2): "-+", (11, 0.45): "-+",
+    (12, 0.05): "-+", (12, 0.2): "-+", (12, 0.45): "-+", (13, 0.05): "-+",
+    (13, 0.2): "-+", (13, 0.45): "-+", (14, 0.05): "-+", (14, 0.2): "-+",
+    (14, 0.45): "-+", (15, 0.05): "-+", (15, 0.2): "+", (15, 0.45): "-+",
+    (16, 0.05): "-+", (16, 0.2): "-+", (16, 0.45): "-+",
+}
+
+
+def _near_bic_case(n_d, g, offset):
+    sign = "+" if offset > 0 else "-"
+    if abs(offset) == 1e-9 and sign in _IM_Z_PICKS_GROWING.get((n_d, g), ""):
+        mark = pytest.mark.xfail(strict=True, reason="Im z of rounding picks the Im w > 0 member")
+        return pytest.param(n_d, g, offset, marks=mark)
+    return (n_d, g, offset)
+
+
+@pytest.mark.parametrize(
+    "n_d, g, offset",
+    [_near_bic_case(n_d, g, offset) for offset in (5e-13, -5e-13, 1e-9, -1e-9)
+     for n_d in range(2, 17) for g in (0.05, 0.2, 0.45)],
+)
+def test_near_bic_models_give_the_full_census(n_d, g, offset):
     # offsets within 1e-12 collapse the pair to the BIC; the others leave a
-    # resonance whose width can round to 0, and then its w decides.  (Where
-    # the width rounds to +-6e-17 instead, the sign of Im z still decides.)
+    # resonance whose width can round to 0 in z
     omega = np.linspace(-2.5, 2.5, 200)
-    for n_d in range(2, 17):
-        for g in (0.05, 0.2, 0.45):
-            base = ChainModel.semi_infinite(n_d, 0.0, g)
-            for e in bic_energies(base):
-                model = base.with_params(e_d=e + offset)
-                states = attach_norms(model, discrete_states(model))
-                assert len(states) == n_d + 1, (n_d, g, e)
-                assert all(np.isfinite(s.norm) for s in states), (n_d, g, e)
-                for s in states:
-                    if s.state_class is StateClass.RESONANCE:
-                        assert s.z.imag < 0 or (s.z.imag == 0 and s.w.imag < 0), (n_d, g, e, s)
-                sg = decompose(model, omega, states=states)
-                assert np.isfinite(sg.total).all() and np.isfinite(sg.continuum_residual).all()
+    base = ChainModel.semi_infinite(n_d, 0.0, g)
+    growing = []
+    for e in bic_energies(base):
+        model = base.with_params(e_d=e + offset)
+        states = attach_norms(model, discrete_states(model))
+        assert len(states) == n_d + 1, e
+        assert all(np.isfinite(s.norm) for s in states), e
+        sg = decompose(model, omega, states=states)
+        assert np.isfinite(sg.total).all() and np.isfinite(sg.continuum_residual).all()
+        growing += [s for s in states if s.state_class is StateClass.RESONANCE
+                    and not (s.w.imag < 0 and s.z.imag <= 0)]
+    assert not growing
 
 
 @pytest.mark.parametrize(
