@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dispersion import ROOT_TOL, bic_energies, discrete_states, polish_seeds
 from .errors import FanochainError, ModelError
-from .model import INFINITE, SEMI_INFINITE, ChainModel, validate
+from .model import INFINITE, SEMI_INFINITE, ChainModel
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from .spectrum import decompose
 from .states import attach_norms
@@ -126,10 +126,9 @@ def model_from_args(args) -> ChainModel:
     if args.chain is None or args.ed is None or args.g is None:
         raise ModelError("need --model or all of --chain/--ed/--g")
     variant = SEMI_INFINITE if args.chain == "semi" else INFINITE
-    model = ChainModel(
+    return ChainModel(
         variant, args.ed, args.g, n_d=args.nd, v=args.v, transition_weight=args.weight, e_c=args.ec
     )
-    return validate(model)
 
 
 class _JsonOnly(list):

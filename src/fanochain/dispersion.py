@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ModelError, RootCountError
-from .model import ChainModel, validate
+from .errors import ConvergenceError, FanochainError, ModelError, RootCountError
+from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sheeted_s, _sigma, self_energy, self_energy_deriv, sqrt_branch
 
 #: Default acceptance threshold on |eta| at a reported root.
@@ -94,15 +94,9 @@ def bic_energies(model: ChainModel) -> list[float]:
     These are -cos(pi*k/n_d) for k = 1 .. n_d - 1, where the impurity
     decouples by interference with the wall.  The infinite chain has none.
     """
-    validate(model)
     if not model.is_semi_infinite:
         raise ModelError("no BIC in the infinite chain")
-    return _bic_energies(model.n_d)
-
-
-def _bic_energies(n_d: int) -> list[float]:
-    """bic_energies of a valid semi-infinite chain with n_d sites."""
-    return sorted(-math.cos(math.pi * k / n_d) for k in range(1, n_d))
+    return sorted(-math.cos(math.pi * k / model.n_d) for k in range(1, model.n_d))
 
 
 def eta(model: ChainModel, z: SheetedEnergy) -> complex:
@@ -152,33 +146,33 @@ def _horner_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     return y[:n], y[n:]
 
 
-def _w_roots(coeffs: np.ndarray) -> np.ndarray:
+def _w_roots(desc: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of a stack of polynomials p(w), Newton-polished on p.
 
-    coeffs is an (N, deg + 1) stack of ascending coefficients with nonzero
-    leading terms; row i of the (N, deg) result holds the roots of row i.
-    The companion matrices are built as np.roots builds them and go to one
-    np.linalg.eigvals call, and the Horner loop starts from zero as
-    np.polyval does, so a single row gives bit for bit the roots np.roots
-    and np.polyval would.  Three Newton steps on p follow; a step is kept
-    only where it lowers |p|, and they end once none is.  The descending
-    rows of p and of p' (led by a zero, which leaves Horner's value
-    unchanged) are stacked once, so each round is one _horner pass.  Real
-    coefficients keep real roots exactly real and conjugate pairs exactly
-    conjugate.
+    desc is an (N, deg + 1) stack of descending coefficients with nonzero
+    leading terms, and top the finite first rows -desc[:, 1:] / desc[:, :1]
+    of their companion matrices; row i of the (N, deg) result holds the
+    roots of row i.  The companion matrices are built as np.roots builds
+    them and go to one np.linalg.eigvals call, and the Horner loop starts
+    from zero as np.polyval does, so a single row gives bit for bit the
+    roots np.roots and np.polyval would.  Three Newton steps on p follow;
+    a step is kept only where it lowers |p|, and they end once none is.
+    The descending rows of p and of p' (led by a zero, which leaves
+    Horner's value unchanged) are stacked once, so each round is one
+    _horner pass.  Real coefficients keep real roots exactly real and
+    conjugate pairs exactly conjugate.
     """
-    desc = coeffs[:, ::-1]
     n, deg = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, deg, deg))
-    companion[:, :1, :] = (-desc[:, 1:] / desc[:, :1])[:, None, :]
+    companion[:, :1, :] = top[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     w = np.linalg.eigvals(companion)
     rows = np.zeros((2 * n, deg + 1))
     rows[:n] = desc
     rows[n:, 1:] = desc[:, :-1] * np.arange(deg, 0, -1)
-    y = _horner(rows, np.concatenate([w, w]))
-    p, slope = y[:n], y[n:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = _horner(rows, np.concatenate([w, w]))
+        p, slope = y[:n], y[n:]
         for _ in range(3):
             trial = w - p / slope
             y = _horner(rows, np.concatenate([trial, trial]))
@@ -257,6 +251,13 @@ def _census(model: ChainModel, e_d, g) -> _Census:
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
     rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
     other rows keep the full degree) are not solved.
+
+    Raises
+    ------
+    FanochainError
+        If a solved row's companion matrix is not finite: its coefficients
+        (e_d against g^2 v^2) span more than the double range.  The message
+        names the first such row's e_d and g.
     """
     e_d = np.asarray(e_d, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -264,15 +265,24 @@ def _census(model: ChainModel, e_d, g) -> _Census:
     # Python's float power, as the scalar model code squares g: numpy
     # squares by multiplication, which can differ in the last bit.
     g2 = np.array([x**2 for x in g[rows].tolist()])
-    coeffs = _w_coefficients(model, e_d[rows], g2)
-    # Powers of w that vanish in every row go, as np.roots strips them; a
-    # row that still loses its leading term is left out.
-    coeffs = coeffs[:, : np.flatnonzero(coeffs.any(axis=0)).max(initial=0) + 1]
-    full = coeffs[:, -1] != 0
-    rows, g2, coeffs = rows[full], g2[full], coeffs[full]
+    with np.errstate(over="ignore", invalid="ignore"):  # the top-row check below reports it
+        coeffs = _w_coefficients(model, e_d[rows], g2)
+        # Powers of w that vanish in every row go, as np.roots strips them; a
+        # row that still loses its leading term is left out.
+        coeffs = coeffs[:, : np.flatnonzero(coeffs.any(axis=0)).max(initial=0) + 1]
+        full = coeffs[:, -1] != 0
+        rows, g2, desc = rows[full], g2[full], coeffs[full, ::-1]
+        top = -desc[:, 1:] / desc[:, :1]
+    finite = np.isfinite(top).all(axis=1)
+    if not finite.all():
+        i = rows[finite.argmin()]
+        raise FanochainError(
+            f"the companion matrix of p(w) is not finite at e_d = {float(e_d[i])!r}, "
+            f"g = {float(g[i])!r}: its coefficients span more than the double range"
+        )
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
-    w = _w_roots(coeffs)
+    w = _w_roots(desc, top)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
@@ -284,7 +294,7 @@ def _census(model: ChainModel, e_d, g) -> _Census:
         np.where((z.imag < 0) | ((z.imag == 0) & (w.imag < 0)), _RESONANCE, _ANTIRESONANCE),
     )
     z = np.where(real_w, z.real, z)
-    energies = np.array(_bic_energies(model.n_d) if model.is_semi_infinite else [])
+    energies = np.array(bic_energies(model) if model.is_semi_infinite else [])
     # The BIC energies lie far apart: a row hits at most one.
     i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
     kept = np.ones(w.shape, dtype=bool)
@@ -360,8 +370,9 @@ def discrete_states(
     RootCountError
         If a root misses the |eta| gate (typically a real root so close to
         a band edge that no double z resolves it).
+    FanochainError
+        If p(w) spans more than the double range (see _census).
     """
-    validate(model)
     if include_antiresonances is None:
         include_antiresonances = not model.is_semi_infinite
 

@@ -5,11 +5,21 @@ at zero energy, the half-bandwidth is the energy unit, so the continuum
 occupies the real interval [-1, 1].  Photon energy enters only through
 Omega = omega + e_c; every spectral routine is parametrized by Omega
 directly and the core level e_c merely relabels the axis.
+
+A ChainModel is checked once, when it is built: validate runs in
+__post_init__, so the constructors, from_dict, with_params and
+dataclasses.replace all refuse an invalid model with a ModelError, and
+no solver checks its model again.  Besides the per-field constraints,
+a coupled model (g > 0) needs g^2 v^2, the coupling strength in every
+dispersion polynomial, to be a finite normal double, with g^2 and v^2
+each finite: past that range the coupling overflows, or underflows
+and the census comes back short.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ModelError
@@ -51,21 +61,24 @@ class ChainModel:
     transition_weight: float = 1.0
     e_c: float = 0.0
 
+    def __post_init__(self):
+        validate(self)
+
     @staticmethod
     def semi_infinite(n_d: int, e_d: float, g: float, **kwargs) -> "ChainModel":
-        return validate(ChainModel(SEMI_INFINITE, e_d, g, n_d=n_d, **kwargs))
+        return ChainModel(SEMI_INFINITE, e_d, g, n_d=n_d, **kwargs)
 
     @staticmethod
     def infinite(e_d: float, g: float, **kwargs) -> "ChainModel":
-        return validate(ChainModel(INFINITE, e_d, g, **kwargs))
+        return ChainModel(INFINITE, e_d, g, **kwargs)
 
     @property
     def is_semi_infinite(self) -> bool:
         return self.variant == SEMI_INFINITE
 
     def with_params(self, **kwargs) -> "ChainModel":
-        """Copy of the model with some fields replaced, re-validated."""
-        return validate(replace(self, **kwargs))
+        """Copy of the model with some fields replaced (and so validated)."""
+        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         d = {
@@ -82,6 +95,8 @@ class ChainModel:
 
     @staticmethod
     def from_dict(d: dict) -> "ChainModel":
+        if not isinstance(d, dict):
+            raise ModelError(f"a model descriptor must be a JSON object, got {type(d).__name__}")
         known = {"variant", "n_d", "e_d", "g", "v", "transition_weight", "e_c"}
         unknown = set(d) - known
         if unknown:
@@ -89,7 +104,7 @@ class ChainModel:
         for req in ("variant", "e_d", "g"):
             if req not in d:
                 raise ModelError(f"missing model field: {req}")
-        return validate(ChainModel(**d))
+        return ChainModel(**d)
 
     @staticmethod
     def from_json(path) -> "ChainModel":
@@ -99,6 +114,9 @@ class ChainModel:
 
 def validate(model: ChainModel) -> ChainModel:
     """Check every field constraint; return the model unchanged if valid.
+
+    ChainModel.__post_init__ runs this on every model built, so a
+    ChainModel that exists has passed it.
 
     Raises
     ------
@@ -122,12 +140,17 @@ def validate(model: ChainModel) -> ChainModel:
         value = getattr(model, name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ModelError(f"{name} must be a real number, got {value!r}")
-        if value != value or value in (float("inf"), float("-inf")):
+        if not abs(value) <= sys.float_info.max:  # nan, inf or an int past every double
             raise ModelError(f"{name} must be finite, got {value!r}")
     if model.g < 0:
         raise ModelError(f"g must be >= 0, got {model.g}")
     if model.v <= 0:
         raise ModelError(f"v must be > 0, got {model.v}")
+    g, v = float(model.g), float(model.v)
+    if g > 0 and not sys.float_info.min <= (g * g) * (v * v) <= sys.float_info.max:
+        raise ModelError(
+            f"g^2 v^2 must be a finite normal double, got g = {model.g!r}, v = {model.v!r}"
+        )
     if model.transition_weight <= 0:
         raise ModelError(f"transition_weight must be > 0, got {model.transition_weight}")
     return model

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dispersion import DiscreteState, StateClass, discrete_states
 from .errors import BranchPointError, FanochainError
-from .model import ChainModel, validate
+from .model import ChainModel
 from .selfenergy import Sheet, _sigma
 from .states import _norms, bic_line_weight, bound_weight, normalization
 
@@ -88,7 +88,6 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     The curve is computed on the whole grid, and one np.where zeroes both
     kinds of point.
     """
-    validate(model)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(np.abs(omega) == 1.0):
         raise BranchPointError("grid point exactly at a band edge")
@@ -178,7 +177,6 @@ def decompose(
     continuum residual that is not finite (a nan Omega or norm) raises
     FanochainError.
     """
-    validate(model)
     if omega is None:
         omega = default_grid()
     omega = np.atleast_1d(np.asarray(omega, dtype=float))

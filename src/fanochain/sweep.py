@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
 from .dispersion import _audit, _census, _rate_terms, _residual, _w_coefficients, _w_rows
 from .errors import ConvergenceError, ModelError
-from .model import ChainModel, validate
+from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
 
 #: Residual bound on |eta| and |eta'| at a reported exceptional point.
@@ -130,7 +130,6 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         raise ModelError("need at least two parameter values")
     if not np.all(np.diff(values) > 0):
         raise ModelError("parameter values must be strictly increasing")
-    validate(model)
     model.with_params(**{parameter: float(values[0])})
     model.with_params(**{parameter: float(values[-1])})
     n = len(values)
@@ -238,7 +237,6 @@ def find_ep(
         system, or settles at g^2 <= 0 or with a residual not below ep_tol.
         The trace holds (z, g^2(w), e_d(w)) at each iterate.
     """
-    validate(model)
     z = complex(seed.z if isinstance(seed, EpSeed) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
     # base, d_ed, d_g2 (rows) and their first two derivatives (layers), against w^k
@@ -347,7 +345,6 @@ def scan_for_ep_seeds(
         If a grid size is not positive, a range endpoint is not finite or
         the g range starts below 0.
     """
-    validate(model)
     if n_g <= 0 or n_ed <= 0:
         raise ModelError("grid sizes must be positive")
     if not all(math.isfinite(x) for x in (*g_range, *ed_range)):

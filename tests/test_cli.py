@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,43 @@ def test_trajectory_sweep_not_increasing_is_usage_error(capsys, start, stop):
               "--start", start, "--stop", stop])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: parameter values must be strictly increasing")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--ed", "0.3", "--g", "1e200"],
+        ["roots", "--ed", "0.3", "--g", "0.2", "--v", "1e200"],
+        ["roots", "--ed", "0.3", "--g", "1e-200"],
+        ["roots", "--ed", "0", "--g", "0.2", "--v", "1e-300"],
+        ["roots", "--ed", "0.3", "--g", "1e-100", "--v", "1e160"],  # v^2 overflows
+        ["roots", "--ed", "0.3", "--g", "1e155", "--v", "1e-155"],  # g^2 overflows
+        ["trajectory", "--ed", "0.3", "--g", "0.2", "--parameter", "g",
+         "--start", "1e-200", "--stop", "0.3"],
+    ],
+)
+def test_coupling_outside_the_double_range_is_usage_error(capsys, argv):
+    # past the double range the coupling overflows, or underflows and the census comes back short
+    rc = run([argv[0], "--chain", "semi", "--nd", "4", *argv[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: g^2 v^2 must be a finite normal double")
+
+
+def test_companion_matrix_not_finite_is_numerical_failure(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        rc = run(["roots", "--chain", "semi", "--nd", "4", "--ed", "1e300", "--g", "1e-5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "companion matrix" in err and "e_d = 1e+300, g = 1e-05" in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", '[{"a": 1}]'])
+def test_model_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text):
+    descriptor = tmp_path / "model.json"
+    descriptor.write_text(text)
+    assert run(["roots", "--model", str(descriptor)]) == 2
+    assert capsys.readouterr().err.startswith("error: a model descriptor must be a JSON object")
 
 
 def test_float_formatting_17_digits(tmp_path):

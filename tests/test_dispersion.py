@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from fanochain import (
     BranchPointError,
     ChainModel,
     ConvergenceError,
+    FanochainError,
     ModelError,
     RootCountError,
     Sheet,
@@ -588,6 +590,20 @@ def test_polish_seeds_refuses_a_seed_between_two_states():
     w = (a.w + b.w) / 2 + 1j * (b.w - a.w)
     with pytest.raises(ConvergenceError, match="not within half the gap.*ambiguous seed"):
         polish_seeds(model, [((w + 1 / w) / 2, II)])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ChainModel.semi_infinite(4, 1e300, 1e-5), ChainModel.infinite(-1e308, 1e-5)],
+    ids=["semi", "infinite"],
+)
+def test_companion_matrix_not_finite_fails_loudly(model):
+    # a valid model whose p(w) spans more than the double range: no LinAlgError, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"not finite at e_d = {model.e_d!r}, g = 1e-05")
+        with pytest.raises(FanochainError, match=message):
+            discrete_states(model)
 
 
 def test_polish_seeds_fails_with_the_census(semi_model):

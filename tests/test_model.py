@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -35,10 +37,12 @@ def test_missing_nd_rejected():
         validate(ChainModel(SEMI_INFINITE, -0.5, 0.2))
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [("g", -0.1), ("v", 0.0), ("v", -1.0), ("transition_weight", 0.0), ("e_d", float("nan"))],
-)
+BAD_SCALARS = [
+    ("g", -0.1), ("v", 0.0), ("v", -1.0), ("transition_weight", 0.0), ("e_d", float("nan"))
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_SCALARS)
 def test_bad_scalars_rejected(field, value):
     kwargs = {"variant": SEMI_INFINITE, "n_d": 4, "e_d": -0.5, "g": 0.2}
     kwargs[field] = value
@@ -57,6 +61,10 @@ def test_validation_idempotent():
     g=st.floats(min_value=0, max_value=1, allow_nan=False),
 )
 def test_validation_idempotent_property(n_d, e_d, g):
+    if g > 0 and g * g < sys.float_info.min:  # g^2 v^2 (v = 1) underflows
+        with pytest.raises(ModelError, match=r"g\^2 v\^2"):
+            ChainModel(SEMI_INFINITE, e_d, g, n_d=n_d)
+        return
     m = validate(ChainModel(SEMI_INFINITE, e_d, g, n_d=n_d))
     assert validate(m) == m
 
@@ -83,3 +91,33 @@ def test_with_params_revalidates():
     assert m.with_params(g=0.3).g == 0.3
     with pytest.raises(ModelError):
         m.with_params(g=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [*BAD_SCALARS, ("n_d", 3)])
+@pytest.mark.parametrize("way", ["init", "replace", "with_params", "from_dict"])
+def test_invalid_model_is_refused_when_built(field, value, way):
+    # no solver runs: the model itself cannot be built (n_d is bad on the infinite chain)
+    if field == "n_d":
+        base = ChainModel.infinite(-0.5, 0.2)
+    else:
+        base = ChainModel.semi_infinite(4, -0.5, 0.2)
+    fields = {**base.to_dict(), field: value}
+    build = {
+        "init": lambda: ChainModel(**fields),
+        "replace": lambda: dataclasses.replace(base, **{field: value}),
+        "with_params": lambda: base.with_params(**{field: value}),
+        "from_dict": lambda: ChainModel.from_dict(fields),
+    }[way]
+    with pytest.raises(ModelError, match=field.split("_")[0]):
+        build()
+
+
+@pytest.mark.parametrize("g,v", [(0.0, 1e200), (0.0, 1e-300), (1e-150, 1.0), (1e150, 1e-150)])
+def test_coupling_inside_the_double_range_is_accepted(g, v):
+    # (g g)(v v) must be a finite normal double only where g > 0
+    assert ChainModel.semi_infinite(4, 0.3, g, v=v).g == g
+
+
+def test_integer_past_every_double_rejected():
+    with pytest.raises(ModelError, match="e_d must be finite"):
+        ChainModel.semi_infinite(4, 10**400, 0.2)
