@@ -15,7 +15,10 @@ squaring, the real polynomial
 
 of degree 2 n_d (the infinite chain, Sigma = 2 v^2 w / (1 - w^2), gives
 the quartic (w^2 - 2 e_d w + 1)(1 - w^2) - 4 g^2 v^2 w^2).  Each root of
-p is one discrete state, and its sheet is read off from |w|.
+p is one discrete state, and its sheet is read off from |w|.  A complex
+root lies on sheet II and comes with its exact conjugate: the member with
+Im w < 0 is the resonance and the other its anti-resonance, so one sign
+decides every pair, even where the width rounds away in z.
 
 Generic census for the semi-infinite chain: n_d - 1 decaying resonances in
 the lower half of sheet II, their growing conjugate partners above, and
@@ -51,7 +54,7 @@ class StateClass(enum.Enum):
 
     BOUND_I = "boundI"          # real, outside the band, physical sheet
     BOUND_II = "boundII"        # real, outside the band, second sheet (virtual)
-    RESONANCE = "resonance"     # Im z < 0 (or Im z == 0 and Im w < 0), second sheet
+    RESONANCE = "resonance"     # Im w < 0 (so Im z <= 0), second sheet
     ANTIRESONANCE = "antiresonance"  # its conjugate partner
     BIC = "bic"                 # real, inside the band, zero width
 
@@ -113,17 +116,22 @@ def eta_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
-def _w_coefficients(model: ChainModel, e_d: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Ascending real coefficients of p(w), one row per (e_d, g^2) pair."""
-    G = g2 * model.v**2
+def _w_rows(model: ChainModel) -> np.ndarray:
+    """Ascending rows base, d_ed, d_g2 of p(w) = base + e_d * d_ed + g^2 * d_g2: the one
+    place that knows each chain's polynomial (module docstring) and so its degree."""
+    c = -4.0 * model.v**2
     if model.is_semi_infinite:
-        coeffs = np.zeros((len(e_d), 2 * model.n_d + 1))
-        coeffs[:, 0], coeffs[:, 1], coeffs[:, 2] = 1.0, -2.0 * e_d, 1.0
-        coeffs[:, 2::2] -= 4.0 * G[:, None]
-        return coeffs
-    # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 G w^2, expanded
-    one = np.ones_like(e_d)
-    return np.stack([one, -2.0 * e_d, -4.0 * G, 2.0 * e_d, -one], axis=1)
+        rows = np.zeros((3, 2 * model.n_d + 1))
+        rows[:2, :3] = [[1.0, 0.0, 1.0], [0.0, -2.0, 0.0]]
+        rows[2, 2::2] = c
+        return rows
+    # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 g^2 v^2 w^2, expanded
+    return np.array([[1.0, 0.0, 0.0, 0.0, -1.0], [0.0, -2.0, 0.0, 2.0, 0.0], [0.0, 0.0, c, 0.0, 0.0]])
+
+
+def _w_coefficients(rows: np.ndarray, e_d: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of p(w) from the rows of _w_rows, one row per (e_d, g^2) pair."""
+    return rows[0] + e_d[:, None] * rows[1] + g2[:, None] * rows[2]
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,48 +143,43 @@ def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _horner_pair(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_horner of a and of b at x in one pass (leading zeros pad both to one length
-    and leave Horner's value unchanged); a single row broadcasts over x."""
-    n, m = len(x), max(a.shape[1], b.shape[1])
-    rows = np.zeros((2, n, m))
-    rows[0, :, m - a.shape[1] :] = a
-    rows[1, :, m - b.shape[1] :] = b
-    y = _horner(rows.reshape(2 * n, m), np.concatenate([x, x]))
+def _horner_slope(value: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
+    """(value(x), p'(x)) in one _horner pass of one stack: value and p ascending, one
+    row per row of x (value may be one row for all); p' is led by a zero, which leaves
+    Horner's value unchanged."""
+    n, m = coeffs.shape
+    desc = np.zeros((2 * n, m))
+    desc[:n] = value[:, ::-1]
+    desc[n:, 1:] = coeffs[:, :0:-1] * np.arange(m - 1, 0, -1)
+    y = _horner(desc, np.concatenate([x, x]))
     return y[:n], y[n:]
 
 
-def _w_roots(desc: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of a stack of polynomials p(w), Newton-polished on p.
 
-    desc is an (N, deg + 1) stack of descending coefficients with nonzero
-    leading terms, and top the finite first rows -desc[:, 1:] / desc[:, :1]
-    of their companion matrices; row i of the (N, deg) result holds the
-    roots of row i.  The companion matrices are built as np.roots builds
-    them and go to one np.linalg.eigvals call, and the Horner loop starts
-    from zero as np.polyval does, so a single row gives bit for bit the
-    roots np.roots and np.polyval would.  Three Newton steps on p follow;
-    a step is kept only where it lowers |p|, and they end once none is.
-    The descending rows of p and of p' (led by a zero, which leaves
-    Horner's value unchanged) are stacked once, so each round is one
-    _horner pass.  Real coefficients keep real roots exactly real and
-    conjugate pairs exactly conjugate.
+    coeffs is an (N, deg + 1) stack of ascending coefficients with nonzero
+    leading terms, and top the finite first rows -coeffs[:, -2::-1] /
+    coeffs[:, -1:] of their companion matrices; row i of the (N, deg)
+    result holds the roots of row i.  The companion matrices are built as
+    np.roots builds them and go to one np.linalg.eigvals call, and the
+    Horner loop starts from zero as np.polyval does, so a single row gives
+    bit for bit the roots np.roots and np.polyval would.  Three Newton
+    steps on p follow; a step is kept only where it lowers |p|, and they
+    end once none is.  Each round is one _horner_slope pass.
+    Real coefficients keep real roots exactly real and conjugate pairs
+    exactly conjugate.
     """
-    n, deg = desc.shape[0], desc.shape[1] - 1
+    n, deg = coeffs.shape[0], coeffs.shape[1] - 1
     companion = np.zeros((n, deg, deg))
     companion[:, :1, :] = top[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     w = np.linalg.eigvals(companion)
-    rows = np.zeros((2 * n, deg + 1))
-    rows[:n] = desc
-    rows[n:, 1:] = desc[:, :-1] * np.arange(deg, 0, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = _horner(rows, np.concatenate([w, w]))
-        p, slope = y[:n], y[n:]
+        p, slope = _horner_slope(coeffs, coeffs, w)
         for _ in range(3):
             trial = w - p / slope
-            y = _horner(rows, np.concatenate([trial, trial]))
-            p_trial, slope_trial = y[:n], y[n:]
+            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
             better = np.abs(p_trial) < np.abs(p)
             if not better.any():
                 break
@@ -184,13 +187,6 @@ def _w_roots(desc: np.ndarray, top: np.ndarray) -> np.ndarray:
             p = np.where(better, p_trial, p)
             slope = np.where(better, slope_trial, slope)
     return w
-
-
-def _w_rows(model: ChainModel) -> np.ndarray:
-    """Ascending rows base, d_ed, d_g2 of p(w) = base + e_d * d_ed + g^2 * d_g2."""
-    rows = _w_coefficients(model, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    rows[1:] -= rows[0]
-    return rows
 
 
 def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
@@ -203,9 +199,7 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
     """
     rows = _w_rows(model)
     dp_dq = rows[1:2] if parameter == "e_d" else 2.0 * g[:, None] * rows[2]
-    coeffs = _w_coefficients(model, e_d, g * g)
-    dp_dw = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    dp, slope = _horner_pair(dp_dq[:, ::-1], dp_dw[:, ::-1], w)
+    dp, slope = _horner_slope(dp_dq, _w_coefficients(rows, e_d, g * g), w)
     return -dp, slope
 
 
@@ -241,11 +235,13 @@ def _census(model: ChainModel, e_d, g) -> _Census:
 
     This is the solve of discrete_states done on arrays.  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
-    pair (exact, as p is real) the resonance is the member with Im z < 0,
-    or with Im w < 0 where Im z rounds to 0; the other is its
-    anti-resonance.  At an exact BIC e_d the |w| = 1 pair collapses to that
-    one zero-width state, its Im w < 0 member, and the other member is not
-    kept (the collapse runs only when some row's e_d hits a BIC energy).
+    pair (exact, as p is real) the resonance is the member with Im w < 0
+    and the other is its anti-resonance.  Both lie on sheet II, where Im z
+    has the sign of Im w; where rounding (|w| near 1) gives Im z the other
+    sign, z is pinned to the real axis.  At an exact BIC e_d the |w| = 1
+    pair collapses to that one zero-width state, its Im w < 0 member, and
+    the other member is not kept (the collapse runs only when some row's
+    e_d hits a BIC energy).
     Nothing here gates the roots; see _audit.
 
     Rows with g = 0 (one decoupled state, handled by discrete_states) and
@@ -266,13 +262,13 @@ def _census(model: ChainModel, e_d, g) -> _Census:
     # squares by multiplication, which can differ in the last bit.
     g2 = np.array([x**2 for x in g[rows].tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # the top-row check below reports it
-        coeffs = _w_coefficients(model, e_d[rows], g2)
+        coeffs = _w_coefficients(_w_rows(model), e_d[rows], g2)
         # Powers of w that vanish in every row go, as np.roots strips them; a
         # row that still loses its leading term is left out.
         coeffs = coeffs[:, : np.flatnonzero(coeffs.any(axis=0)).max(initial=0) + 1]
         full = coeffs[:, -1] != 0
-        rows, g2, desc = rows[full], g2[full], coeffs[full, ::-1]
-        top = -desc[:, 1:] / desc[:, :1]
+        rows, g2, coeffs = rows[full], g2[full], coeffs[full]
+        top = -coeffs[:, -2::-1] / coeffs[:, -1:]
     finite = np.isfinite(top).all(axis=1)
     if not finite.all():
         i = rows[finite.argmin()]
@@ -282,18 +278,18 @@ def _census(model: ChainModel, e_d, g) -> _Census:
         )
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
-    w = _w_roots(desc, top)
+    w = _w_roots(coeffs, top)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
     real_w = w.imag == 0.0
     sheet_ii = ~real_w | (np.abs(w) >= 1.0)
     cls = np.where(
-        real_w,
-        np.where(sheet_ii, _BOUND_II, _BOUND_I),
-        np.where((z.imag < 0) | ((z.imag == 0) & (w.imag < 0)), _RESONANCE, _ANTIRESONANCE),
+        real_w, np.where(sheet_ii, _BOUND_II, _BOUND_I), np.where(w.imag < 0, _RESONANCE, _ANTIRESONANCE)
     )
-    z = np.where(real_w, z.real, z)
+    # pinned to the axis: the z of a real w, and one whose Im z rounding (|w|
+    # near 1) gave the sign opposite to Im w's
+    z = np.where(np.sign(z.imag) == -np.sign(w.imag), z.real, z)
     energies = np.array(bic_energies(model) if model.is_semi_infinite else [])
     # The BIC energies lie far apart: a row hits at most one.
     i, k = np.nonzero(np.abs(energies - e_d) < 1e-12)
@@ -353,8 +349,8 @@ def discrete_states(
     a sheet fixed by w alone: a real w is a real state outside the band,
     on sheet I (bound state) if |w| < 1 and on sheet II (virtual state)
     otherwise; a complex w is a sheet-II state, and each conjugate pair of
-    them is one resonance (Im z < 0, or Im z = 0 and Im w < 0 where its
-    width is below the rounding of z) and one anti-resonance.  When e_d
+    them is one resonance (Im w < 0) and one anti-resonance (Im w > 0);
+    where the width is below the rounding of z, Im z is 0.  When e_d
     sits exactly on a BIC energy the conjugate pair on |w| = 1 collapses
     to that one zero-width state.  So every root of p is one state, except
     that a BIC is one pair.  Every state must meet |eta(z)| < root_tol on

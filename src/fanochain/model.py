@@ -13,7 +13,8 @@ no solver checks its model again.  Besides the per-field constraints,
 a coupled model (g > 0) needs g^2 v^2, the coupling strength in every
 dispersion polynomial, to be a finite normal double, with g^2 and v^2
 each finite: past that range the coupling overflows, or underflows
-and the census comes back short.
+and the census comes back short.  At every g, g = 0 included, 4 v^2,
+the g^2 row of every dispersion polynomial, must be finite.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def validate(model: ChainModel) -> ChainModel:
         raise ModelError(
             f"g^2 v^2 must be a finite normal double, got g = {model.g!r}, v = {model.v!r}"
         )
+    if not 4.0 * (v * v) <= sys.float_info.max:
+        raise ModelError(f"4 v^2 must be finite, got v = {model.v!r}")
     if model.transition_weight <= 0:
         raise ModelError(f"transition_weight must be > 0, got {model.transition_weight}")
     return model

@@ -87,7 +87,7 @@ class EpResult:
 
 def _census_block(model: ChainModel) -> tuple[int, int]:
     """The degree deg of p(w) and the most rows one batched census holds, SCAN_BLOCK / deg^2."""
-    deg = 2 * model.n_d if model.is_semi_infinite else 4
+    deg = _w_rows(model).shape[1] - 1
     return deg, max(1, SCAN_BLOCK // deg**2)
 
 
@@ -136,7 +136,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
     # The leading coefficient of p changes sign where a root passes w = infinity.
-    lead = _w_coefficients(model, e_d, g * g)[:, -1]
+    lead = _w_coefficients(_w_rows(model), e_d, g * g)[:, -1]
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
     deg, block = _census_block(model)
     links = max(1, block - 1)
@@ -342,15 +342,14 @@ def scan_for_ep_seeds(
     Raises
     ------
     ModelError
-        If a grid size is not positive, a range endpoint is not finite or
-        the g range starts below 0.
+        If a grid size is not positive, or if the model at either grid
+        corner, (g_range[0], ed_range[0]) or (g_range[1], ed_range[1]), is
+        invalid.
     """
     if n_g <= 0 or n_ed <= 0:
         raise ModelError("grid sizes must be positive")
-    if not all(math.isfinite(x) for x in (*g_range, *ed_range)):
-        raise ModelError(f"scan ranges must be finite, got g {g_range}, e_d {ed_range}")
-    if g_range[0] < 0:
-        raise ModelError(f"g must be >= 0, got g range {g_range}")
+    model.with_params(g=g_range[0], e_d=ed_range[0])
+    model.with_params(g=g_range[1], e_d=ed_range[1])
     if g_range[0] > g_range[1] or ed_range[0] > ed_range[1]:
         return []
     gs = np.linspace(g_range[0], g_range[1], n_g)

@@ -175,6 +175,17 @@ def test_ep_record(tmp_path):
     assert float(rows[0]["res_etaprime"]) < 1e-10
 
 
+def test_ep_at_small_v(tmp_path):
+    # the scan and find_ep at v = 1e-5 give the one EP of the v = 1 model, at the same g v
+    out = tmp_path / "ep.csv"
+    rc = run(["ep", "--chain", "semi", "--nd", "4", "--ed", "-0.5", "--g", "20000", "--v", "1e-5",
+              "--g-range", "10000", "25000", "--ed-range", "-0.8", "0", "--out", str(out)])
+    assert rc == 0
+    (row,) = read_csv(out)
+    assert float(row["g"]) * 1e-5 == pytest.approx(0.1728447982297487, rel=1e-13)
+    assert float(row["res_eta"]) < 1e-14 and float(row["res_etaprime"]) < 1e-14
+
+
 def test_selfenergy_probe(capsys):
     rc = run(
         [
@@ -230,24 +241,33 @@ def test_trajectory_sweep_not_increasing_is_usage_error(capsys, start, stop):
     assert capsys.readouterr().err.startswith("error: parameter values must be strictly increasing")
 
 
+_G2V2, _V2 = "g^2 v^2 must be a finite normal double", "4 v^2 must be finite"
+_OUT_OF_RANGE = [
+    (["roots", "--ed", "0.3", "--g", "1e200"], _G2V2),
+    (["roots", "--ed", "0.3", "--g", "0.2", "--v", "1e200"], _G2V2),
+    (["roots", "--ed", "0.3", "--g", "1e-200"], _G2V2),
+    (["roots", "--ed", "0", "--g", "0.2", "--v", "1e-300"], _G2V2),
+    (["roots", "--ed", "0.3", "--g", "1e-100", "--v", "1e160"], _G2V2),  # v^2 overflows
+    (["roots", "--ed", "0.3", "--g", "1e155", "--v", "1e-155"], _G2V2),  # g^2 overflows
+    (["trajectory", "--ed", "0.3", "--g", "0.2", "--parameter", "g",
+      "--start", "1e-200", "--stop", "0.3"], _G2V2),
+    # v^2 overflows where g = 0
+    (["trajectory", "--ed", "0.3", "--g", "0", "--v", "1e200",
+      "--start", "0.1", "--stop", "0.2", "--steps", "3"], _V2),
+    (["selfenergy", "--ed", "0.3", "--g", "0", "--v", "1e200", "--re", "0.3"], _V2),
+    # the EP scan's far grid corner
+    (["ep", "--ed", "0.3", "--g", "0.2", "--g-range", "0", "1e200", "--ed-range", "-0.8", "0"], _G2V2),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["roots", "--ed", "0.3", "--g", "1e200"],
-        ["roots", "--ed", "0.3", "--g", "0.2", "--v", "1e200"],
-        ["roots", "--ed", "0.3", "--g", "1e-200"],
-        ["roots", "--ed", "0", "--g", "0.2", "--v", "1e-300"],
-        ["roots", "--ed", "0.3", "--g", "1e-100", "--v", "1e160"],  # v^2 overflows
-        ["roots", "--ed", "0.3", "--g", "1e155", "--v", "1e-155"],  # g^2 overflows
-        ["trajectory", "--ed", "0.3", "--g", "0.2", "--parameter", "g",
-         "--start", "1e-200", "--stop", "0.3"],
-    ],
+    "argv, error", _OUT_OF_RANGE, ids=[f"argv{i}" for i in range(len(_OUT_OF_RANGE))]
 )
-def test_coupling_outside_the_double_range_is_usage_error(capsys, argv):
+def test_coupling_outside_the_double_range_is_usage_error(capsys, argv, error):
     # past the double range the coupling overflows, or underflows and the census comes back short
     rc = run([argv[0], "--chain", "semi", "--nd", "4", *argv[1:]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: g^2 v^2 must be a finite normal double")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 def test_companion_matrix_not_finite_is_numerical_failure(capsys):

@@ -24,7 +24,8 @@ from fanochain import (
     self_energy,
 )
 from fanochain.dispersion import _ANTIRESONANCE, _CLASSES, _RESONANCE, ROOT_TOL, DiscreteState
-from fanochain.dispersion import _audit, _census, _raise_fault, _states, polish_seeds
+from fanochain.dispersion import _audit, _census, _raise_fault, _states, _w_coefficients, _w_rows
+from fanochain.dispersion import polish_seeds
 from fanochain.spectrum import decompose
 from fanochain.states import attach_norms
 from oracles import census_by_z, newton_polish, sigma_quadrature, sort_and_label, winding_number
@@ -322,6 +323,26 @@ def test_single_model_solve_matches_np_roots(model):
         assert abs(s.residual - abs(eta(model, s.sheeted()))) <= 4 * degree * eps * scale
 
 
+@pytest.mark.parametrize("v", [1.0, 0.7, 1e-5])
+@pytest.mark.parametrize("n_d", [1, 2, 5, None], ids=["n_d=1", "n_d=2", "n_d=5", "infinite"])
+def test_w_rows_are_the_expanded_polynomial(n_d, v):
+    # the g^2 row is -4 v^2 itself, not (1 - 4 v^2) - 1, which loses digits at small v,
+    # and each stack is p(w) expanded
+    model = ChainModel.semi_infinite(n_d, 0.0, 0.0, v=v) if n_d else ChainModel.infinite(0.0, 0.0, v=v)
+    rows = _w_rows(model)
+    assert rows.shape == (3, 2 * n_d + 1 if n_d else 5)
+    assert rows[2][rows[2] != 0].tolist() == [-4.0 * v**2] * (n_d or 1)
+    e_d, g = np.array([-0.5, 0.3, 1.7]), np.array([0.2, 3.0, 1e-3]) / v
+    P = np.polynomial.polynomial
+    for coeffs, e, g2 in zip(_w_coefficients(rows, e_d, g * g), e_d, g * g):
+        level, coupling = [1.0, -2.0 * e, 1.0], 4.0 * g2 * v**2 * np.array([0.0, 0.0, 1.0])
+        if n_d:  # (w^2 - 2 e_d w + 1) - 4 g^2 v^2 w^2 sum_{k<n_d} w^(2k)
+            want = P.polysub(level, P.polymul(coupling, [1.0, 0.0] * (n_d - 1) + [1.0]))
+        else:  # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 g^2 v^2 w^2
+            want = P.polysub(P.polymul(level, [1.0, 0.0, -1.0]), coupling)
+        np.testing.assert_array_equal(coeffs, want)
+
+
 def test_g_zero_single_state():
     m = ChainModel.semi_infinite(4, -0.5, 0.0)
     states = discrete_states(m)
@@ -410,6 +431,10 @@ def test_census_rows_keep_every_root_and_agree_with_the_rule_by_z():
         assert census.rows.tolist() == list(range(48))
         at_bic = (np.abs(census.e_d - energies) < 1e-12).any(axis=1)
         kept, cls, z = census.kept, census.cls, census.z
+        # one sign decides each pair, and z never has the other one
+        res, anti = cls == _RESONANCE, cls == _ANTIRESONANCE
+        assert (census.w.imag[res] < 0).all() and (z.imag[res] <= 0).all()
+        assert (census.w.imag[anti] > 0).all() and (z.imag[anti] >= 0).all()
         np.testing.assert_array_equal(kept.sum(axis=1), census.w.shape[1] - at_bic)
         np.testing.assert_array_equal(
             (kept & (cls == _RESONANCE)).sum(axis=1), (kept & (cls == _ANTIRESONANCE)).sum(axis=1)
@@ -440,33 +465,9 @@ def test_pair_below_the_rounding_of_z_is_one_resonance_and_one_antiresonance():
     assert pair[0].w == pair[1].w.conjugate() and pair[0].w.imag < 0
 
 
-# (n_d, g) -> signs of the 1e-9 offsets where a near-BIC resonance still has
-# Im w > 0: its Im z rounds to -6e-17, not 0, so the sign of Im z picks the
-# non-decaying member of the pair (the FOUND note on dispersion._census in
-# CHANGES.md).  Taking the class from Im w alone should turn these green.
-_IM_Z_PICKS_GROWING = {
-    (3, 0.2): "+", (3, 0.45): "-+", (5, 0.05): "+", (5, 0.2): "-+", (6, 0.2): "-+",
-    (7, 0.05): "-+", (7, 0.2): "-+", (7, 0.45): "-+", (8, 0.05): "-+", (8, 0.2): "-",
-    (8, 0.45): "-+", (9, 0.05): "-+", (9, 0.2): "-+", (10, 0.05): "-", (10, 0.2): "-+",
-    (10, 0.45): "-+", (11, 0.05): "-+", (11, 0.2): "-+", (11, 0.45): "-+",
-    (12, 0.05): "-+", (12, 0.2): "-+", (12, 0.45): "-+", (13, 0.05): "-+",
-    (13, 0.2): "-+", (13, 0.45): "-+", (14, 0.05): "-+", (14, 0.2): "-+",
-    (14, 0.45): "-+", (15, 0.05): "-+", (15, 0.2): "+", (15, 0.45): "-+",
-    (16, 0.05): "-+", (16, 0.2): "-+", (16, 0.45): "-+",
-}
-
-
-def _near_bic_case(n_d, g, offset):
-    sign = "+" if offset > 0 else "-"
-    if abs(offset) == 1e-9 and sign in _IM_Z_PICKS_GROWING.get((n_d, g), ""):
-        mark = pytest.mark.xfail(strict=True, reason="Im z of rounding picks the Im w > 0 member")
-        return pytest.param(n_d, g, offset, marks=mark)
-    return (n_d, g, offset)
-
-
 @pytest.mark.parametrize(
     "n_d, g, offset",
-    [_near_bic_case(n_d, g, offset) for offset in (5e-13, -5e-13, 1e-9, -1e-9)
+    [(n_d, g, offset) for offset in (5e-13, -5e-13, 1e-9, -1e-9)
      for n_d in range(2, 17) for g in (0.05, 0.2, 0.45)],
 )
 def test_near_bic_models_give_the_full_census(n_d, g, offset):

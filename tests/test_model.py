@@ -112,10 +112,18 @@ def test_invalid_model_is_refused_when_built(field, value, way):
         build()
 
 
-@pytest.mark.parametrize("g,v", [(0.0, 1e200), (0.0, 1e-300), (1e-150, 1.0), (1e150, 1e-150)])
+@pytest.mark.parametrize("g,v", [(0.0, 1e150), (0.0, 1e-300), (1e-150, 1.0), (1e150, 1e-150)])
 def test_coupling_inside_the_double_range_is_accepted(g, v):
     # (g g)(v v) must be a finite normal double only where g > 0
     assert ChainModel.semi_infinite(4, 0.3, g, v=v).g == g
+
+
+@pytest.mark.parametrize("g,v", [(0.0, 1e200), (0.0, 1e154), (1e-154, 1e154)])
+def test_v_squared_past_the_double_range_is_refused(g, v):
+    # the g^2 row -4 v^2 of p(w) must be finite even where g = 0; at v = 1e154,
+    # v^2 and g^2 v^2 are finite but 4 v^2 is not
+    with pytest.raises(ModelError, match=r"4 v\^2 must be finite"):
+        ChainModel.semi_infinite(4, 0.3, g, v=v)
 
 
 def test_integer_past_every_double_rejected():

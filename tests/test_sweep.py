@@ -429,6 +429,19 @@ def test_find_ep_flagship():
     assert ep.residual_eta_prime < 1e-10
 
 
+@pytest.mark.parametrize("v", [1.0, 0.01, 1e-4, 1e-5])
+def test_find_ep_does_not_move_with_v(v):
+    # p depends on g and v only through g v, so the EP does not move at fixed g v;
+    # its g^2 row is -4 v^2 exactly, not (1 - 4 v^2) - 1
+    seed_z = -0.41 - 0.15j
+    ref = find_ep(ChainModel.semi_infinite(4, -0.4, 0.17), (0.17, -0.4, seed_z))
+    ep = find_ep(ChainModel.semi_infinite(4, -0.4, 0.17 / v, v=v), (0.17 / v, -0.4, seed_z))
+    assert ep.g * v == pytest.approx(ref.g, rel=1e-13)
+    assert ep.e_d == pytest.approx(ref.e_d, rel=1e-13)
+    assert ep.z == pytest.approx(ref.z, rel=1e-13)
+    assert ep.residual_eta < 1e-14 and ep.residual_eta_prime < 1e-14
+
+
 def test_ep_result_holds_python_floats():
     m = ChainModel.semi_infinite(4, -0.4, 0.17)
     ep = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
@@ -504,11 +517,16 @@ def test_scan_finds_flagship_seed():
 
 @pytest.mark.parametrize(
     "g_range, ed_range",
-    [((-1.0, -0.5), (-0.8, 0.0)), ((0.1, 0.25), (-0.8, math.nan)), ((0.1, math.inf), (-0.8, 0.0))],
-    ids=["negative-g", "nan", "inf"],
+    [
+        ((-1.0, -0.5), (-0.8, 0.0)),
+        ((0.1, 0.25), (-0.8, math.nan)),
+        ((0.1, math.inf), (-0.8, 0.0)),
+        ((0.0, 1e200), (-0.8, 0.0)),  # g^2 v^2 overflows
+    ],
+    ids=["negative-g", "nan", "inf", "overflow"],
 )
 def test_scan_rejects_invalid_range(g_range, ed_range):
-    # cells of these ranges are invalid models: an error, not failed cells and []
+    # a corner of these grids is an invalid model: an error, not failed cells and []
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     with pytest.raises(ModelError):
         scan_for_ep_seeds(m, g_range, ed_range)
