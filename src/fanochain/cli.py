@@ -229,8 +229,9 @@ def _emit(args, record: dict) -> None:
     _write(args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n")
 
 
-def _read_seeds(path: str) -> list[tuple[complex, Sheet]]:
-    """(z, sheet) pairs from a JSON roots file; a malformed record is a ModelError."""
+def _read_seeds(path: str) -> list[tuple]:
+    """(z, sheet, w) seeds from a JSON roots file, or (z, sheet) where a record has
+    no re_w and im_w; a malformed record is a ModelError."""
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -238,19 +239,29 @@ def _read_seeds(path: str) -> list[tuple[complex, Sheet]]:
     seeds = []
     for i, rec in enumerate(records):
         try:
-            re_z, im_z, sheet = rec["re_z"], rec["im_z"], rec.get("sheet", 2)
-            if bool in (type(re_z), type(im_z), type(sheet)):
-                raise TypeError("a JSON boolean is not a coordinate or a sheet")
-            z = complex(re_z, im_z)
-            if not cmath.isfinite(z):
-                raise ValueError("NaN and Infinity are not coordinates")
-            seeds.append((z, Sheet(sheet)))
+            z = _coordinate(rec["re_z"], rec["im_z"])
+            w = [_coordinate(rec["re_w"], rec["im_w"])] if "re_w" in rec or "im_w" in rec else []
+            sheet = rec.get("sheet", 2)
+            if type(sheet) is bool:
+                raise TypeError("a JSON boolean is not a sheet")
+            seeds.append((z, Sheet(sheet), *w))
         except (TypeError, KeyError, ValueError, OverflowError):
             raise ModelError(
                 f"seed record {i} {json.dumps(rec)}: need an object with finite numeric "
-                "re_z and im_z and an optional sheet of 1 or 2"
+                "re_z and im_z, optional finite numeric re_w and im_w (both or neither) "
+                "and an optional sheet of 1 or 2"
             ) from None
     return seeds
+
+
+def _coordinate(re, im) -> complex:
+    """The finite complex number re + i im of a seed record."""
+    if bool in (type(re), type(im)):
+        raise TypeError("a JSON boolean is not a coordinate")
+    x = complex(re, im)
+    if not cmath.isfinite(x):
+        raise ValueError("NaN and Infinity are not coordinates")
+    return x
 
 
 def _cmd_roots(model: ChainModel, args) -> None:
@@ -266,6 +277,8 @@ def _cmd_roots(model: ChainModel, args) -> None:
         **_re_im("z", [s.z for s in states]),
         **_re_im("norm", [s.norm for s in states]),
         "residual": [s.residual for s in states],
+        # the root of p(w): it tells apart the two members of a pair whose width rounds away in z
+        **{k: _JsonOnly(c.tolist()) for k, c in _re_im("w", [s.w for s in states]).items()},
         "sheet": _JsonOnly(s.sheet.value for s in states),
         "near_degenerate": _JsonOnly(s.near_degenerate for s in states),
     }

@@ -155,6 +155,30 @@ def _horner_slope(value: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
     return y[:n], y[n:]
 
 
+def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):
+    """Newton on p from the roots w, one row of roots per row of coeffs (ascending).
+
+    A step is kept only where it lowers |p|, and the rounds end once none
+    is, or after ``rounds``.  Returns (w, p(w), moving), where moving marks
+    the roots whose last step was kept: a root not moving has stalled, and
+    stays so, since its next step would be the same.  So each root's result
+    depends on its own row alone.  Each round is one _horner_slope pass.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, slope = _horner_slope(coeffs, coeffs, w)
+        moving = np.ones(w.shape, dtype=bool)
+        for _ in range(rounds):
+            trial = w - p / slope
+            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
+            moving = np.abs(p_trial) < np.abs(p)
+            if not moving.any():
+                break
+            w = np.where(moving, trial, w)
+            p = np.where(moving, p_trial, p)
+            slope = np.where(moving, slope_trial, slope)
+    return w, p, moving
+
+
 def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of a stack of polynomials p(w), Newton-polished on p.
 
@@ -164,9 +188,8 @@ def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     result holds the roots of row i.  The companion matrices are built as
     np.roots builds them and go to one np.linalg.eigvals call, and the
     Horner loop starts from zero as np.polyval does, so a single row gives
-    bit for bit the roots np.roots and np.polyval would.  Three Newton
-    steps on p follow; a step is kept only where it lowers |p|, and they
-    end once none is.  Each round is one _horner_slope pass.
+    bit for bit the roots np.roots and np.polyval would.  Three rounds of
+    _newton on p follow.
     Real coefficients keep real roots exactly real and conjugate pairs
     exactly conjugate.
     """
@@ -174,19 +197,61 @@ def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     companion = np.zeros((n, deg, deg))
     companion[:, :1, :] = top[:, None, :]
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    w = np.linalg.eigvals(companion)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, slope = _horner_slope(coeffs, coeffs, w)
-        for _ in range(3):
-            trial = w - p / slope
-            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
-            better = np.abs(p_trial) < np.abs(p)
-            if not better.any():
-                break
-            w = np.where(better, trial, w)
-            p = np.where(better, p_trial, p)
-            slope = np.where(better, slope_trial, slope)
-    return w
+    return _newton(coeffs, np.linalg.eigvals(companion), 3)[0]
+
+
+#: Newton rounds within which every root of a warm-started row must stall.
+_WARM_ROUNDS = 8
+
+#: Bound on the backward error |p(w)| / sum |a_k| |w|^k of a certified root, in (deg + 1) eps.
+_BACKWARD_ERROR = 4
+
+#: Bound on the rounding error of Horner's |p(w)|, in (deg + 1) eps sum |a_k| |w|^k: about
+#: 2 deg eps for complex w and real a (Higham, Accuracy and Stability, sections 3.6 and 5.1),
+#: doubled to cover the rounding of the sum itself.
+_HORNER_ROUNDING = 4
+
+
+def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
+    """(w, certified): _newton on p from approximate roots, and the rows it certifies.
+
+    coeffs is an (N, deg + 1) stack of ascending real coefficients and
+    start holds deg approximations per row, closed under conjugation.  A
+    row is certified when
+    - every root's Newton stalled within _WARM_ROUNDS rounds;
+    - every backward error |p(w)| / sum |a_k| |w|^k is at most
+      _BACKWARD_ERROR (deg + 1) eps;
+    - the inclusion discs about its roots are pairwise disjoint.  The disc
+      about w_i has radius deg (|p(w_i)| + Horner rounding bound) /
+      |a_n prod_{j != i} (w_i - w_j)|, and each disc of a disjoint set
+      holds exactly one root of p (Braess and Hadeler, Numer. Math. 21,
+      1973; Carstensen, Numer. Math. 59, 1991).  Every product must be
+      finite and every radius positive and finite: an overflowing product
+      would give a radius of 0, and an overflowing bound or a duplicated
+      root (a product of 0) an infinite one.
+    Any non-finite value fails its test.  The disc of a real w_i is
+    symmetric about the axis and that of a complex w_i mirrors its
+    conjugate's, so disjoint discs also certify that each real w_i stands
+    for a real root and each complex one for a complex root on its side of
+    the axis: the roots are classed as the companion-matrix roots would be.
+    """
+    deg = coeffs.shape[1] - 1
+    w, p, moving = _newton(coeffs, start, _WARM_ROUNDS)
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        p, size = np.abs(p), _horner(np.abs(coeffs[:, ::-1]), np.abs(w))
+        gap = np.abs(w[:, :, None] - w[:, None, :])
+        other = ~np.eye(deg, dtype=bool)
+        product = np.abs(coeffs[:, -1:]) * np.prod(np.where(other, gap, 1.0), axis=-1)
+        radius = deg * (p + _HORNER_ROUNDING * (deg + 1) * eps * size) / product
+        apart = (gap > radius[:, :, None] + radius[:, None, :]) | ~other
+        certified = (
+            ~moving.any(axis=1)
+            & (p <= _BACKWARD_ERROR * (deg + 1) * eps * size).all(axis=1)
+            & ((radius > 0) & (product < np.inf)).all(axis=1)
+            & apart.all(axis=(1, 2))
+        )
+    return w, certified
 
 
 def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
@@ -201,6 +266,43 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
     dp_dq = rows[1:2] if parameter == "e_d" else 2.0 * g[:, None] * rows[2]
     dp, slope = _horner_slope(dp_dq, _w_coefficients(rows, e_d, g * g), w)
     return -dp, slope
+
+
+#: A sweep census solves every _STRIDE-th value of the sweep by _w_roots (see _census).
+_STRIDE = 4
+
+
+def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) -> np.ndarray:
+    """Roots of the rows of coeffs (top as for _w_roots): the values ``index``
+    (increasing) of a sweep over ``parameter`` whose impurity levels and
+    couplings, by value, are e_d and g.
+
+    A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
+    is not among the rows, is solved by _w_roots.  Each other row starts
+    from its anchor's roots moved by their rate, w + (dw/dq) dq with dw/dq
+    from _rate_terms, and keeps the roots of _certified_roots if they are
+    certified, else it too is solved by _w_roots.  So a row's roots depend
+    only on its own coefficients and its anchor's.
+    """
+    anchor = index - index % _STRIDE
+    at = np.searchsorted(index, anchor)  # the anchor's row, where it is a row
+    eig = (index == anchor) | (index[np.minimum(at, len(index) - 1)] != anchor)
+    w = np.zeros((len(index), coeffs.shape[1] - 1), dtype=complex)
+    w[eig] = _w_roots(coeffs[eig], top[eig])
+    warm = np.flatnonzero(~eig)
+    if warm.size:
+        rate = np.zeros_like(w)
+        q = e_d if parameter == "e_d" else g
+        with np.errstate(all="ignore"):
+            minus_dp, slope = _rate_terms(model, parameter, w[eig], e_d[index[eig]], g[index[eig]])
+            rate[eig] = minus_dp / slope
+            a = at[warm]
+            start = w[a] + rate[a] * (q[index[warm]] - q[index[a]])[:, None]
+        w[warm], certified = _certified_roots(coeffs[warm], start)
+        redo = warm[~certified]
+        if redo.size:
+            w[redo] = _w_roots(coeffs[redo], top[redo])
+    return w
 
 
 #: StateClass by the integer code the batched census uses.
@@ -230,10 +332,16 @@ class _Census:
     kept: np.ndarray      # false only for the Im w > 0 member of a BIC pair
 
 
-def _census(model: ChainModel, e_d, g) -> _Census:
+def _census(model: ChainModel, e_d, g, sweep: tuple[str, int, int] | None = None) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified.
 
-    This is the solve of discrete_states done on arrays.  Each root maps to
+    This is the solve of discrete_states done on arrays, each row by
+    _w_roots.  A sweep (parameter, first, stop) marks the rows as the
+    values of one sweep over parameter ('e_d' or 'g') and solves only the
+    rows first .. stop - 1: every _STRIDE-th value by _w_roots, and the
+    values between from their anchor's roots, certified (_sweep_roots).
+    A first value between anchors has its anchor solved too, and then left
+    out.  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
     pair (exact, as p is real) the resonance is the member with Im w < 0
     and the other is its anti-resonance.  Both lie on sheet II, where Im z
@@ -258,6 +366,9 @@ def _census(model: ChainModel, e_d, g) -> _Census:
     e_d = np.asarray(e_d, dtype=float)
     g = np.asarray(g, dtype=float)
     rows = np.flatnonzero(g > 0)
+    if sweep is not None:
+        parameter, first, stop = sweep
+        rows = rows[(rows >= first - first % _STRIDE) & (rows < stop)]
     # Python's float power, as the scalar model code squares g: numpy
     # squares by multiplication, which can differ in the last bit.
     g2 = np.array([x**2 for x in g[rows].tolist()])
@@ -276,9 +387,14 @@ def _census(model: ChainModel, e_d, g) -> _Census:
             f"the companion matrix of p(w) is not finite at e_d = {float(e_d[i])!r}, "
             f"g = {float(g[i])!r}: its coefficients span more than the double range"
         )
+    if sweep is None:
+        w = _w_roots(coeffs, top)
+    else:
+        w = _sweep_roots(model, parameter, rows, coeffs, top, e_d, g)
+        block = rows >= first
+        rows, g2, w = rows[block], g2[block], w[block]
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
-    w = _w_roots(coeffs, top)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
@@ -447,13 +563,16 @@ def roman_label(index: int) -> str:
 
 def polish_seeds(
     model: ChainModel,
-    seeds: list[tuple[complex, Sheet]],
+    seeds: list[tuple[complex, Sheet] | tuple[complex, Sheet, complex]],
     root_tol: float = ROOT_TOL,
 ) -> list[DiscreteState]:
-    """The states of discrete_states nearest user-supplied (z, sheet) seeds.
+    """The states of discrete_states nearest user-supplied (z, sheet) or (z, sheet, w) seeds.
 
-    Each seed maps to its one w = z - s(z) on its sheet and picks the state,
-    anti-resonances included, whose root w of p is nearest.  The result is
+    Each seed maps to its w, where one is given, else to its one
+    w = z - s(z) on its sheet, and picks the state, anti-resonances
+    included, whose root w of p is nearest.  A given w tells apart the two
+    members of a conjugate pair whose width rounds away in z, which share
+    one z and so one z - s(z).  The result is
     the picked states, each once, in census order and with census labels,
     so a seed list exported from the same model gives back exactly the
     states it came from.  Used by the CLI round trip, where previously
@@ -466,7 +585,7 @@ def polish_seeds(
     Raises
     ------
     BranchPointError
-        For a seed at z = +-1.
+        For a seed at z = +-1 without a w.
     ConvergenceError
         If a seed's nearest state lies on the other sheet, if a seed is not
         within half the gap around its nearest state, or if two seeds pick
@@ -480,9 +599,10 @@ def polish_seeds(
     gaps = np.abs(roots[:, None] - roots)
     np.fill_diagonal(gaps, np.inf)
     picked = {}
-    for n, (z0, sheet) in enumerate(seeds):
+    for n, (z0, sheet, *w0) in enumerate(seeds):
         z0 = complex(z0)
-        dist = np.abs(roots - (z0 - sqrt_branch(SheetedEnergy(z0, sheet))))
+        w0 = complex(*w0) if w0 else z0 - sqrt_branch(SheetedEnergy(z0, sheet))
+        dist = np.abs(roots - w0)
         i = int(dist.argmin())
         state, seed = states[i], f"seed z = {z0} on sheet {sheet.name}"
         if state.sheet is not sheet:

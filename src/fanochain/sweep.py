@@ -1,11 +1,15 @@
 """Trajectory tracing and exceptional-point location.
 
-A trajectory solves every value of its sweep at once, as one stack of
-dispersion polynomials p(w) (the batched census of the EP scan), and then
-links each branch from one value to the next in w, where both sheets form
-one plane and roots move continuously through the band: to the root
-nearest its Euler prediction, with dw/dq = -(dp/dq)/p'(w) read off p in
-closed form (in z this is the identity dz/de_d = N, the normalization).
+A trajectory solves its sweep as one stack of dispersion polynomials p(w)
+(the batched census of the EP scan in sweep mode): every 4th value by its
+companion matrix, and each value between from its anchor's roots, moved
+by their Euler step and Newton-polished on p, wherever the result is
+certified (pairwise disjoint inclusion discs, one root in each), else
+by its companion matrix too.  It then links each branch from one value
+to the next in w, where both sheets form one plane and roots move
+continuously through the band: to the root nearest its Euler prediction,
+with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
+identity dz/de_d = N, the normalization).
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone.
@@ -95,7 +99,15 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     """Trace every resonance branch over the sorted parameter values.
 
     The whole sweep is solved as one stack of polynomials p(w), in blocks
-    of at most SCAN_BLOCK / deg^2 values.  Branches are the resonances of
+    of at most SCAN_BLOCK / deg^2 values (a block that starts between
+    anchors solves its anchor too).  Every 4th value of the sweep is an
+    anchor, solved by its companion matrix; each value between starts from
+    its anchor's roots moved by their rate, and keeps the Newton-polished
+    roots only where they are certified (_certified_roots: every root's
+    Newton stalled, backward errors at rounding level, pairwise disjoint
+    inclusion discs), else it too is a companion-matrix solve.  So a
+    value's roots depend only on its own parameters and its anchor's, and
+    the blocks do not change the result.  Branches are the resonances of
     its first row, classed as discrete_states classes them and labelled
     (i), (ii), ... by ascending Re z (then ascending width).  Each branch
     is linked in w to the root nearest its Euler prediction
@@ -143,7 +155,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     # Blocks overlap by one value, so each block links its own values.
     for first in range(0, n - 1, links):
         rows = np.arange(first, min(first + links, n - 1) + 1)
-        census = _census(model, e_d[rows], g[rows])
+        census = _census(model, e_d, g, sweep=(parameter, first, rows[-1] + 1))
         if first == 0:
             if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
                 return Trajectory(parameter=parameter, values=values)

@@ -311,6 +311,9 @@ def test_float_formatting_17_digits(tmp_path):
         [{"re_z": -0.4, "im_z": -0.1, "sheet": False}],
         [{"re_z": math.nan, "im_z": -0.1}],  # not a number, though JSON reads it
         [{"re_z": -0.4, "im_z": -math.inf}],
+        [{"re_z": -0.4, "im_z": -0.1, "re_w": -1.2}],  # re_w without im_w
+        [{"re_z": -0.4, "im_z": -0.1, "re_w": -1.2, "im_w": True}],
+        [{"re_z": -0.4, "im_z": -0.1, "re_w": math.nan, "im_w": 0.3}],
     ],
 )
 def test_malformed_seed_record_is_usage_error(tmp_path, capsys, records):
@@ -322,6 +325,35 @@ def test_malformed_seed_record_is_usage_error(tmp_path, capsys, records):
     err = capsys.readouterr().err
     assert err.startswith("error: seed record 0 ")
     assert json.dumps(records[0]) in err
+
+
+NEAR_BIC_MODELS = [
+    (n_d, e + offset)
+    for n_d in (3, 5, 8, 12, 16)
+    for e in bic_energies(ChainModel.semi_infinite(n_d, 0.0, 0.2))
+    for offset in (-1e-9, 1e-9)
+]
+
+
+@pytest.mark.parametrize("n_d, e_d", NEAR_BIC_MODELS)
+def test_near_bic_roots_round_trip_through_seeds(tmp_path, n_d, e_d):
+    # the width of the pair nearest the BIC rounds away in z, so both members
+    # export one real z; their re_w and im_w tell them apart
+    roots, again = tmp_path / "roots.json", tmp_path / "again.json"
+    argv = ["roots", "--chain", "semi", "--nd", str(n_d), "--g", "0.2", f"--ed={e_d!r}",
+            "--antiresonances", "--format", "json"]
+    assert run(argv + ["--out", str(roots)]) == 0
+    assert run(argv + ["--seeds", str(roots), "--out", str(again)]) == 0
+    assert again.read_bytes() == roots.read_bytes()
+
+
+def test_near_bic_models_export_pairs_with_one_z():
+    # guards the round trip above: most of its models have such a pair
+    shared = 0
+    for n_d, e_d in NEAR_BIC_MODELS:
+        states = discrete_states(ChainModel.semi_infinite(n_d, e_d, 0.2), include_antiresonances=True)
+        shared += len({s.z for s in states}) < len(states)
+    assert len(NEAR_BIC_MODELS) == 78 and shared >= 60
 
 
 def test_seed_at_branch_point_is_numerical_failure(tmp_path, capsys):
@@ -419,7 +451,11 @@ def roots_table(fmt, states):
         [s.label, s.state_class.value, s.z.real, s.z.imag, s.norm.real, s.norm.imag, s.residual]
         for s in states
     ]
-    json_only = [{"sheet": s.sheet.value, "near_degenerate": s.near_degenerate} for s in states]
+    json_only = [
+        {"sheet": s.sheet.value, "near_degenerate": s.near_degenerate,
+         "re_w": s.w.real, "im_w": s.w.imag}
+        for s in states
+    ]
     return table(fmt, header, rows, json_only)
 
 
@@ -432,10 +468,12 @@ def expect_roots_seeds(fmt, tmp_path):
     model = ChainModel.semi_infinite(4, -0.5, 0.2)
     seeds = tmp_path / "seeds.json"
     assert run(["roots", *SEMI, "--format", "json", "--out", str(seeds)]) == 0
-    pairs = [
-        (complex(r["re_z"], r["im_z"]), Sheet(r["sheet"])) for r in json.loads(seeds.read_text())
+    records = json.loads(seeds.read_text())
+    triples = [
+        (complex(r["re_z"], r["im_z"]), Sheet(r["sheet"]), complex(r["re_w"], r["im_w"]))
+        for r in records
     ]
-    states = attach_norms(model, polish_seeds(model, pairs))
+    states = attach_norms(model, polish_seeds(model, triples))
     return ["roots", *SEMI, "--seeds", str(seeds)], roots_table(fmt, states)
 
 

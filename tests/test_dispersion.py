@@ -25,6 +25,7 @@ from fanochain import (
 )
 from fanochain.dispersion import _ANTIRESONANCE, _CLASSES, _RESONANCE, ROOT_TOL, DiscreteState
 from fanochain.dispersion import _audit, _census, _raise_fault, _states, _w_coefficients, _w_rows
+from fanochain.dispersion import _certified_roots, _newton, _w_roots
 from fanochain.dispersion import polish_seeds
 from fanochain.spectrum import decompose
 from fanochain.states import attach_norms
@@ -640,6 +641,78 @@ def test_polish_seeds_refuses_a_root_on_the_other_sheet():
         polish_seeds(model, [(-1.3 + 0j, II)])
     assert info.value.trace[-1] == pytest.approx(bound.z, abs=1e-12)
     assert bound.z == pytest.approx(-0.5 * (0.2847 + 1 / 0.2847), abs=1e-3)
+
+
+# ----------------------------------------------------------- root certificate
+
+
+def companion_stack(model, e_d, g):
+    """Ascending coefficients of p(w) per (e_d, g) and the first rows of their companion matrices."""
+    coeffs = _w_coefficients(_w_rows(model), np.asarray(e_d, float), np.asarray(g, float) ** 2)
+    return coeffs, -coeffs[:, -2::-1] / coeffs[:, -1:]
+
+
+def certify_companion_roots(coeffs, top):
+    """_certified_roots from the companion roots: every row is certified, and comes back
+    bit for bit wherever one more Newton round moves no root (most rows)."""
+    roots = _w_roots(coeffs, top)
+    w, certified = _certified_roots(coeffs, roots)
+    assert certified.all()
+    stalled = ~_newton(coeffs, roots, 1)[2].any(axis=1)
+    assert stalled.mean() > 0.5
+    np.testing.assert_array_equal(w[stalled], roots[stalled])
+    return roots
+
+
+def test_certificate_keeps_the_roots_between_two_real_axis_eps():
+    # between e_d = -0.98301 and -0.98156 a complex pair has met the real axis:
+    # four real roots, two of them close to a double root near either end
+    model = ChainModel.semi_infinite(4, 0.0, 0.0625, v=0.7)
+    e_d = np.linspace(-0.983008, -0.981559, 401)
+    roots = certify_companion_roots(*companion_stack(model, e_d, np.full(e_d.size, model.g)))
+    assert ((roots.imag == 0).sum(axis=1) == 4).all()
+
+
+def test_certificate_keeps_the_roots_near_the_readme_ep():
+    model = ChainModel.semi_infinite(4, -0.5, 0.2)
+    g_ep, e_ep = 0.17284479822974866, -0.3981969742782969  # find_ep on the README box
+    offsets = np.linspace(-1e-7, 1e-7, 20)
+    g, e_d = (x.ravel() for x in np.meshgrid(g_ep + offsets, e_ep + offsets))
+    roots = certify_companion_roots(*companion_stack(model, e_d, g))
+    gap = np.where(np.eye(8, dtype=bool), np.inf, np.abs(roots[:, :, None] - roots[:, None, :]))
+    assert gap.min(axis=(1, 2)).max() < 1e-3  # a nearly double root in every row
+    # at the EP itself the double root splits by rounding alone: its discs overlap
+    coeffs, top = companion_stack(model, [e_ep], [g_ep])
+    assert not _certified_roots(coeffs, _w_roots(coeffs, top))[1].any()
+
+
+def test_certificate_rejects_a_duplicated_or_swapped_root():
+    coeffs, top = companion_stack(ChainModel.semi_infinite(4, -0.5, 0.2), [-0.5] * 4, [0.2] * 4)
+    start = _w_roots(coeffs, top)
+    start[0, 1] = start[0, 0]  # one root twice, another left out
+    start[1, 1] = start[1, 0] * (1 + 1e-9)  # swapped onto its neighbour's root
+    start[2, 3] = np.nan
+    w, certified = _certified_roots(coeffs, start)
+    assert certified.tolist() == [False, False, False, True]
+    assert abs(w[1, 1] - w[1, 0]) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "coeffs, unit, scale",
+    [
+        # roots of modulus 1e160, whose product of differences overflows
+        ([1e180, 0.0, 0.0, 1e-300], [1.0, 0.0, 0.0, 1.0], 1e160),
+        # roots of modulus 1.3e154, where sum |a_k| |w|^k overflows
+        ([1.7e308, 0.0, 1.0], [1.0, 0.0, 1.0], math.sqrt(1.7e308)),
+    ],
+    ids=["product", "bound"],
+)
+def test_certificate_rejects_an_overflowing_product_or_bound(coeffs, unit, scale):
+    # p(w) is a multiple of unit(w / scale), which is certified, so only the
+    # overflow rejects it: an infinite product must not give a disc of radius 0
+    roots = np.roots(unit[::-1])[None, :]
+    assert _certified_roots(np.array([unit]), roots)[1].all()
+    assert not _certified_roots(np.array([coeffs]), roots * scale)[1].any()
 
 
 # -------------------------------------------- argument-principle equivalence

@@ -21,8 +21,8 @@ from fanochain import (
     self_energy,
     trace,
 )
-from fanochain import sweep
-from fanochain.dispersion import ROOT_TOL, _audit, _census, _rate_terms
+from fanochain import dispersion, sweep
+from fanochain.dispersion import ROOT_TOL, _audit, _census, _rate_terms, _w_coefficients, _w_rows
 from fanochain.states import attach_norms
 from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint, _closest_pairs
 
@@ -265,7 +265,7 @@ def test_trace_sweeps_exercise_their_edge_cases():
 
 
 @pytest.mark.parametrize("sweep_name", ["bic-pinch", "real-axis-ep", "n_d=8:e_d"])
-@pytest.mark.parametrize("links", [1, 7, 50])
+@pytest.mark.parametrize("links", [1, 2, 3, 5, 7, 50])
 def test_trace_blocks_match_single_block(sweep_name, links, monkeypatch):
     model, parameter, values = TRACE_SWEEPS[sweep_name]
     deg = 2 * model.n_d
@@ -336,6 +336,10 @@ def test_trace_leaves_sampled_bic_through_the_pinch():
     assert not any(p.crossed_axis for p in branch.points)
 
 
+# weak coupling at n_d = 24: at g = 1e-4 the w^4 .. w^48 coefficients of p are -4e-8,
+# and the far roots sit where 4 g^2 |w|^46 is about 1, at |w| up to 1.46
+WEAK_SWEEP = (ChainModel.semi_infinite(24, 0.3, 0.2), "g", np.geomspace(1e-4, 0.4, 301))
+
 JUMP_SWEEPS = {
     # linked in z, branch (i) jumped at g = 0.19385 from 1.0330 - 0.0443i to
     # the virtual state at -2.2915 and ended on the real axis
@@ -367,6 +371,63 @@ def test_trace_stays_on_the_resonance_past_the_virtual_states():
     end = branch.points[-1]
     assert end.z == pytest.approx(0.4074 - 0.1953j, abs=1e-3)
     assert end.z.imag < 0 and not end.bic
+
+
+def traced(model, parameter, values):
+    """The trajectory, or the type and message of the error trace raises."""
+    try:
+        return trace(model, parameter, values)
+    except FanochainError as exc:
+        return type(exc), str(exc)
+
+
+EQUIVALENCE_SWEEPS = {
+    **{f"trace:{name}": sweep for name, sweep in TRACE_SWEEPS.items()},
+    **{f"jump:{name}": sweep for name, sweep in JUMP_SWEEPS.items()},
+    "weak:n_d=24:g": WEAK_SWEEP,
+}
+
+
+@pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
+def test_trace_matches_every_value_solved_by_eigvals(sweep_name, monkeypatch):
+    # the values between anchors start from their anchor's roots; with a
+    # stride of 1 every value is a companion-matrix solve
+    args = EQUIVALENCE_SWEEPS[sweep_name]
+    assert dispersion._STRIDE > 1
+    got = traced(*args)
+    monkeypatch.setattr(dispersion, "_STRIDE", 1)
+    want = traced(*args)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert [b.label for b in got.branches] == [b.label for b in want.branches]
+    for b, ref in zip(got.branches, want.branches):
+        assert [p._replace(z=0j) for p in b.points] == [p._replace(z=0j) for p in ref.points]
+        for p, q in zip(b.points, ref.points):
+            assert abs(p.z - q.z) <= 1e-14 * max(1.0, abs(q.z)), (b.label, p.value)
+
+
+def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
+    # each root of a value between anchors is as close to the exact root of
+    # the double-coefficient p(w) as the companion-matrix root, to 4 ulps
+    mpmath = pytest.importorskip("mpmath")
+    model, parameter, values = TRACE_SWEEPS["n_d=12:e_d"]
+    e_d, g = values[:9], np.full(9, model.g)
+    warm = _census(model, e_d, g, sweep=(parameter, 0, 9)).w
+    monkeypatch.setattr(dispersion, "_STRIDE", 1)
+    eig = _census(model, e_d, g, sweep=(parameter, 0, 9)).w
+    moved = np.flatnonzero((warm != eig).any(axis=1))
+    assert len(moved) >= 3 and not (moved % 4 == 0).any()  # the anchors are companion solves
+    coeffs = _w_coefficients(_w_rows(model), e_d, np.array([x**2 for x in g.tolist()]))
+    with mpmath.workdps(40):
+        for row in moved[:3]:
+            exact = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[row, ::-1]], maxsteps=200, extraprec=200)
+            exact = np.array([complex(r) for r in exact])
+            for w in warm[row]:
+                nearest = exact[np.abs(exact - w).argmin()]
+                companion = eig[row][np.abs(eig[row] - nearest).argmin()]
+                ulp = np.spacing(max(abs(nearest.real), abs(nearest.imag)))
+                assert abs(w - nearest) <= abs(companion - nearest) + 4 * ulp
 
 
 def test_trace_refuses_root_through_infinity():
