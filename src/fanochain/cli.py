@@ -18,6 +18,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -65,8 +66,16 @@ def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-09 (the CSV output's form) as a number, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanochain",
         description="Discrete resonance states and Fano absorption spectra of a "
         "two-level impurity in a tight-binding chain.",
@@ -108,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "ep", "scan for and polish exceptional points")
     p.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--grid", type=_count(1), nargs=2, default=[16, 16], metavar=("NG", "NED"))
-    p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--ep-tol", type=float, default=EP_TOL)
 
     p = _add_command(sub, "selfenergy", "pointwise self-energy probe")
@@ -337,17 +344,12 @@ def _cmd_trajectory(model: ChainModel, args) -> None:
 
 def _cmd_ep(model: ChainModel, args) -> None:
     g_range, ed_range = tuple(args.g_range), tuple(args.ed_range)
-    seeds = scan_for_ep_seeds(model, g_range, ed_range, *args.grid, args.threshold)
     results = []
-    for seed in seeds:
+    for seed in scan_for_ep_seeds(model, g_range, ed_range):
         try:
-            ep = find_ep(model, seed, ep_tol=args.ep_tol)
+            results.append(find_ep(model, seed, ep_tol=args.ep_tol))
         except FanochainError:
             continue
-        if not any(
-            abs(ep.g - r.g) < 1e-6 and abs(ep.e_d - r.e_d) < 1e-6 for r in results
-        ):
-            results.append(ep)
     record = {
         "g": [r.g for r in results],
         "ed": [r.e_d for r in results],

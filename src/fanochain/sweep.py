@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
-from .dispersion import _audit, _census, _rate_terms, _residual, _w_coefficients, _w_rows
-from .errors import ConvergenceError, ModelError
+from .dispersion import _census, _horner, _rate_terms, _residual, _w_coefficients, _w_roots, _w_rows
+from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
 
@@ -36,10 +35,10 @@ EP_TOL = 1e-10
 #: Two corrected branches closer than this are flagged as colliding.
 COLLISION_TOL = 1e-6
 
-#: Cap on rows * deg^2 for one batched census of an EP scan or a trace, where
-#: deg is the degree of p(w): 2 n_d, or 4 for the infinite chain.  The census
-#: holds several (rows, deg, deg) arrays, so this bounds the memory whatever
-#: the grid, sweep and n_d; a 16 x 16 grid up to n_d = 22 is one block.
+#: Cap on rows * deg^2 for one batched solve of a trace (rows of p(w), of degree
+#: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of E_g: 2 n_d, or 6).
+#: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
+#: the sweep, lines and n_d; a default scan from g = 0 is one block up to n_d = 48.
 SCAN_BLOCK = 2**19
 
 
@@ -70,12 +69,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EpSeed:
-    """Starting guess for the double-root Newton solve."""
+    """An exceptional point as scan_for_ep_seeds finds it, and a seed for find_ep."""
 
     g: float
     e_d: float
     z: complex
-    pair_distance: float
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,6 @@ class EpResult:
     z: complex
     residual_eta: float
     residual_eta_prime: float
-
-
-def _census_block(model: ChainModel) -> tuple[int, int]:
-    """The degree deg of p(w) and the most rows one batched census holds, SCAN_BLOCK / deg^2."""
-    deg = _w_rows(model).shape[1] - 1
-    return deg, max(1, SCAN_BLOCK // deg**2)
 
 
 def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
@@ -148,9 +140,11 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
     # The leading coefficient of p changes sign where a root passes w = infinity.
-    lead = _w_coefficients(_w_rows(model), e_d, g * g)[:, -1]
+    rows = _w_rows(model)
+    lead = _w_coefficients(rows, e_d, g * g)[:, -1]
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
-    deg, block = _census_block(model)
+    deg = rows.shape[1] - 1
+    block = max(1, SCAN_BLOCK // deg**2)
     links = max(1, block - 1)
     # Blocks overlap by one value, so each block links its own values.
     for first in range(0, n - 1, links):
@@ -297,84 +291,87 @@ def find_ep(
     return EpResult(g=g, e_d=e_d, z=z, residual_eta=res_eta, residual_eta_prime=res_eta_prime)
 
 
-def _closest_pairs(model: ChainModel, gs: np.ndarray, eds: np.ndarray):
-    """Closest resonance-pair distance and midpoint on the (g, e_d) grid.
-
-    Cells with fewer than two resonances, and cells where discrete_states
-    would raise, get distance inf.  The cells are solved in blocks of at
-    most SCAN_BLOCK / deg^2.
-    """
-    g_cells, ed_cells = (c.ravel() for c in np.meshgrid(gs, eds, indexing="ij"))
-    dist = np.full(g_cells.size, np.inf)
-    mid = np.zeros(g_cells.size, dtype=complex)
-    _, block = _census_block(model)
-    for start in range(0, g_cells.size, block):
-        cells = slice(start, start + block)
-        census = _census(model, ed_cells[cells], g_cells[cells])
-        _, _, failed = _audit(model, census, ROOT_TOL)
-        z = census.z
-        resonance = (census.cls == _RESONANCE) & ~failed[:, None]
-        a, b = np.triu_indices(z.shape[1], 1)
-        gap = np.where(resonance[:, a] & resonance[:, b], np.abs(z[:, a] - z[:, b]), np.inf)
-        if gap.size:  # empty when no cell was solved or p has fewer than two roots
-            best = gap.argmin(axis=1)
-            k = np.arange(len(z))
-            dist[start + census.rows] = gap[k, best]
-            mid[start + census.rows] = 0.5 * (z[k, a[best]] + z[k, b[best]])
-    return dist.reshape(len(gs), len(eds)), mid.reshape(len(gs), len(eds))
-
-
 def scan_for_ep_seeds(
     model: ChainModel,
     g_range: tuple[float, float],
     ed_range: tuple[float, float],
     n_g: int = 16,
     n_ed: int = 16,
-    threshold: float = 0.2,
 ) -> list[EpSeed]:
-    """Grid scan for near-coalescing resonance pairs, as EP Newton seeds.
+    """Every exceptional point of a resonance pair in the box, each once.
 
-    Every returned cell is a local minimum of the closest-pair distance
-    over the grid and lies below the threshold.  Seeds are sorted by pair
-    distance, closest first.
+    p = P + e_d D with P = base + g^2 d_g2 and D = d_ed (the rows of
+    _w_rows), so on a line of fixed g the double roots of p are the roots
+    w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
+    and an EP is one with complex w and real e_d.  E_g is solved by
+    _w_roots on n_g evenly spaced lines, in blocks of at most SCAN_BLOCK /
+    deg^2.  Each root with Im w < 0 is linked to the nearest root of the
+    next line (of a conjugate pair, the one with Im w <= 0), and find_ep
+    polishes each sign change of Im e_d along a link, from the w where its
+    linear interpolation vanishes.  A polish that fails or lands outside
+    the box is dropped.  Lines at g = 0 (no coupling) and lines where E_g
+    loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and
+    their neighbours are linked across them.  Where E_g loses its leading
+    term at g = 0 (the semi-infinite chain at n_d >= 2), its complex roots
+    come in from w = infinity as a power of g, so the first interval is
+    split further at g_1 / 2, g_1 / 4, ..., g_1 / 2^20 (g_1 the second
+    line), which moves them by a bounded factor per step; no EP below the
+    last is sought (further down, at n_d = 40 below g ~ 1e-11, the roots
+    of E_g lose their accuracy).  The infinite chain has no EP.
 
-    The whole grid is solved at once: its dispersion polynomials differ
-    only in the e_d and g coefficients, so they form one stack of
-    companion matrices for a single eigenvalue call, classified and
-    gated as discrete_states does.  A cell where discrete_states would
-    raise (a root failing the |eta| gate) holds no pair and is skipped, as
-    is a cell with g = 0.
-
-    The threshold is deliberately generous: the pair splitting grows like
-    the square root of the parameter distance to the coalescence point
-    (about 1.0 * sqrt(delta) for the semi-infinite chain), so any grid of
-    desk-scale resolution sees minima of order 0.05-0.2, all of which sit
-    comfortably inside the Newton basin of the double-root solve.
+    Returns an EpSeed per EP in the box, with the EP's own g, e_d and z,
+    sorted by g, then e_d.  n_ed is not used; callers still pass it.
 
     Raises
     ------
     ModelError
-        If a grid size is not positive, or if the model at either grid
-        corner, (g_range[0], ed_range[0]) or (g_range[1], ed_range[1]), is
-        invalid.
+        If n_g < 2, or if the model at either box corner, (g_range[0],
+        ed_range[0]) or (g_range[1], ed_range[1]), is invalid.
     """
-    if n_g <= 0 or n_ed <= 0:
-        raise ModelError("grid sizes must be positive")
+    if n_g < 2:
+        raise ModelError(f"need at least two g lines, got n_g = {n_g}")
     model.with_params(g=g_range[0], e_d=ed_range[0])
     model.with_params(g=g_range[1], e_d=ed_range[1])
     if g_range[0] > g_range[1] or ed_range[0] > ed_range[1]:
         return []
-    gs = np.linspace(g_range[0], g_range[1], n_g)
-    eds = np.linspace(ed_range[0], ed_range[1], n_ed)
-
-    dist, mid = _closest_pairs(model, gs, eds)
-    # a finite cell below the threshold (a nan threshold bars none) and at most every
-    # neighbour in its 3 x 3 window (cells off the grid are inf)
-    window = sliding_window_view(np.pad(dist, 1, constant_values=np.inf), (3, 3))
-    minimum = np.isfinite(dist) & ~(dist >= threshold) & (dist <= window.min(axis=(-2, -1)))
-    seeds = [
-        EpSeed(g=float(gs[i]), e_d=float(eds[j]), z=complex(mid[i, j]), pair_distance=float(dist[i, j]))
-        for i, j in zip(*np.nonzero(minimum))
-    ]
-    seeds.sort(key=lambda s: s.pair_distance)
-    return seeds
+    base, d_ed, d_g2 = rows = _w_rows(model)
+    base1, d_ed1, d_g21 = rows[:, 1:] * np.arange(1, rows.shape[1])
+    # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
+    e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
+                       np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
+    e_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1]
+    g = np.linspace(g_range[0], g_range[1], n_g)
+    if e_rows[0, -1] == 0:
+        split = g[1] * 0.5 ** np.arange(20, 0, -1)
+        g = np.concatenate([g[:1], split[split > g[0]], g[1:]])
+    g2 = np.array([x**2 for x in g.tolist()])  # as _census squares g
+    coeffs = e_rows[0] + g2[:, None] * e_rows[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    solved = (g > 0) & np.isfinite(top).all(axis=1)
+    g, g2, coeffs, top = g[solved], g2[solved], coeffs[solved], top[solved]
+    if len(g) < 2:
+        return []
+    block = max(1, SCAN_BLOCK // (coeffs.shape[1] - 1) ** 2)
+    w = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
+                        for i in range(0, len(g), block)])
+    lower = w.imag < 0
+    w = np.where(lower, w, w.conjugate())
+    nearest = np.concatenate([np.abs(w[1:][i : i + block, None] - w[:-1][i : i + block, :, None])
+                              .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
+    with np.errstate(all="ignore"):
+        e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / np.polyval(d_ed[::-1], w)
+        w1, e1 = (np.take_along_axis(x[1:], nearest, axis=1) for x in (w, e_d))
+        a, b = e_d[:-1].imag, e1.imag
+        k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))
+        w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
+        z0 = 0.5 * (w0 + 1.0 / w0)
+    seeds = []
+    for seed in zip(g[k].tolist(), e_d[k, j].real.tolist(), z0.tolist()):
+        try:
+            ep = find_ep(model, seed)
+        except FanochainError:
+            continue
+        if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]:
+            seeds.append(EpSeed(g=ep.g, e_d=ep.e_d, z=ep.z))
+    return sorted(seeds, key=lambda s: (s.g, s.e_d))

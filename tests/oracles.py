@@ -2,7 +2,10 @@
 
 Everything here goes back to a defining integral, a finite difference, a
 path-following construction, or a solve in z through the self-energy, and
-never calls the closed forms in w that it is used to check.
+never calls the closed forms in w that it is used to check.  The one
+exception is reference_eps, which checks the line enumeration of
+scan_for_ep_seeds: it polishes with find_ep, but from a census, not from
+lines.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from scipy.integrate import quad
 
 from fanochain.dispersion import _ANTIRESONANCE, _RESONANCE, ROOT_TOL, DiscreteState, StateClass
 from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
-from fanochain.errors import BranchPointError, ConvergenceError
+from fanochain.errors import BranchPointError, ConvergenceError, FanochainError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
-from fanochain.sweep import TrajectoryPoint
+from fanochain.sweep import TrajectoryPoint, find_ep
 
 
 def sigma_quadrature(model: ChainModel, z: complex) -> complex:
@@ -245,6 +248,45 @@ def find_ep_in_z(
         f"(final |eta| = {abs(f1):.3e}, |eta'| = {abs(f2):.3e})",
         trace=trace_pts,
     )
+
+
+def reference_eps(model: ChainModel, g_range, ed_range, cells: int = 12) -> list[EpResult]:
+    """Every EP of a resonance pair in the box, by find_ep from a per-cell census.
+
+    Each cell (g, e_d) with g > 0 of a cells x cells grid over the box is
+    solved by discrete_states (a cell where it raises is skipped), and each
+    of its resonances seeds the closed-form double-root Newton of find_ep.
+    A result is taken as the resonance pair's double root (Im z < 0: a
+    result above the axis is its conjugate, the anti-resonance pair's), and
+    kept when its w is complex, Im z < -1e-6 (Newton may also settle on the
+    real axis, where real double roots form curves, or at a triple root
+    there), and it lies in the box; results within 1e-9 in g and e_d are
+    one EP.  Sorted by g, then e_d.
+    """
+    found = []
+    for g in np.linspace(*g_range, cells).tolist():
+        for e_d in np.linspace(*ed_range, cells).tolist():
+            if g == 0:
+                continue
+            try:
+                states = discrete_states(model.with_params(g=g, e_d=e_d))
+            except FanochainError:
+                continue
+            for s in states:
+                if s.state_class is not StateClass.RESONANCE:
+                    continue
+                try:
+                    ep = find_ep(model, (g, e_d, s.z))
+                except FanochainError:
+                    continue
+                if ep.z.imag > 0:  # the anti-resonance pair's double root: the same EP
+                    ep = replace(ep, z=ep.z.conjugate())
+                inside = g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]
+                if inside and ep.z.imag < -1e-6 and not any(
+                    abs(ep.g - f.g) < 1e-9 and abs(ep.e_d - f.e_d) < 1e-9 for f in found
+                ):
+                    found.append(ep)
+    return sorted(found, key=lambda ep: (ep.g, ep.e_d))
 
 
 def trace_by_continuation(

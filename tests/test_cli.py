@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fanochain import (
     ChainModel,
-    FanochainError,
     Sheet,
     SheetedEnergy,
     attach_norms,
@@ -162,17 +161,15 @@ def test_ep_record(tmp_path):
     rc = run(
         [
             "ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
-            "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0",
-            "--grid", "10", "12", "--out", str(out),
+            "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0", "--out", str(out),
         ]
     )
     assert rc == 0
-    rows = read_csv(out)
-    assert rows
-    assert float(rows[0]["g"]) == pytest.approx(0.1728, abs=1e-3)
-    assert float(rows[0]["ed"]) == pytest.approx(-0.3981, abs=1e-3)
-    assert float(rows[0]["res_eta"]) < 1e-10
-    assert float(rows[0]["res_etaprime"]) < 1e-10
+    (row,) = read_csv(out)
+    assert float(row["g"]) == pytest.approx(0.1728448, abs=1e-7)
+    assert float(row["ed"]) == pytest.approx(-0.3981970, abs=1e-7)
+    assert float(row["res_eta"]) < 1e-10
+    assert float(row["res_etaprime"]) < 1e-10
 
 
 def test_ep_at_small_v(tmp_path):
@@ -394,8 +391,8 @@ def test_two_seeds_near_one_state_are_refused(tmp_path, capsys):
     [
         (["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--points", "-1"],
          "--points"),
-        (["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
-          "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0", "--grid", "0", "4"], "--grid"),
+        (["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--points", "0"],
+         "--points"),
         (["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5",
           "--start", "-0.9", "--stop", "-0.3", "--steps", "1"], "--steps"),
     ],
@@ -403,6 +400,51 @@ def test_two_seeds_near_one_state_are_refused(tmp_path, capsys):
 def test_bad_count_is_usage_error(capsys, argv, option):
     assert run(argv) == 2
     assert f"argument {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--grid", "16", "16"], ["--threshold", "0.2"]],
+                         ids=["--grid", "--threshold"])
+def test_retired_ep_options_are_usage_errors(capsys, option):
+    # the scan enumerates the EPs of the box on g lines: no grid, no threshold
+    argv = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+            "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0", *option]
+    assert run(argv) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+_EP = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
+_EXPONENT_FORMS = {
+    "--ed": ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-1e-09"],
+    "--g-range:lo": [*_EP, "--g-range", "-1e-09", "0.25", "--ed-range", "-0.8", "0"],
+    "--g-range:hi": [*_EP, "--g-range", "0.1", "-1e-09", "--ed-range", "-0.8", "0"],
+    "--ed-range:lo": [*_EP, "--g-range", "0.1", "0.25", "--ed-range", "-1e-09", "0"],
+    "--ed-range:hi": [*_EP, "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "-1e-09"],
+    "--start": ["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5",
+                "--start", "-1e-09", "--stop", "0.5", "--steps", "5"],
+    "--stop": ["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5",
+               "--start", "-0.5", "--stop", "-1e-09", "--steps", "5"],
+    "--re": ["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+             "--re", "-1e-09", "--im", "0.1", "--sheet", "2"],
+    "--im": ["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+             "--re", "0.3", "--im", "-1e-09", "--sheet", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", _EXPONENT_FORMS.values(), ids=_EXPONENT_FORMS)
+def test_negative_exponent_values_parse_as_numbers(capsys, argv):
+    # the CSV output writes -1e-09 so: each float option takes it as written, as it
+    # takes --opt=-1e-09 (or, for the two-valued ranges, -0.000000001)
+    i = argv.index("-1e-09")
+    if argv[i - 1] in ("--ed", "--start", "--stop", "--re", "--im"):
+        joined = argv[: i - 1] + [f"{argv[i - 1]}=-1e-09"] + argv[i + 1 :]
+    else:
+        joined = argv[:i] + ["-0.000000001"] + argv[i + 1 :]
+    outputs = []
+    for args in (argv, joined):
+        rc = run(args)
+        outputs.append((rc, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 2) and "argument" not in outputs[0][2]
 
 
 # ---------------------------------------------------------------- output bytes
@@ -539,20 +581,13 @@ def expect_trajectory(fmt, tmp_path):
 
 def expect_ep(fmt, tmp_path):
     model = ChainModel.semi_infinite(4, -0.5, 0.2)
-    results = []
-    for seed in scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0), n_g=10, n_ed=12):
-        try:
-            ep = find_ep(model, seed)
-        except FanochainError:
-            continue
-        if not any(abs(ep.g - r.g) < 1e-6 and abs(ep.e_d - r.e_d) < 1e-6 for r in results):
-            results.append(ep)
+    results = [find_ep(model, seed) for seed in scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))]
     assert results
     header = ["g", "ed", "re_z", "im_z", "res_eta", "res_etaprime"]
     rows = [
         [r.g, r.e_d, r.z.real, r.z.imag, r.residual_eta, r.residual_eta_prime] for r in results
     ]
-    argv = ["ep", *SEMI, "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0", "--grid", "10", "12"]
+    argv = ["ep", *SEMI, "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
     return argv, table(fmt, header, rows)
 
 

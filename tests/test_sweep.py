@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ from fanochain import (
 from fanochain import dispersion, sweep
 from fanochain.dispersion import ROOT_TOL, _audit, _census, _rate_terms, _w_coefficients, _w_rows
 from fanochain.states import attach_norms
-from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint, _closest_pairs
+from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint
 
-from oracles import find_ep_in_z, trace_by_continuation
+from oracles import find_ep_in_z, reference_eps, trace_by_continuation
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -542,14 +544,15 @@ EP_SCANS["readme"] = (4, (0.1, 0.25), (-0.8, 0.0), 16)
 
 @pytest.mark.parametrize("scan", list(EP_SCANS.values()), ids=list(EP_SCANS))
 def test_find_ep_matches_z_plane_solve(scan):
-    # Newton in w agrees with the damped 4x4 Newton in (z, g, e_d) on every seed
+    # Newton in w agrees with the damped 4x4 Newton in (z, g, e_d), seeded two decimals off
     n_d, g_range, ed_range, n = scan
     model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
     seeds = scan_for_ep_seeds(model, g_range, ed_range, n, n)
-    assert len(seeds) == ({3: 0, 4: 2, 5: 4, 6: 4, 8: 6}[n_d] if n == 24 else 1)
+    assert len(seeds) == ({3: 1, 4: 2, 5: 3, 6: 4, 8: 6}[n_d] if n == 24 else 1)
     for seed in seeds:
         ep = find_ep(model, seed)
-        ref = find_ep_in_z(model, (seed.g, seed.e_d, seed.z))
+        ref = find_ep_in_z(model, (round(seed.g, 2), round(seed.e_d, 2), complex(round(
+            seed.z.real, 2), round(seed.z.imag, 2))))
         assert abs(ep.g - ref.g) < 1e-9 and abs(ep.e_d - ref.e_d) < 1e-9
         assert abs(ep.z - ref.z) < 1e-9
         assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
@@ -561,7 +564,7 @@ def test_find_ep_bad_seed_raises():
         find_ep(m, (0.17, -0.4, -0.41 - 0.15j), ep_tol=1e-30, max_iter=8)
 
 
-# ------------------------------------------------------------------- seed scan
+# ------------------------------------------------------------------- EP scan
 
 
 def test_scan_finds_flagship_seed():
@@ -587,7 +590,7 @@ def test_scan_finds_flagship_seed():
     ids=["negative-g", "nan", "inf", "overflow"],
 )
 def test_scan_rejects_invalid_range(g_range, ed_range):
-    # a corner of these grids is an invalid model: an error, not failed cells and []
+    # a corner of these boxes is an invalid model: an error, not []
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     with pytest.raises(ModelError):
         scan_for_ep_seeds(m, g_range, ed_range)
@@ -596,112 +599,157 @@ def test_scan_rejects_invalid_range(g_range, ed_range):
 def test_scan_empty_ranges():
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     assert scan_for_ep_seeds(m, (0.3, 0.1), (-0.8, 0.0)) == []
-    with pytest.raises(FanochainError):
-        scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=0)
+    for n_g in (0, 1):  # one line brackets nothing
+        with pytest.raises(ModelError):
+            scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
 
 
-def test_scan_seeds_are_local_minima():
-    m = ChainModel.semi_infinite(2, -0.5, 0.2)
-    seeds = scan_for_ep_seeds(m, (0.05, 0.6), (-0.9, 0.9), n_g=10, n_ed=11, threshold=1.0)
-    # n_d = 2 has a single resonance: no pairs at all, so no seeds
-    assert seeds == []
-    m3 = ChainModel.semi_infinite(3, -0.5, 0.2)
-    seeds3 = scan_for_ep_seeds(m3, (0.05, 0.5), (-0.9, 0.9), n_g=12, n_ed=13, threshold=1.0)
-    for s in seeds3:
-        assert s.pair_distance < 1.0
+def test_scan_seeds_are_exceptional_points():
+    # n_d = 2 has a single resonance: no pair at all, so no EP
+    m2 = ChainModel.semi_infinite(2, -0.5, 0.2)
+    assert scan_for_ep_seeds(m2, (0.05, 0.6), (-0.9, 0.9), n_g=10) == []
+    m5 = ChainModel.semi_infinite(5, -0.5, 0.2)
+    seeds = scan_for_ep_seeds(m5, (0.05, 0.5), (-0.9, 0.9), n_g=12)
+    assert seeds
+    for s in seeds:
+        # each seed is its own EP: find_ep settles where it starts
+        ep = find_ep(m5, s)
+        assert abs(ep.g - s.g) < 1e-12 and abs(ep.e_d - s.e_d) < 1e-12 and abs(ep.z - s.z) < 1e-12
+        assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
 def test_seed_tuple_and_dataclass_equivalent():
     m = ChainModel.semi_infinite(4, -0.4, 0.17)
-    seed = EpSeed(g=0.17, e_d=-0.4, z=-0.41 - 0.15j, pair_distance=0.1)
+    seed = EpSeed(g=0.17, e_d=-0.4, z=-0.41 - 0.15j)
     a = find_ep(m, seed)
     b = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
     assert a.g == pytest.approx(b.g, rel=1e-12)
     assert a.e_d == pytest.approx(b.e_d, rel=1e-12)
 
 
-def reference_scan(model, g_range, ed_range, n_g, n_ed, threshold):
-    """The scan as one discrete_states solve per cell: (seeds, distance grid)."""
-    gs = np.linspace(g_range[0], g_range[1], n_g)
-    eds = np.linspace(ed_range[0], ed_range[1], n_ed)
-    dist = np.full((n_g, n_ed), np.inf)
-    mid = np.zeros((n_g, n_ed), dtype=complex)
-    for i, g in enumerate(gs):
-        for j, ed in enumerate(eds):
-            try:
-                states = discrete_states(model.with_params(g=float(g), e_d=float(ed)))
-            except FanochainError:
-                continue
-            res = [s.z for s in states if s.state_class is StateClass.RESONANCE]
-            best, best_mid = np.inf, 0j
-            for a in range(len(res)):
-                for b in range(a + 1, len(res)):
-                    if abs(res[a] - res[b]) < best:
-                        best, best_mid = abs(res[a] - res[b]), 0.5 * (res[a] + res[b])
-            dist[i, j], mid[i, j] = best, best_mid
-    seeds = []
-    for i in range(n_g):
-        for j in range(n_ed):
-            d = dist[i, j]
-            window = dist[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
-            if np.isfinite(d) and d < threshold and d <= window.min():
-                seeds.append(EpSeed(float(gs[i]), float(eds[j]), complex(mid[i, j]), float(d)))
-    seeds.sort(key=lambda s: s.pair_distance)
-    return seeds, dist
+def split_slope(model, ep):
+    """d log |z_1 - z_2| / d log(delta e_d) of the resonance pair nearest the EP."""
+    deltas = np.geomspace(1e-6, 1e-3, 7)
+    split = []
+    for d in deltas:
+        states = discrete_states(model.with_params(g=ep.g, e_d=ep.e_d + d))
+        res = sorted((s.z for s in states if s.state_class is StateClass.RESONANCE),
+                     key=lambda z: abs(z - ep.z))
+        split.append(abs(res[0] - res[1]))
+    return np.polyfit(np.log(deltas), np.log(split), 1)[0]
+
+
+@pytest.mark.parametrize("n_d, g_ep", [(3, 0.21886216), (5, 0.16779810)])
+def test_scan_finds_the_ep_at_e_d_zero(n_d, g_ep):
+    # the pair coalesces on the imaginary w axis, where the mirror EPs +-e_d meet
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
+    seeds = [s for s in scan_for_ep_seeds(model, (0.02, 0.5), (-0.95, 0.95)) if abs(s.e_d) < 1e-12]
+    (seed,) = seeds
+    assert seed.g == pytest.approx(g_ep, abs=1e-8)
+    assert abs(seed.z.real) < 1e-12 and seed.z.imag < 0
+    ep = find_ep(model, seed)
+    assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+    assert split_slope(model, ep) == pytest.approx(0.5, abs=0.05)
+
+
+def test_scan_finds_both_eps_of_the_wide_box():
+    model = ChainModel.semi_infinite(4, -0.5, 0.2)
+    seeds = scan_for_ep_seeds(model, (0.01, 0.5), (-1.5, 1.5))
+    assert [(round(s.g, 7), round(s.e_d, 7)) for s in seeds] == [
+        (0.1728448, -0.398197), (0.1728448, 0.398197)
+    ]
+
+
+def test_scan_from_g_zero_at_large_n_d():
+    # the n_d - 2 EPs of adjacent resonance pairs, the lowest at g = 0.0068, below the
+    # second line: the halving split of the first interval finds them, and stops before
+    # the roots of E_g lose their accuracy (near g = 1e-11) and give spurious brackets
+    model = ChainModel.semi_infinite(40, -0.5, 0.2)
+    seeds = scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5), n_g=8)
+    assert len({(round(s.g, 9), round(s.e_d, 9)) for s in seeds}) == len(seeds) == 38
+    assert min(s.g for s in seeds) == pytest.approx(0.00677, abs=1e-5)
+    for s in seeds:
+        assert s.z.imag < -1e-6
+        ep = find_ep(model, s)
+        assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
 SCAN_BOXES = {
-    # README box; its last column is the exact BIC at e_d = 0
-    "readme": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.1, 0.25), (-0.8, 0.0), 16, 16),
-    "g-from-zero": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.0, 0.3), (-0.9, 0.9), 11, 13),
-    # the w^2 term of p cancels at g = 0.5 (4 g^2 v^2 = 1)
-    "n_d=1": (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 1.0), (-1.2, 1.2), 9, 13),
-    # band-edge roots fail the |eta| gate at weak coupling
-    "infinite": (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99), 13, 21),
-    "n_d=12": (ChainModel.semi_infinite(12, -0.5, 0.2), (0.05, 0.3), (-0.8, 0.8), 10, 11),
+    # README box; its e_d range ends at the exact BIC e_d = 0
+    "readme": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.1, 0.25), (-0.8, 0.0)),
+    # E_g loses its leading term at g = 0, which ends the box
+    "g-from-zero": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.0, 0.3), (-0.9, 0.9)),
+    # E_g and p lose their leading term at g = 0.5 (4 g^2 v^2 = 1), a line when n_g = 9
+    "n_d=1": (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 1.0), (-1.2, 1.2)),
+    # one resonance, so no EP; band-edge roots fail the |eta| gate at weak coupling
+    "infinite": (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99)),
+    "n_d=12": (ChainModel.semi_infinite(12, -0.5, 0.2), (0.05, 0.3), (-0.8, 0.8)),
+}
+EP_BOXES = {
+    **SCAN_BOXES,
+    **{f"n_d={n_d}:{name}": (ChainModel.semi_infinite(n_d, -0.5, 0.2), g_range, ed_range)
+       for n_d in (3, 4, 5, 6, 8, 12, 16, 24)
+       for name, g_range, ed_range in [("narrow", (0.02, 0.5), (-0.95, 0.95)),
+                                       ("wide", (0.01, 0.5), (-1.5, 1.5))]},
+    # its 11 EP pairs reach down to g = 0.0145, below the second line at n_g = 8 or 16
+    "n_d=24:g-from-zero": (ChainModel.semi_infinite(24, -0.5, 0.2), (0.0, 0.5), (-1.5, 1.5)),
+    # p depends on g and v only through g v
+    "v=1e-5": (ChainModel.semi_infinite(4, -0.5, 2e4, v=1e-5), (1e4, 2.5e4), (-0.8, 0.0)),
 }
 
 
-@pytest.mark.parametrize("box", SCAN_BOXES)
-@pytest.mark.parametrize("threshold", [0.2, 10.0])
-def test_scan_matches_per_cell_solves(box, threshold):
-    model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
-    want, want_dist = reference_scan(model, g_range, ed_range, n_g, n_ed, threshold)
-    got = scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold)
-    dist, _ = _closest_pairs(
-        model, np.linspace(*g_range, n_g), np.linspace(*ed_range, n_ed)
-    )
-    np.testing.assert_array_equal(np.isinf(dist), np.isinf(want_dist))
-    np.testing.assert_allclose(dist, want_dist, rtol=0, atol=1e-12)
-    assert [(s.g, s.e_d) for s in got] == [(s.g, s.e_d) for s in want]
-    for s, t in zip(got, want):
-        assert abs(s.z - t.z) <= 1e-12
-        assert abs(s.pair_distance - t.pair_distance) <= 1e-12
+@functools.cache
+def reference(box):
+    return reference_eps(*EP_BOXES[box])
+
+
+@pytest.mark.parametrize("box", EP_BOXES)
+@pytest.mark.parametrize("n_g", [8, 16])
+def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
+    # the line enumeration finds exactly the EPs that find_ep finds from every resonance
+    # of a per-cell census, each once, and every bracket it polishes holds an EP
+    model, g_range, ed_range = EP_BOXES[box]
+    failed = []
+
+    def polish(*args, **kwargs):
+        try:
+            return find_ep(*args, **kwargs)
+        except FanochainError as exc:
+            failed.append(exc)
+            raise
+
+    monkeypatch.setattr(sweep, "find_ep", polish)
+    got = scan_for_ep_seeds(model, g_range, ed_range, n_g)
+    assert not failed
+    assert got == sorted(got, key=lambda s: (s.g, s.e_d))
+    want = reference(box)
+    assert len(got) == len(want)
+    for s in got:
+        (ep,) = [r for r in want if abs(r.g - s.g) < 1e-9 and abs(r.e_d - s.e_d) < 1e-9]
+        assert abs(ep.z - s.z) < 1e-9
+        ep = find_ep(model, s)
+        assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
 @pytest.mark.parametrize("box", SCAN_BOXES)
 @pytest.mark.parametrize("block", [1, 100, 1000])
 def test_scan_blocks_match_single_block(box, block, monkeypatch):
-    model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
-    gs, eds = np.linspace(*g_range, n_g), np.linspace(*ed_range, n_ed)
-    deg = 2 * model.n_d if model.is_semi_infinite else 4
-    assert n_g * n_ed * deg**2 <= sweep.SCAN_BLOCK  # one block by default
-    dist, mid = _closest_pairs(model, gs, eds)
-    seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold=10.0)
+    model, g_range, ed_range = SCAN_BOXES[box]
+    n_g = 9  # a line at g = 0.5 in the n_d = 1 box
+    deg = 2 * model.n_d if model.is_semi_infinite else 6  # the degree of E_g
+    assert (n_g + 20) * deg**2 <= sweep.SCAN_BLOCK  # one block by default, split lines included
+    seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g)
     monkeypatch.setattr(sweep, "SCAN_BLOCK", block)
-    blocked_dist, blocked_mid = _closest_pairs(model, gs, eds)
-    np.testing.assert_array_equal(blocked_dist, dist)
-    np.testing.assert_array_equal(blocked_mid, mid)
-    assert scan_for_ep_seeds(model, g_range, ed_range, n_g, n_ed, threshold=10.0) == seeds
+    assert scan_for_ep_seeds(model, g_range, ed_range, n_g) == seeds
 
 
 def test_scan_boxes_exercise_their_edge_cases():
-    # guards the equivalence test: each box really holds what it is meant to
+    # guards the equivalence tests: each box really holds what it is meant to
     def failing_cells(box):
-        model, g_range, ed_range, n_g, n_ed = SCAN_BOXES[box]
+        model, g_range, ed_range = SCAN_BOXES[box]
         fails = 0
-        for g in np.linspace(*g_range, n_g):
-            for ed in np.linspace(*ed_range, n_ed):
+        for g in np.linspace(*g_range, 13):
+            for ed in np.linspace(*ed_range, 21):
                 try:
                     discrete_states(model.with_params(g=float(g), e_d=float(ed)))
                 except FanochainError:
@@ -709,6 +757,12 @@ def test_scan_boxes_exercise_their_edge_cases():
         return fails
 
     assert failing_cells("infinite") > 0
-    assert 0.5 in np.linspace(*SCAN_BOXES["n_d=1"][1], SCAN_BOXES["n_d=1"][3])
-    assert np.linspace(*SCAN_BOXES["readme"][2], 16)[-1] == 0.0
-    assert reference_scan(*SCAN_BOXES["n_d=12"], threshold=10.0)[0]
+    model, g_range, ed_range = SCAN_BOXES["n_d=1"]
+    assert 4 * 0.5**2 * model.v**2 == 1.0 and 0.5 in np.linspace(*g_range, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the lost leading term raises nothing on the way
+        assert scan_for_ep_seeds(model, g_range, ed_range, 9) == []
+    assert SCAN_BOXES["readme"][2][1] == 0.0
+    assert SCAN_BOXES["g-from-zero"][1][0] == 0.0
+    assert reference("n_d=12")
+    assert min(ep.g for ep in reference("n_d=24:g-from-zero")) < 0.5 / 15
