@@ -155,15 +155,20 @@ def _horner_slope(value: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
     return y[:n], y[n:]
 
 
-def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):
+def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int, shrink: bool = False):
     """Newton on p from the roots w, one row of roots per row of coeffs (ascending).
 
     A step is kept only where it lowers |p|, and the rounds end once none
     is, or after ``rounds``.  Returns (w, p(w), moving), where moving marks
     the roots whose last step was kept: a root not moving has stalled, and
     stays so, since its next step would be the same.  So each root's result
-    depends on its own row alone.  Each round is one _horner_slope pass.
+    depends on its own value alone.  Each round is one _horner_slope pass.
+    With ``shrink``, a row whose roots have all stalled leaves the later
+    rounds.  That pays on the warm starts of a sweep (up to 8 rounds, rows
+    stalling at different rounds), not on the 3 rounds of _w_roots, where
+    the bookkeeping costs more than it saves.
     """
+    whole = None  # (w, p, moving) of every row, once a row has left the rounds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, slope = _horner_slope(coeffs, coeffs, w)
         moving = np.ones(w.shape, dtype=bool)
@@ -176,7 +181,16 @@ def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):
             w = np.where(moving, trial, w)
             p = np.where(moving, p_trial, p)
             slope = np.where(moving, slope_trial, slope)
-    return w, p, moving
+            if shrink and not (live := moving.any(axis=1)).all():
+                if whole is None:
+                    whole, rows = (w.copy(), p.copy(), np.zeros(w.shape, dtype=bool)), np.arange(len(w))
+                else:
+                    whole[0][rows[~live]], whole[1][rows[~live]] = w[~live], p[~live]
+                rows, w, p, slope, coeffs, moving = (x[live] for x in (rows, w, p, slope, coeffs, moving))
+    if whole is None:
+        return w, p, moving
+    whole[0][rows], whole[1][rows], whole[2][rows] = w, p, moving
+    return whole
 
 
 def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -200,6 +214,46 @@ def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     return _newton(coeffs, np.linalg.eigvals(companion), 3)[0]
 
 
+def _halves(w: np.ndarray):
+    """(take, src): which roots of a stack w to compute, and where each root is read from,
+    both as indices into w.ravel().
+
+    p is real, so Horner, the Newton step and the rate -(dp/dq)/p' of
+    conj(w) are, bit for bit, the conjugates of those of w: IEEE complex
+    *, /, -, abs and the add of a real commute with conjugation (but for
+    the sign of a zero).  An Im w > 0 root with its exact conjugate next
+    to it (eigvals returns each complex pair side by side, and the roots,
+    rates and warm starts built from its roots keep their columns) is
+    read from that neighbour (src), the right one if both are; every
+    other root, Im w <= 0 or without that partner, is read from itself.
+    take (N, h) lists each row's roots read from themselves, in order,
+    padded to the widest row with the row's first one.
+    """
+    n, d = w.shape
+    upper, conj = w.imag > 0, w.conj()
+    right, left = np.zeros((2, n, d), dtype=bool)
+    right[:, :-1] = upper[:, :-1] & (w[:, 1:] == conj[:, :-1])
+    left[:, 1:] = upper[:, 1:] & (w[:, :-1] == conj[:, 1:]) & ~right[:, 1:]
+    mirrored = right | left
+    count = d - mirrored.sum(axis=1)
+    # one stable sort by (row, mirrored) puts each row's own roots first, in order
+    take = np.argsort((np.arange(0, 2 * n, 2)[:, None] + mirrored).ravel(), kind="stable")
+    take = take.reshape(n, d)[:, : count.max(initial=0)]
+    take = np.where(np.arange(take.shape[1]) < count[:, None], take, take[:, :1])
+    return take, np.arange(n * d).reshape(n, d) + right - left
+
+
+def _unfold(half: np.ndarray, take: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The stack of a quantity known at the roots take of a stack (_halves): each root's
+    own value, or, for a root read from its partner, the partner's, conjugated if complex."""
+    full = np.empty(src.size, dtype=half.dtype)
+    full[take] = half
+    full = full[src]
+    if np.iscomplexobj(full):
+        full = np.where(src != np.arange(src.size).reshape(src.shape), full.conj(), full)
+    return full
+
+
 #: Newton rounds within which every root of a warm-started row must stall.
 _WARM_ROUNDS = 8
 
@@ -216,8 +270,14 @@ def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
     """(w, certified): _newton on p from approximate roots, and the rows it certifies.
 
     coeffs is an (N, deg + 1) stack of ascending real coefficients and
-    start holds deg approximations per row, closed under conjugation.  A
-    row is certified when
+    start holds deg approximations per row.  Newton runs on the roots
+    _halves picks: where a start's exact conjugate stands next to it, as
+    in the starts a sweep builds from eigvals roots, only the Im w <= 0
+    member of the pair is polished, and the other result is its exact
+    conjugate, bit for bit what polishing it would give; every other
+    start (one without that partner, a NaN) is polished itself.  A row
+    whose roots have all stalled leaves the later rounds.  A row is
+    certified when
     - every root's Newton stalled within _WARM_ROUNDS rounds;
     - every backward error |p(w)| / sum |a_k| |w|^k is at most
       _BACKWARD_ERROR (deg + 1) eps;
@@ -236,7 +296,9 @@ def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
     the axis: the roots are classed as the companion-matrix roots would be.
     """
     deg = coeffs.shape[1] - 1
-    w, p, moving = _newton(coeffs, start, _WARM_ROUNDS)
+    take, src = _halves(start)
+    half = _newton(coeffs, start.take(take), _WARM_ROUNDS, shrink=True)
+    w, p, moving = (_unfold(x, take, src) for x in half)
     eps = np.finfo(float).eps
     with np.errstate(all="ignore"):
         p, size = np.abs(p), _horner(np.abs(coeffs[:, ::-1]), np.abs(w))
@@ -280,7 +342,8 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
     A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
     is not among the rows, is solved by _w_roots.  Each other row starts
     from its anchor's roots moved by their rate, w + (dw/dq) dq with dw/dq
-    from _rate_terms, and keeps the roots of _certified_roots if they are
+    from _rate_terms (taken at the roots _halves picks, the rest by exact
+    conjugation), and keeps the roots of _certified_roots if they are
     certified, else it too is solved by _w_roots.  So a row's roots depend
     only on its own coefficients and its anchor's.
     """
@@ -294,8 +357,10 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
         rate = np.zeros_like(w)
         q = e_d if parameter == "e_d" else g
         with np.errstate(all="ignore"):
-            minus_dp, slope = _rate_terms(model, parameter, w[eig], e_d[index[eig]], g[index[eig]])
-            rate[eig] = minus_dp / slope
+            anchors = w[eig]
+            take, src = _halves(anchors)
+            minus_dp, slope = _rate_terms(model, parameter, anchors.take(take), e_d[index[eig]], g[index[eig]])
+            rate[eig] = _unfold(minus_dp / slope, take, src)
             a = at[warm]
             start = w[a] + rate[a] * (q[index[warm]] - q[index[a]])[:, None]
         w[warm], certified = _certified_roots(coeffs[warm], start)

@@ -9,7 +9,12 @@ by its companion matrix too.  It then links each branch from one value
 to the next in w, where both sheets form one plane and roots move
 continuously through the band: to the root nearest its Euler prediction,
 with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
-identity dz/de_d = N, the normalization).
+identity dz/de_d = N, the normalization).  p is real, so its roots come
+in exact conjugate pairs, and the Newton polish, the rates and the
+nearest-root search run on one member of each pair, the other following
+by exact conjugation.  The links of a block are one precomputed index
+map from each root of a value to the root of the next value that a
+branch there goes on from, so following a branch is a lookup per value.
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone.
@@ -17,6 +22,7 @@ both come out real: Newton in w alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
-from .dispersion import _census, _horner, _rate_terms, _residual, _w_coefficients, _w_roots, _w_rows
+from .dispersion import _Census, _census, _halves, _horner, _rate_terms, _residual
+from .dispersion import _w_coefficients, _w_roots, _w_rows
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
@@ -103,7 +110,8 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     its first row, classed as discrete_states classes them and labelled
     (i), (ii), ... by ascending Re z (then ascending width).  Each branch
     is linked in w to the root nearest its Euler prediction
-    w + (dw/dq) dq at the next value, sheet-I roots aside.
+    w + (dw/dq) dq at the next value, sheet-I roots aside, read off the
+    block's index maps (_link_maps).
     At a BIC pinch the decaying root only touches |w| = 1.  A link to an
     anti-resonance (Im w > 0) goes on from its conjugate and is marked
     crossed_axis.  Past a real-axis EP a branch follows, of the real roots
@@ -163,36 +171,21 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
                 raise ConvergenceError(
                     f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
                 )
-            linked, crossed = [census.z[0, current].tolist()], [[False] * len(current)]
-        minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = minus_dp / slope
-        rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
-        pred = census.w[:-1] + rate[:-1] * np.diff(values[rows])[:, None]
-        gap = np.abs(census.w[1:, None, :] - pred[:, :, None])
-        gap[np.broadcast_to((census.cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
-        nearest = gap.argmin(axis=-1).tolist()
-        z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
+            linked, crossed = [census.z[:1, current]], [np.zeros((1, len(current)), dtype=bool)]
+        # maps[:, k, j]: the root a branch at root j of row k links to (before a
+        # conjugation), the root it goes on from, and whether it crossed the axis
+        maps = _link_maps(model, parameter, census, e_d[rows], g[rows], values[rows])
+        path = [current]
+        for row in maps[1].tolist():
+            current = [row[j] for j in current]
+            path.append(current)
+        path = np.array(path)
+        k = np.arange(len(rows) - 1)[:, None]
+        linked.append(census.z[k + 1, path[1:]])
+        crossed.append(maps[2][k, path[:-1]].astype(bool))
         # the start roots, then the root each branch links to at each step, before a conjugation
-        gated = current[:] if first == 0 else []
-        for k in range(len(rows) - 1):
-            here, up = [], []
-            for j in current:
-                m = nearest[k][j]
-                if cls[k + 1][m] == _BOUND_II and w[k][j].imag != 0.0:  # past a real-axis EP
-                    last, now = w[k], w[k + 1]
-                    split = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II
-                             and abs(now[c] - last[j]) <= min(abs(now[c] - x) for x in last)]
-                    m = max(split, key=lambda c: abs(now[c]), default=m)
-                gated.append(m)
-                up.append(w[k + 1][m].imag > 0.0)
-                if up[-1]:
-                    conj = w[k + 1][m].conjugate()
-                    m = min(range(deg), key=lambda c: abs(w[k + 1][c] - conj))
-                here.append(m)
-            current = here
-            linked.append([z[k + 1][m] for m in here])
-            crossed.append(up)
+        gated = maps[0][k, path[:-1]]
+        gated = (np.concatenate([path[:1], gated]) if first == 0 else gated).ravel()
         step = np.repeat(np.arange(first > 0, len(rows)), len(current))
         residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
                              census.e_d[step, 0], census.g2[step, 0])
@@ -202,23 +195,79 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             k, i = step[f], f % len(current)
             raise ConvergenceError(
                 f"branch {roman_label(i)} at {parameter} = {values[rows[k]]}: |eta| = "
-                f"{residual[f]:.3e} >= root_tol at z = {z[k][gated[f]]}"
+                f"{residual[f]:.3e} >= root_tol at z = {complex(census.z[k, gated[f]])}"
             )
 
-    zs = np.array(linked)
+    zs = np.concatenate(linked)
     pinned = np.abs(zs.imag) <= 1e-12
     pinned[0] = False  # the start states carry no flags
     zs = np.where(pinned, zs.real, zs)
     bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
     collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
     collision[0] = False
-    columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
-    point = TrajectoryPoint._make
+    columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), np.concatenate(crossed).T.tolist())
+    # each point as its fields' tuple, built as TrajectoryPoint._make builds it
+    point = functools.partial(tuple.__new__, TrajectoryPoint)
     branches = [
         TrajectoryBranch(roman_label(i), list(map(point, zip(values.tolist(), *cols))))
         for i, cols in enumerate(columns)
     ]
     return Trajectory(parameter=parameter, values=values, branches=branches)
+
+
+def _link_maps(model: ChainModel, parameter: str, census: _Census, e_d, g, values) -> np.ndarray:
+    """Index maps (3, rows - 1, deg) of trace's links from each row of a sweep census
+    (e_d, g and the swept values by row) to the next.
+
+    For a branch at root j of row k, maps[0, k, j] is the root of row k + 1
+    it links to, maps[2, k, j] whether that root has Im w > 0, and
+    maps[1, k, j] the root the branch goes on from: the linked root's exact
+    conjugate where it has Im w > 0 (with none in the row, the root nearest
+    its conjugate), else the linked root itself.  The link is to the root
+    nearest the Euler prediction w + (dw/dq) dq, sheet-I roots aside; where
+    that is a virtual state and w is complex (past a real-axis EP), it is,
+    of the virtual states nearer w than any other root of row k is, the one
+    with the larger |w|.
+
+    A branch so never goes on from an Im w > 0 root whose exact conjugate
+    stands in its row, and the maps are built from the other roots alone,
+    the ones _halves computes: the columns of the rest are never read.  A
+    census where some Im w > 0 root lacks its conjugate is mapped from
+    every root.
+    """
+    w, cls = census.w, census.cls
+    deg = w.shape[1]
+    every = np.arange(w.size).reshape(w.shape)
+    take, src = _halves(w)
+    if ((w.imag > 0) & (src == every)).any():
+        take = every
+    source = w.take(take)
+    minus_dp, slope = _rate_terms(model, parameter, source, e_d, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = minus_dp / slope
+    rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
+    pred = source[:-1] + rate[:-1] * np.diff(values)[:, None]
+    gap = np.abs(w[1:, None, :] - pred[:, :, None])
+    gap[np.broadcast_to((cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
+    lin = gap.argmin(axis=-1)
+    k = np.arange(len(lin))[:, None]
+    for kk, i in zip(*np.nonzero((cls[k + 1, lin] == _BOUND_II) & (source[:-1].imag != 0.0))):
+        last, now = w[kk].tolist(), w[kk + 1].tolist()
+        split = [c for c in range(deg) if cls[kk + 1, c] == _BOUND_II
+                 and abs(now[c] - last[take[kk, i] % deg]) <= min(abs(now[c] - x) for x in last)]
+        lin[kk, i] = max(split, key=lambda c: abs(now[c]), default=lin[kk, i])
+    up = w[k + 1, lin].imag > 0.0
+    nxt = lin.copy()
+    ku, iu = np.nonzero(up)
+    conj = w[ku + 1, lin[ku, iu]].conj()
+    exact = w[ku + 1] == conj[:, None]
+    nxt[ku, iu] = exact.argmax(axis=1)
+    for n in np.flatnonzero(~exact.any(axis=1)):
+        row, c0 = w[ku[n] + 1].tolist(), complex(conj[n])
+        nxt[ku[n], iu[n]] = min(range(deg), key=lambda c: abs(row[c] - c0))
+    maps = np.zeros((3, len(lin) * deg), dtype=int)
+    maps[:, take[:-1]] = lin, nxt, up
+    return maps.reshape(3, len(lin), deg)
 
 
 def find_ep(
@@ -233,8 +282,11 @@ def find_ep(
     closed form, e_d(w) and g^2(w), and differentiating p' = 0 gives their
     w-derivatives from p''.  Newton in w alone, from the seed's z on sheet
     II (its g and e_d are not used), drives Im e_d(w) = Im g^2(w) = 0 until
-    the step is below 1e-12 |w|.  The residuals |eta| and |eta'| of the EP
-    (sqrt(g^2), e_d, (w + 1/w)/2) are taken on sheet II.
+    the step is below 1e-12 |w|.  p is real, so where Newton settles at
+    Im w > 0, on the double root of an anti-resonance pair, its conjugate
+    is the resonance pair's EP at the same g and e_d, and that is the one
+    reported: the EP's z has Im z < 0.  The residuals |eta| and |eta'| of
+    the EP (sqrt(g^2), e_d, (w + 1/w)/2) are taken on sheet II.
 
     Raises
     ------
@@ -280,6 +332,7 @@ def find_ep(
 
     if not g2.real > 0:
         raise ConvergenceError(f"EP Newton settled at g^2 = {g2.real} <= 0", trace=trace_pts)
+    w = w.conjugate() if w.imag > 0 else w  # the resonance pair's EP, at the same g and e_d
     g, e_d, z = math.sqrt(g2.real), e_d.real, 0.5 * (w + 1.0 / w)
     sig, sig1 = _sigma_at(model, SheetedEnergy(z, Sheet.II), 1)
     res_eta, res_eta_prime = abs(z - e_d - g * g * sig), abs(1.0 - g * g * sig1)

@@ -2,10 +2,14 @@
 
 Everything here goes back to a defining integral, a finite difference, a
 path-following construction, or a solve in z through the self-energy, and
-never calls the closed forms in w that it is used to check.  The one
-exception is reference_eps, which checks the line enumeration of
-scan_for_ep_seeds: it polishes with find_ep, but from a census, not from
-lines.
+never calls the closed forms in w that it is used to check.  Two
+exceptions: reference_eps, which checks the line enumeration of
+scan_for_ep_seeds, polishes with find_ep, but from a census, not from
+lines; and full_certified_roots and trace_by_loop, which check that the
+warm solve of a sweep computes one member of each conjugate pair and
+mirrors the other, and that trace links its branches by index maps, are
+the earlier Newton and certificate on every root and the earlier
+per-branch link loop, built on the same kernels and census.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from fanochain.dispersion import _ANTIRESONANCE, _RESONANCE, ROOT_TOL, DiscreteState, StateClass
+from fanochain import sweep
+from fanochain.dispersion import _ANTIRESONANCE, _BACKWARD_ERROR, _BOUND_I, _BOUND_II, _HORNER_ROUNDING
+from fanochain.dispersion import _RESONANCE, _WARM_ROUNDS, ROOT_TOL, DiscreteState, StateClass, _horner
+from fanochain.dispersion import _horner_slope, _rate_terms, _residual, _w_coefficients, _w_rows
 from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
-from fanochain.errors import BranchPointError, ConvergenceError, FanochainError
+from fanochain.errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
@@ -437,3 +444,142 @@ def census_by_z(census, at_bic: np.ndarray):
         for k, b, r, a in zip(count, at_bic.tolist(), res, anti)
     ]
     return cls, kept, fault
+
+
+def _full_newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):
+    """dispersion._newton as it was before it computed one member of each conjugate pair
+    and dropped stalled rows: every root of every row in every round."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, slope = _horner_slope(coeffs, coeffs, w)
+        moving = np.ones(w.shape, dtype=bool)
+        for _ in range(rounds):
+            trial = w - p / slope
+            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
+            moving = np.abs(p_trial) < np.abs(p)
+            if not moving.any():
+                break
+            w = np.where(moving, trial, w)
+            p = np.where(moving, p_trial, p)
+            slope = np.where(moving, slope_trial, slope)
+    return w, p, moving
+
+
+def full_certified_roots(coeffs: np.ndarray, start: np.ndarray):
+    """dispersion._certified_roots as it was before it computed one member of each
+    conjugate pair: the Newton of _full_newton on every root, then the certificate."""
+    deg = coeffs.shape[1] - 1
+    w, p, moving = _full_newton(coeffs, start, _WARM_ROUNDS)
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        p, size = np.abs(p), _horner(np.abs(coeffs[:, ::-1]), np.abs(w))
+        gap = np.abs(w[:, :, None] - w[:, None, :])
+        other = ~np.eye(deg, dtype=bool)
+        product = np.abs(coeffs[:, -1:]) * np.prod(np.where(other, gap, 1.0), axis=-1)
+        radius = deg * (p + _HORNER_ROUNDING * (deg + 1) * eps * size) / product
+        apart = (gap > radius[:, :, None] + radius[:, None, :]) | ~other
+        certified = (
+            ~moving.any(axis=1)
+            & (p <= _BACKWARD_ERROR * (deg + 1) * eps * size).all(axis=1)
+            & ((radius > 0) & (product < np.inf)).all(axis=1)
+            & apart.all(axis=(1, 2))
+        )
+    return w, certified
+
+
+def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
+    """sweep.trace as it was before its links became index maps: each branch linked one
+    value at a time in Python, from every root of the census, on the same census (read
+    through sweep, so that a test patching sweep._census patches both)."""
+    SCAN_BLOCK = sweep.SCAN_BLOCK
+    if parameter not in ("e_d", "g"):
+        raise ModelError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < 2:
+        raise ModelError("need at least two parameter values")
+    if not np.all(np.diff(values) > 0):
+        raise ModelError("parameter values must be strictly increasing")
+    model.with_params(**{parameter: float(values[0])})
+    model.with_params(**{parameter: float(values[-1])})
+    n = len(values)
+    fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
+    e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
+    # The leading coefficient of p changes sign where a root passes w = infinity.
+    rows = _w_rows(model)
+    lead = _w_coefficients(rows, e_d, g * g)[:, -1]
+    through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
+    deg = rows.shape[1] - 1
+    block = max(1, SCAN_BLOCK // deg**2)
+    links = max(1, block - 1)
+    # Blocks overlap by one value, so each block links its own values.
+    for first in range(0, n - 1, links):
+        rows = np.arange(first, min(first + links, n - 1) + 1)
+        census = sweep._census(model, e_d, g, sweep=(parameter, first, rows[-1] + 1))
+        if first == 0:
+            if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
+                return Trajectory(parameter=parameter, values=values)
+            current = np.flatnonzero(census.cls[0] == _RESONANCE)
+            z0 = census.z[0, current]
+            current = current[np.lexsort((-z0.imag, z0.real))].tolist()
+            if not current:
+                return Trajectory(parameter=parameter, values=values)
+            if through.size:
+                a, b = values[through[0] : through[0] + 2]
+                raise ConvergenceError(
+                    f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
+                )
+            linked, crossed = [census.z[0, current].tolist()], [[False] * len(current)]
+        minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = minus_dp / slope
+        rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
+        pred = census.w[:-1] + rate[:-1] * np.diff(values[rows])[:, None]
+        gap = np.abs(census.w[1:, None, :] - pred[:, :, None])
+        gap[np.broadcast_to((census.cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
+        nearest = gap.argmin(axis=-1).tolist()
+        z, w, cls = census.z.tolist(), census.w.tolist(), census.cls.tolist()
+        # the start roots, then the root each branch links to at each step, before a conjugation
+        gated = current[:] if first == 0 else []
+        for k in range(len(rows) - 1):
+            here, up = [], []
+            for j in current:
+                m = nearest[k][j]
+                if cls[k + 1][m] == _BOUND_II and w[k][j].imag != 0.0:  # past a real-axis EP
+                    last, now = w[k], w[k + 1]
+                    split = [c for c in range(deg) if cls[k + 1][c] == _BOUND_II
+                             and abs(now[c] - last[j]) <= min(abs(now[c] - x) for x in last)]
+                    m = max(split, key=lambda c: abs(now[c]), default=m)
+                gated.append(m)
+                up.append(w[k + 1][m].imag > 0.0)
+                if up[-1]:
+                    conj = w[k + 1][m].conjugate()
+                    m = min(range(deg), key=lambda c: abs(w[k + 1][c] - conj))
+                here.append(m)
+            current = here
+            linked.append([z[k + 1][m] for m in here])
+            crossed.append(up)
+        step = np.repeat(np.arange(first > 0, len(rows)), len(current))
+        residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
+                             census.e_d[step, 0], census.g2[step, 0])
+        failed = np.flatnonzero(~(residual < root_tol))
+        if failed.size:
+            f = int(failed[0])
+            k, i = step[f], f % len(current)
+            raise ConvergenceError(
+                f"branch {roman_label(i)} at {parameter} = {values[rows[k]]}: |eta| = "
+                f"{residual[f]:.3e} >= root_tol at z = {z[k][gated[f]]}"
+            )
+
+    zs = np.array(linked)
+    pinned = np.abs(zs.imag) <= 1e-12
+    pinned[0] = False  # the start states carry no flags
+    zs = np.where(pinned, zs.real, zs)
+    bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
+    collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
+    collision[0] = False
+    columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
+    point = TrajectoryPoint._make
+    branches = [
+        TrajectoryBranch(roman_label(i), list(map(point, zip(values.tolist(), *cols))))
+        for i, cols in enumerate(columns)
+    ]
+    return Trajectory(parameter=parameter, values=values, branches=branches)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -24,11 +25,13 @@ from fanochain import (
     trace,
 )
 from fanochain import dispersion, sweep
-from fanochain.dispersion import ROOT_TOL, _audit, _census, _rate_terms, _w_coefficients, _w_rows
+from fanochain.dispersion import ROOT_TOL, _audit, _census, _certified_roots, _halves, _rate_terms
+from fanochain.dispersion import _w_coefficients, _w_rows
 from fanochain.states import attach_norms
 from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint
 
-from oracles import find_ep_in_z, reference_eps, trace_by_continuation
+from oracles import find_ep_in_z, full_certified_roots, reference_eps, trace_by_continuation
+from oracles import trace_by_loop
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -96,6 +99,10 @@ def test_trace_axis_crossing_marked():
     (branch,) = trace(m, "g", np.linspace(0.02, 0.6, 201)).branches
     assert [p.value for p in branch.points if p.crossed_axis] == [pytest.approx(0.1882)]
     assert all(p.z.imag <= 1e-12 for p in branch.points)
+    # it goes on from the conjugate of that anti-resonance, and jumps nowhere
+    (crossed,) = [p.z for p in branch.points if p.crossed_axis]
+    assert crossed == pytest.approx(1.1327217 - 0.0880807j, abs=1e-7)
+    assert np.abs(np.diff([p.z for p in branch.points])).max() < 0.1
 
 
 def test_trace_passes_bic_pinch_on_decaying_side():
@@ -432,6 +439,118 @@ def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
                 assert abs(w - nearest) <= abs(companion - nearest) + 4 * ulp
 
 
+def warm_blocks(args):
+    """(coeffs, start) of each _certified_roots call of the trace of a sweep."""
+    blocks, certify = [], dispersion._certified_roots
+
+    def record(coeffs, start):
+        blocks.append((coeffs, start.copy()))
+        return certify(coeffs, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "_certified_roots", record)
+        traced(*args)
+    return blocks
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_warm_starts_come_in_exact_adjacent_pairs():
+    # guards the tests below: each Im w > 0 warm start has its exact conjugate next to it,
+    # as eigvals puts each pair of the anchor's roots, so one member of each pair is solved
+    mirrored = upper = 0
+    for args in EQUIVALENCE_SWEEPS.values():
+        for coeffs, start in warm_blocks(args):
+            src = _halves(start)[1]
+            mirrored += (src != np.arange(start.size).reshape(start.shape)).sum()
+            upper += (start.imag > 0).sum()
+    assert mirrored == upper > 10000
+
+
+@pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
+def test_certified_roots_match_the_full_solve_bit_for_bit(sweep_name):
+    # one member of each conjugate pair is polished and the other is its conjugate: the
+    # same bits as Newton on every root, on every warm block of the sweep
+    blocks = warm_blocks(EQUIVALENCE_SWEEPS[sweep_name])
+    assert blocks
+    for coeffs, start in blocks:
+        for got, want in zip(_certified_roots(coeffs, start), full_certified_roots(coeffs, start)):
+            assert_same_bits(got, want)
+
+
+def test_certified_roots_match_the_full_solve_on_starts_without_exact_pairs():
+    coeffs, start = warm_blocks(TRACE_SWEEPS["n_d=4:e_d"])[0]
+    assert len(start) >= 6
+    k = int(np.flatnonzero(start[0].imag > 0)[0])
+    assert start[0, k + 1] == start[0, k].conjugate()
+    start = start[:6].copy()
+    start[0, k] = complex(np.nextafter(start[0, k].real, np.inf), start[0, k].imag)  # 1 ulp off
+    start[1, k + 1] = np.nan
+    start[2, k + 1] = start[2, k]  # one root twice, its conjugate left out
+    start[3, [k, k + 1]] = start[3, [k + 1, k]]  # the pair's Im w < 0 member first
+    start[4, k] = start[4, k + 2] * (1 + 1e-9)  # swapped onto another root
+    w, certified = _certified_roots(coeffs[:6], start)
+    want_w, want_certified = full_certified_roots(coeffs[:6], start)
+    assert_same_bits(w, want_w)
+    assert_same_bits(certified, want_certified)
+    assert certified.tolist() == [True, False, False, True, False, True]
+
+
+def trace_record(trace_fn, *args):
+    """repr of the branches a trace returns, which tells every bit of each point, or the
+    type and message of the error it raises."""
+    try:
+        return repr(trace_fn(*args).branches)
+    except FanochainError as exc:
+        return type(exc), str(exc)
+
+
+def every_root(w):
+    """_halves as if no root were read from its conjugate: every root is solved."""
+    every = np.arange(w.size).reshape(w.shape)
+    return every, every
+
+
+@pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
+def test_trace_is_the_same_with_every_root_solved_and_linked(sweep_name, monkeypatch):
+    # polishing, rating and linking from both members of each conjugate pair, as the
+    # full solve did, gives the same trajectories, point for point, or the same error
+    args = EQUIVALENCE_SWEEPS[sweep_name]
+    got = trace_record(trace, *args)
+    monkeypatch.setattr(dispersion, "_certified_roots", full_certified_roots)
+    assert trace_record(trace, *args) == got
+    for module in (dispersion, sweep):
+        monkeypatch.setattr(module, "_halves", every_root)
+    assert trace_record(trace, *args) == got
+
+
+@pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
+def test_trace_links_as_the_per_branch_loop(sweep_name):
+    # the index maps give every point, flag and error of the loop that linked each
+    # branch one value at a time from every root
+    args = EQUIVALENCE_SWEEPS[sweep_name]
+    assert trace_record(trace, *args) == trace_record(trace_by_loop, *args)
+
+
+def test_trace_links_a_census_without_exact_pairs_as_the_loop(monkeypatch):
+    # with every Im w > 0 root 1 ulp below its partner's conjugate, the maps are built from
+    # every root and a link above the axis goes on from the root nearest its conjugate
+    args = ChainModel.semi_infinite(2, 0.92, 0.1, v=0.7), "g", np.linspace(0.02, 0.6, 201)
+    census = sweep._census
+
+    def nudged(*args, **kwargs):
+        c = census(*args, **kwargs)
+        return dataclasses.replace(c, w=np.where(c.w.imag > 0, c.w - 1j * np.spacing(c.w.imag), c.w))
+
+    monkeypatch.setattr(sweep, "_census", nudged)
+    got = trace(*args)
+    assert sum(p.crossed_axis for b in got.branches for p in b.points) > 0
+    assert repr(got.branches) == trace_record(trace_by_loop, *args)
+
+
 def test_trace_refuses_root_through_infinity():
     # n_d = 1: past its real-axis EP the branch follows the root that
     # escapes to w = infinity where 4 g^2 v^2 = 1, here at g = 0.3846
@@ -556,6 +675,36 @@ def test_find_ep_matches_z_plane_solve(scan):
         assert abs(ep.g - ref.g) < 1e-9 and abs(ep.e_d - ref.e_d) < 1e-9
         assert abs(ep.z - ref.z) < 1e-9
         assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+
+
+@pytest.mark.parametrize(
+    "model, z0",
+    [(ChainModel.semi_infinite(24, 0.75, 0.05), 0.7533617 + 0.0175381j),
+     (ChainModel.semi_infinite(4, -0.5, 0.2), -0.41 + 0.15j)],
+    ids=["n_d=24", "readme"],
+)
+def test_find_ep_reports_the_resonance_pair(model, z0):
+    # from these seeds Newton settles on the anti-resonance pair's double root (Im w > 0);
+    # its conjugate, at the same g and e_d, is the EP reported, as from the conjugate seed
+    ep = find_ep(model, (model.g, model.e_d, z0))
+    mirror = find_ep(model, (model.g, model.e_d, z0.conjugate()))
+    assert ep.z.imag < 0 and mirror.z.imag < 0
+    assert ep.g == pytest.approx(mirror.g, abs=1e-14) and ep.e_d == pytest.approx(mirror.e_d, abs=1e-14)
+    assert abs(ep.z - mirror.z) < 1e-14
+    assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+    assert find_ep(model, (ep.g, ep.e_d, ep.z)).z.imag < 0
+
+
+def test_readme_ep_is_the_scan_ep():
+    # the README box's one EP, as the scan returns it and as find_ep polishes it from
+    # either member of a seed pair
+    model = ChainModel.semi_infinite(4, -0.5, 0.2)
+    (seed,) = scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))
+    assert (round(seed.g, 7), round(seed.e_d, 7)) == (0.1728448, -0.398197)
+    for ep in (find_ep(model, seed), find_ep(model, (0.2, -0.5, -0.41 + 0.15j)),
+               find_ep(model, (0.2, -0.5, -0.41 - 0.15j))):
+        assert abs(ep.g - seed.g) < 1e-12 and abs(ep.e_d - seed.e_d) < 1e-12
+        assert abs(ep.z - seed.z) < 1e-12 and ep.z.imag < 0
 
 
 def test_find_ep_bad_seed_raises():
