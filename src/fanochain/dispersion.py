@@ -316,22 +316,45 @@ def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
     return w, certified
 
 
-def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray):
-    """(-dp/dq, p'(w)) at the roots w of p, one row of roots per (e_d, g) row.
+def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray,
+                order: int = 1):
+    """(-dp/dq, p'(w)) at the roots w of p, one row of roots per (e_d, g) row;
+    with order 2, a third term, -(p_ww w'^2 + 2 p_wq w' + p_qq).
 
-    Their ratio is the rate dw/dq of a root, since p(w; e_d, g) = 0; p is
-    linear in e_d and in g^2, so dp/dq is a coefficient row of _w_rows.
-    With z = (w + 1/w)/2, dz/dq = (w^2 - 1)/(2 w^2) dw/dq: dz/de_d = N, the
-    normalization, and dz/dg = 2 g Sigma N, with no self-energy evaluated.
+    The ratio of the first term to p' is the rate w' = dw/dq of a root,
+    since p(w; e_d, g) = 0, and that of the third to p' its curvature
+    d^2w/dq^2, from differentiating p_w w' + p_q = 0 once more.  p is
+    linear in e_d and in g^2, so dp/dq is a coefficient row of _w_rows, or
+    2 g times one, and p_qq is 0 or twice that row.  All terms come from
+    one _horner pass.  With z = (w + 1/w)/2, dz/dq = (w^2 - 1)/(2 w^2)
+    dw/dq: dz/de_d = N, the normalization, and dz/dg = 2 g Sigma N, with no
+    self-energy evaluated.
     """
     rows = _w_rows(model)
-    dp_dq = rows[1:2] if parameter == "e_d" else 2.0 * g[:, None] * rows[2]
-    dp, slope = _horner_slope(dp_dq, _w_coefficients(rows, e_d, g * g), w)
-    return -dp, slope
+    coeffs = _w_coefficients(rows, e_d, g * g)
+    if parameter == "e_d":
+        dp_dq, d2p_dq2 = rows[1:2], np.zeros((1, rows.shape[1]))
+    else:
+        dp_dq, d2p_dq2 = 2.0 * g[:, None] * rows[2], 2.0 * rows[2:3]
+    if order == 1:
+        dp, slope = _horner_slope(dp_dq, coeffs, w)
+        return -dp, slope
+    k = np.arange(coeffs.shape[1])
+
+    def derivative(a):  # ascending, with a zero top coefficient
+        return np.roll(a * k, -1, axis=-1)
+
+    slope = derivative(coeffs)
+    terms = [dp_dq, slope, derivative(slope), derivative(dp_dq), d2p_dq2]
+    desc = np.concatenate([np.broadcast_to(t, coeffs.shape)[:, ::-1] for t in terms])
+    y = _horner(desc, np.concatenate([w] * len(terms)))
+    p_q, p_w, p_ww, p_wq, p_qq = y.reshape((len(terms),) + w.shape)
+    rate = -p_q / p_w
+    return -p_q, p_w, -(p_ww * rate * rate + 2.0 * p_wq * rate + p_qq)
 
 
 #: A sweep census solves every _STRIDE-th value of the sweep by _w_roots (see _census).
-_STRIDE = 4
+_STRIDE = 12
 
 
 def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) -> np.ndarray:
@@ -341,11 +364,13 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
 
     A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
     is not among the rows, is solved by _w_roots.  Each other row starts
-    from its anchor's roots moved by their rate, w + (dw/dq) dq with dw/dq
-    from _rate_terms (taken at the roots _halves picks, the rest by exact
-    conjugation), and keeps the roots of _certified_roots if they are
-    certified, else it too is solved by _w_roots.  So a row's roots depend
-    only on its own coefficients and its anchor's.
+    from its anchor's roots moved by their second-order Taylor step
+    w + w' dq + w'' dq^2 / 2, with w' and w'' from _rate_terms (taken at
+    the roots _halves picks, the rest by exact conjugation; a start that is
+    not finite, at a double root of the anchor, stays at the anchor's
+    root), and keeps the roots of _certified_roots if they are certified,
+    else it too is solved by _w_roots.  So a row's roots depend only on its
+    own coefficients and its anchor's.
     """
     anchor = index - index % _STRIDE
     at = np.searchsorted(index, anchor)  # the anchor's row, where it is a row
@@ -354,15 +379,20 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
     w[eig] = _w_roots(coeffs[eig], top[eig])
     warm = np.flatnonzero(~eig)
     if warm.size:
-        rate = np.zeros_like(w)
+        rate, curve = np.zeros((2,) + w.shape, dtype=complex)
         q = e_d if parameter == "e_d" else g
         with np.errstate(all="ignore"):
             anchors = w[eig]
             take, src = _halves(anchors)
-            minus_dp, slope = _rate_terms(model, parameter, anchors.take(take), e_d[index[eig]], g[index[eig]])
+            minus_dp, slope, minus_d2p = _rate_terms(
+                model, parameter, anchors.take(take), e_d[index[eig]], g[index[eig]], order=2
+            )
             rate[eig] = _unfold(minus_dp / slope, take, src)
+            curve[eig] = _unfold(minus_d2p / slope, take, src)
             a = at[warm]
-            start = w[a] + rate[a] * (q[index[warm]] - q[index[a]])[:, None]
+            h = (q[index[warm]] - q[index[a]])[:, None]
+            start = w[a] + (rate[a] + 0.5 * curve[a] * h) * h
+            start = np.where(np.isfinite(start), start, w[a])
         w[warm], certified = _certified_roots(coeffs[warm], start)
         redo = warm[~certified]
         if redo.size:
@@ -404,8 +434,9 @@ def _census(model: ChainModel, e_d, g, sweep: tuple[str, int, int] | None = None
     _w_roots.  A sweep (parameter, first, stop) marks the rows as the
     values of one sweep over parameter ('e_d' or 'g') and solves only the
     rows first .. stop - 1: every _STRIDE-th value by _w_roots, and the
-    values between from their anchor's roots, certified (_sweep_roots).
-    A first value between anchors has its anchor solved too, and then left
+    values between from their anchor's roots moved by a second-order
+    Taylor step, certified (_sweep_roots).  A first value between anchors
+    has its anchor and the values from there solved too, and then left
     out.  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
     pair (exact, as p is real) the resonance is the member with Im w < 0

@@ -1,11 +1,12 @@
 """Trajectory tracing and exceptional-point location.
 
 A trajectory solves its sweep as one stack of dispersion polynomials p(w)
-(the batched census of the EP scan in sweep mode): every 4th value by its
-companion matrix, and each value between from its anchor's roots, moved
-by their Euler step and Newton-polished on p, wherever the result is
-certified (pairwise disjoint inclusion discs, one root in each), else
-by its companion matrix too.  It then links each branch from one value
+(the batched census of the EP scan in sweep mode): every 12th value by
+its companion matrix, and each value between from its anchor's roots,
+moved by their second-order Taylor step w + w' dq + w'' dq^2 / 2 and
+Newton-polished on p, wherever the result is certified (pairwise
+disjoint inclusion discs, one root in each), else by its companion
+matrix too.  It then links each branch from one value
 to the next in w, where both sheets form one plane and roots move
 continuously through the band: to the root nearest its Euler prediction,
 with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
@@ -46,6 +47,8 @@ COLLISION_TOL = 1e-6
 #: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of E_g: 2 n_d, or 6).
 #: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
 #: the sweep, lines and n_d; a default scan from g = 0 is one block up to n_d = 48.
+#: A trace block that starts between anchors also solves the values back to its
+#: anchor, up to dispersion._STRIDE - 1 more, which the cap does not count.
 SCAN_BLOCK = 2**19
 
 
@@ -99,9 +102,11 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
 
     The whole sweep is solved as one stack of polynomials p(w), in blocks
     of at most SCAN_BLOCK / deg^2 values (a block that starts between
-    anchors solves its anchor too).  Every 4th value of the sweep is an
-    anchor, solved by its companion matrix; each value between starts from
-    its anchor's roots moved by their rate, and keeps the Newton-polished
+    anchors also solves the values back to its anchor).  Every 12th
+    value of the sweep (dispersion._STRIDE) is an anchor, solved by its
+    companion matrix; each value between starts from its anchor's roots
+    moved by their second-order Taylor step in the swept parameter (rate
+    and curvature from p at the anchor), and keeps the Newton-polished
     roots only where they are certified (_certified_roots: every root's
     Newton stalled, backward errors at rounding level, pairwise disjoint
     inclusion discs), else it too is a companion-matrix solve.  So a

@@ -165,6 +165,26 @@ def test_rates_euler_error_is_second_order(parameter):
     np.testing.assert_allclose(euler_error(2e-3) / euler_error(1e-3), 4.0, rtol=0.02)
 
 
+@pytest.mark.parametrize("parameter", ["e_d", "g"])
+@pytest.mark.parametrize(
+    "model",
+    [ChainModel.semi_infinite(4, -0.6, 0.16), ChainModel.infinite(-0.6, 0.2)],
+    ids=["n_d=4", "infinite"],
+)
+def test_rate_and_curvature_match_central_differences(model, parameter):
+    # w' and w'' of the second-order warm start, at every root, against central differences
+    # of the companion roots at q - h, q, q + h (each matched to the nearest root)
+    h = 1e-4
+    q = getattr(model, parameter) + np.array([-h, 0.0, h])
+    e_d, g = (q, np.full(3, model.g)) if parameter == "e_d" else (np.full(3, model.e_d), q)
+    w = _census(model, e_d, g).w
+    minus_dp, slope, minus_d2p = _rate_terms(model, parameter, w[1:2], e_d[1:2], g[1:2], order=2)
+    rate, curve = (minus_dp / slope)[0], (minus_d2p / slope)[0]
+    lo, hi = (r[np.abs(r[None, :] - w[1][:, None]).argmin(axis=1)] for r in (w[0], w[2]))
+    for got, want in ((rate, (hi - lo) / (2 * h)), (curve, (hi - 2 * w[1] + lo) / h**2)):
+        assert (np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want))).all()
+
+
 def test_trace_g_parameter():
     m = ChainModel.semi_infinite(4, -0.5, 0.1)
     tr = trace(m, "g", np.linspace(0.1, 0.25, 61))
@@ -397,11 +417,18 @@ EQUIVALENCE_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
-def test_trace_matches_every_value_solved_by_eigvals(sweep_name, monkeypatch):
+@pytest.mark.parametrize(
+    "sweep_name, stride",
+    [pytest.param(name, stride, id=name if stride is None else f"{name}:stride={stride}")
+     for stride in (None, 4, 16) for name in EQUIVALENCE_SWEEPS],
+)
+def test_trace_matches_every_value_solved_by_eigvals(sweep_name, stride, monkeypatch):
     # the values between anchors start from their anchor's roots; with a
-    # stride of 1 every value is a companion-matrix solve
+    # stride of 1 every value is a companion-matrix solve.  The stride only
+    # moves work between the two: the default and other strides agree
     args = EQUIVALENCE_SWEEPS[sweep_name]
+    if stride is not None:
+        monkeypatch.setattr(dispersion, "_STRIDE", stride)
     assert dispersion._STRIDE > 1
     got = traced(*args)
     monkeypatch.setattr(dispersion, "_STRIDE", 1)
@@ -421,15 +448,17 @@ def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
     # the double-coefficient p(w) as the companion-matrix root, to 4 ulps
     mpmath = pytest.importorskip("mpmath")
     model, parameter, values = TRACE_SWEEPS["n_d=12:e_d"]
-    e_d, g = values[:9], np.full(9, model.g)
-    warm = _census(model, e_d, g, sweep=(parameter, 0, 9)).w
+    stride = dispersion._STRIDE
+    n = stride + 1  # one whole anchor interval, its far anchor included
+    e_d, g = values[:n], np.full(n, model.g)
+    warm = _census(model, e_d, g, sweep=(parameter, 0, n)).w
     monkeypatch.setattr(dispersion, "_STRIDE", 1)
-    eig = _census(model, e_d, g, sweep=(parameter, 0, 9)).w
+    eig = _census(model, e_d, g, sweep=(parameter, 0, n)).w
     moved = np.flatnonzero((warm != eig).any(axis=1))
-    assert len(moved) >= 3 and not (moved % 4 == 0).any()  # the anchors are companion solves
+    assert len(moved) >= 3 and not (moved % stride == 0).any()  # the anchors are companion solves
     coeffs = _w_coefficients(_w_rows(model), e_d, np.array([x**2 for x in g.tolist()]))
     with mpmath.workdps(40):
-        for row in moved[:3]:
+        for row in range(1, stride):  # every value between, the one farthest from its anchor too
             exact = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[row, ::-1]], maxsteps=200, extraprec=200)
             exact = np.array([complex(r) for r in exact])
             for w in warm[row]:
@@ -437,6 +466,46 @@ def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
                 companion = eig[row][np.abs(eig[row] - nearest).argmin()]
                 ulp = np.spacing(max(abs(nearest.real), abs(nearest.imag)))
                 assert abs(w - nearest) <= abs(companion - nearest) + 4 * ulp
+
+
+def solve_counts(args):
+    """(rows solved by eigvals, warm values, warm values that fell back to eigvals) of the
+    trace of a sweep."""
+    counts, w_roots, certify = [0, 0, 0], dispersion._w_roots, dispersion._certified_roots
+
+    def eig(coeffs, top):
+        counts[0] += len(coeffs)
+        return w_roots(coeffs, top)
+
+    def warm(coeffs, start):
+        w, certified = certify(coeffs, start)
+        counts[1] += len(certified)
+        counts[2] += int((~certified).sum())
+        return w, certified
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "_w_roots", eig)
+        mp.setattr(dispersion, "_certified_roots", warm)
+        traced(*args)
+    return counts
+
+
+def test_heavy_sweep_solves_little_more_than_its_anchors_by_eigvals():
+    # the continuation benchmark's n_d = 12 e_d sweep shape: its anchors, plus at most 2% of
+    # the values between them, are companion-matrix solves
+    values = np.linspace(-0.999, 0.999, 401)
+    eig, warm, fallback = solve_counts((ChainModel.semi_infinite(12, 0.0, 0.2), "e_d", values))
+    anchors = len(range(0, len(values), dispersion._STRIDE))
+    assert warm == len(values) - anchors
+    assert eig == anchors + fallback and fallback <= 0.02 * warm
+
+
+def test_few_warm_values_fall_back_to_eigvals():
+    warm = fallback = 0
+    for args in EQUIVALENCE_SWEEPS.values():
+        _, n, f = solve_counts(args)
+        warm, fallback = warm + n, fallback + f
+    assert warm > 4000 and fallback <= 0.03 * warm
 
 
 def warm_blocks(args):
