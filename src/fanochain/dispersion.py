@@ -316,6 +316,11 @@ def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
     return w, certified
 
 
+def _derivative(a: np.ndarray) -> np.ndarray:
+    """The derivative of each row of ascending coefficients a, ascending, with a zero top coefficient."""
+    return np.append(a[:, 1:] * np.arange(1, a.shape[1]), np.zeros((len(a), 1)), axis=1)
+
+
 def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray,
                 order: int = 1):
     """(-dp/dq, p'(w)) at the roots w of p, one row of roots per (e_d, g) row;
@@ -325,10 +330,10 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
     since p(w; e_d, g) = 0, and that of the third to p' its curvature
     d^2w/dq^2, from differentiating p_w w' + p_q = 0 once more.  p is
     linear in e_d and in g^2, so dp/dq is a coefficient row of _w_rows, or
-    2 g times one, and p_qq is 0 or twice that row.  All terms come from
-    one _horner pass.  With z = (w + 1/w)/2, dz/dq = (w^2 - 1)/(2 w^2)
-    dw/dq: dz/de_d = N, the normalization, and dz/dg = 2 g Sigma N, with no
-    self-energy evaluated.
+    2 g times one, and p_qq is 0 or twice that row.  One _horner pass takes
+    the stack p_q, p_w, p_ww, p_wq, p_qq, or its first two at order 1.  With
+    z = (w + 1/w)/2, dz/dq = (w^2 - 1)/(2 w^2) dw/dq: dz/de_d = N, the
+    normalization, and dz/dg = 2 g Sigma N, with no self-energy evaluated.
     """
     rows = _w_rows(model)
     coeffs = _w_coefficients(rows, e_d, g * g)
@@ -336,31 +341,48 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
         dp_dq, d2p_dq2 = rows[1:2], np.zeros((1, rows.shape[1]))
     else:
         dp_dq, d2p_dq2 = 2.0 * g[:, None] * rows[2], 2.0 * rows[2:3]
+    slope = _derivative(coeffs)
+    terms = [dp_dq, slope] + ([_derivative(slope), _derivative(dp_dq), d2p_dq2] if order == 2 else [])
+    desc = np.empty((len(terms),) + coeffs.shape)
+    for layer, t in zip(desc, terms):
+        layer[...] = t
+    y = _horner(desc.reshape(-1, coeffs.shape[1])[:, ::-1], np.concatenate([w] * len(terms)))
+    p_q, p_w, *second = y.reshape((len(terms),) + w.shape)
     if order == 1:
-        dp, slope = _horner_slope(dp_dq, coeffs, w)
-        return -dp, slope
-    k = np.arange(coeffs.shape[1])
-
-    def derivative(a):  # ascending, with a zero top coefficient
-        return np.roll(a * k, -1, axis=-1)
-
-    slope = derivative(coeffs)
-    terms = [dp_dq, slope, derivative(slope), derivative(dp_dq), d2p_dq2]
-    desc = np.concatenate([np.broadcast_to(t, coeffs.shape)[:, ::-1] for t in terms])
-    y = _horner(desc, np.concatenate([w] * len(terms)))
-    p_q, p_w, p_ww, p_wq, p_qq = y.reshape((len(terms),) + w.shape)
+        return -p_q, p_w
+    p_ww, p_wq, p_qq = second
     rate = -p_q / p_w
     return -p_q, p_w, -(p_ww * rate * rate + 2.0 * p_wq * rate + p_qq)
 
+
+#: Cap on rows * deg^2 for one batched solve of a trace (rows of p(w), of degree
+#: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of E_g: 2 n_d, or 6).
+#: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
+#: the sweep, lines and n_d; a default scan from g = 0 is one block up to n_d = 48.
+#: A trace block is at least one anchor interval (_STRIDE + 1 values), more than the cap above n_d = 100.
+SCAN_BLOCK = 2**19
 
 #: A sweep census solves every _STRIDE-th value of the sweep by _w_roots (see _census).
 _STRIDE = 12
 
 
+def _block_rows(deg: int) -> int:
+    """Rows of degree deg in one batched solve: SCAN_BLOCK / deg^2, at least one."""
+    return max(1, SCAN_BLOCK // deg**2)
+
+
+def _sweep_blocks(n: int, deg: int) -> list[slice]:
+    """Slices of a sweep of n values of p of degree deg, solved and linked block by block:
+    whole anchor intervals, as many as _block_rows values hold (at least one), the last
+    holding what is left, so each block starts on the anchor where the one before ends."""
+    links = _STRIDE * max(1, (_block_rows(deg) - 1) // _STRIDE)
+    return [slice(first, min(first + links, n - 1) + 1) for first in range(0, n - 1, links)]
+
+
 def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) -> np.ndarray:
     """Roots of the rows of coeffs (top as for _w_roots): the values ``index``
     (increasing) of a sweep over ``parameter`` whose impurity levels and
-    couplings, by value, are e_d and g.
+    couplings, by value, are e_d and g; value 0 is an anchor (_sweep_blocks).
 
     A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
     is not among the rows, is solved by _w_roots.  Each other row starts
@@ -427,17 +449,15 @@ class _Census:
     kept: np.ndarray      # false only for the Im w > 0 member of a BIC pair
 
 
-def _census(model: ChainModel, e_d, g, sweep: tuple[str, int, int] | None = None) -> _Census:
+def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified.
 
     This is the solve of discrete_states done on arrays, each row by
-    _w_roots.  A sweep (parameter, first, stop) marks the rows as the
-    values of one sweep over parameter ('e_d' or 'g') and solves only the
-    rows first .. stop - 1: every _STRIDE-th value by _w_roots, and the
-    values between from their anchor's roots moved by a second-order
-    Taylor step, certified (_sweep_roots).  A first value between anchors
-    has its anchor and the values from there solved too, and then left
-    out.  Each root maps to
+    _w_roots.  A sweep parameter ('e_d' or 'g') marks the rows as the
+    values of one sweep over it, the first an anchor: every _STRIDE-th
+    value is solved by _w_roots, and the values between from their
+    anchor's roots moved by a second-order Taylor step, certified
+    (_sweep_roots).  Each root maps to
     z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
     pair (exact, as p is real) the resonance is the member with Im w < 0
     and the other is its anti-resonance.  Both lie on sheet II, where Im z
@@ -462,9 +482,6 @@ def _census(model: ChainModel, e_d, g, sweep: tuple[str, int, int] | None = None
     e_d = np.asarray(e_d, dtype=float)
     g = np.asarray(g, dtype=float)
     rows = np.flatnonzero(g > 0)
-    if sweep is not None:
-        parameter, first, stop = sweep
-        rows = rows[(rows >= first - first % _STRIDE) & (rows < stop)]
     # Python's float power, as the scalar model code squares g: numpy
     # squares by multiplication, which can differ in the last bit.
     g2 = np.array([x**2 for x in g[rows].tolist()])
@@ -486,9 +503,7 @@ def _census(model: ChainModel, e_d, g, sweep: tuple[str, int, int] | None = None
     if sweep is None:
         w = _w_roots(coeffs, top)
     else:
-        w = _sweep_roots(model, parameter, rows, coeffs, top, e_d, g)
-        block = rows >= first
-        rows, g2, w = rows[block], g2[block], w[block]
+        w = _sweep_roots(model, sweep, rows, coeffs, top, e_d, g)
     e_d = e_d[rows][:, None]
     g2 = g2[:, None]
 

@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
-from .dispersion import _Census, _census, _halves, _horner, _rate_terms, _residual
-from .dispersion import _w_coefficients, _w_roots, _w_rows
+from .dispersion import _Census, _block_rows, _census, _derivative, _halves, _horner, _rate_terms
+from .dispersion import _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
@@ -42,15 +42,6 @@ EP_TOL = 1e-10
 
 #: Two corrected branches closer than this are flagged as colliding.
 COLLISION_TOL = 1e-6
-
-#: Cap on rows * deg^2 for one batched solve of a trace (rows of p(w), of degree
-#: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of E_g: 2 n_d, or 6).
-#: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
-#: the sweep, lines and n_d; a default scan from g = 0 is one block up to n_d = 48.
-#: A trace block that starts between anchors also solves the values back to its
-#: anchor, up to dispersion._STRIDE - 1 more, which the cap does not count.
-SCAN_BLOCK = 2**19
-
 
 class TrajectoryPoint(NamedTuple):
     """One sampled point of one branch (a named tuple: immutable, equal by fields)."""
@@ -100,21 +91,22 @@ class EpResult:
 def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
     """Trace every resonance branch over the sorted parameter values.
 
-    The whole sweep is solved as one stack of polynomials p(w), in blocks
-    of at most SCAN_BLOCK / deg^2 values (a block that starts between
-    anchors also solves the values back to its anchor).  Every 12th
-    value of the sweep (dispersion._STRIDE) is an anchor, solved by its
-    companion matrix; each value between starts from its anchor's roots
-    moved by their second-order Taylor step in the swept parameter (rate
-    and curvature from p at the anchor), and keeps the Newton-polished
-    roots only where they are certified (_certified_roots: every root's
-    Newton stalled, backward errors at rounding level, pairwise disjoint
-    inclusion discs), else it too is a companion-matrix solve.  So a
-    value's roots depend only on its own parameters and its anchor's, and
-    the blocks do not change the result.  Branches are the resonances of
-    its first row, classed as discrete_states classes them and labelled
-    (i), (ii), ... by ascending Re z (then ascending width).  Each branch
-    is linked in w to the root nearest its Euler prediction
+    The sweep is solved as stacks of polynomials p(w), in blocks of whole
+    anchor intervals, as many as dispersion.SCAN_BLOCK / deg^2 values hold
+    (at least one), consecutive blocks sharing their boundary anchor
+    (_sweep_blocks); each block is solved, linked, gated and
+    flagged in turn.  Every 12th value (dispersion._STRIDE) is an anchor,
+    solved by its companion matrix; each value between starts from its
+    anchor's roots moved by their second-order Taylor step in the swept
+    parameter (rate and curvature from p at the anchor), and keeps the
+    Newton-polished roots only where they are certified (_certified_roots:
+    every root's Newton stalled, backward errors at rounding level,
+    pairwise disjoint inclusion discs), else it too is a companion-matrix
+    solve.  So a value's roots depend only on its own parameters and its
+    anchor's, and the blocks do not change the result.  Branches are the
+    resonances of its first row, classed as discrete_states classes them
+    and labelled (i), (ii), ... by ascending Re z (then ascending width).
+    Each branch is linked in w to the root nearest its Euler prediction
     w + (dw/dq) dq at the next value, sheet-I roots aside, read off the
     block's index maps (_link_maps).
     At a BIC pinch the decaying root only touches |w| = 1.  A link to an
@@ -156,14 +148,10 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     rows = _w_rows(model)
     lead = _w_coefficients(rows, e_d, g * g)[:, -1]
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
-    deg = rows.shape[1] - 1
-    block = max(1, SCAN_BLOCK // deg**2)
-    links = max(1, block - 1)
-    # Blocks overlap by one value, so each block links its own values.
-    for first in range(0, n - 1, links):
-        rows = np.arange(first, min(first + links, n - 1) + 1)
-        census = _census(model, e_d, g, sweep=(parameter, first, rows[-1] + 1))
-        if first == 0:
+    points = []  # (z, bic, collision, crossed_axis) of each branch at each value, by block
+    for block in _sweep_blocks(n, rows.shape[1] - 1):
+        census = _census(model, e_d[block], g[block], sweep=parameter)
+        if block.start == 0:
             if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
                 return Trajectory(parameter=parameter, values=values)
             current = np.flatnonzero(census.cls[0] == _RESONANCE)
@@ -176,22 +164,20 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
                 raise ConvergenceError(
                     f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
                 )
-            linked, crossed = [census.z[:1, current]], [np.zeros((1, len(current)), dtype=bool)]
+            points.append((census.z[:1, current], *np.zeros((3, 1, len(current)), dtype=bool)))  # no flags
         # maps[:, k, j]: the root a branch at root j of row k links to (before a
         # conjugation), the root it goes on from, and whether it crossed the axis
-        maps = _link_maps(model, parameter, census, e_d[rows], g[rows], values[rows])
+        maps = _link_maps(model, parameter, census, e_d[block], g[block], values[block])
         path = [current]
         for row in maps[1].tolist():
             current = [row[j] for j in current]
             path.append(current)
         path = np.array(path)
-        k = np.arange(len(rows) - 1)[:, None]
-        linked.append(census.z[k + 1, path[1:]])
-        crossed.append(maps[2][k, path[:-1]].astype(bool))
+        k = np.arange(len(path) - 1)[:, None]
         # the start roots, then the root each branch links to at each step, before a conjugation
         gated = maps[0][k, path[:-1]]
-        gated = (np.concatenate([path[:1], gated]) if first == 0 else gated).ravel()
-        step = np.repeat(np.arange(first > 0, len(rows)), len(current))
+        gated = (np.concatenate([path[:1], gated]) if block.start == 0 else gated).ravel()
+        step = np.repeat(np.arange(block.start > 0, len(path)), len(current))
         residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
                              census.e_d[step, 0], census.g2[step, 0])
         failed = np.flatnonzero(~(residual < root_tol))
@@ -199,18 +185,17 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             f = int(failed[0])
             k, i = step[f], f % len(current)
             raise ConvergenceError(
-                f"branch {roman_label(i)} at {parameter} = {values[rows[k]]}: |eta| = "
+                f"branch {roman_label(i)} at {parameter} = {values[block][k]}: |eta| = "
                 f"{residual[f]:.3e} >= root_tol at z = {complex(census.z[k, gated[f]])}"
             )
+        zs = census.z[k + 1, path[1:]]
+        pinned = np.abs(zs.imag) <= 1e-12
+        zs = np.where(pinned, zs.real, zs)
+        bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
+        collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
+        points.append((zs, bic, collision, maps[2][k, path[:-1]].astype(bool)))
 
-    zs = np.concatenate(linked)
-    pinned = np.abs(zs.imag) <= 1e-12
-    pinned[0] = False  # the start states carry no flags
-    zs = np.where(pinned, zs.real, zs)
-    bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
-    collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
-    collision[0] = False
-    columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), np.concatenate(crossed).T.tolist())
+    columns = zip(*(np.concatenate(x).T.tolist() for x in zip(*points)))
     # each point as its fields' tuple, built as TrajectoryPoint._make builds it
     point = functools.partial(tuple.__new__, TrajectoryPoint)
     branches = [
@@ -362,12 +347,12 @@ def scan_for_ep_seeds(
     _w_rows), so on a line of fixed g the double roots of p are the roots
     w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
     and an EP is one with complex w and real e_d.  E_g is solved by
-    _w_roots on n_g evenly spaced lines, in blocks of at most SCAN_BLOCK /
-    deg^2.  Each root with Im w < 0 is linked to the nearest root of the
-    next line (of a conjugate pair, the one with Im w <= 0), and find_ep
-    polishes each sign change of Im e_d along a link, from the w where its
-    linear interpolation vanishes.  A polish that fails or lands outside
-    the box is dropped.  Lines at g = 0 (no coupling) and lines where E_g
+    _w_roots on n_g evenly spaced lines, in blocks of at most
+    dispersion.SCAN_BLOCK / deg^2.  Each root with Im w < 0 is linked to
+    the nearest root of the next line (of a conjugate pair, the one with
+    Im w <= 0), and find_ep polishes each sign change of Im e_d along a
+    link, from the w where its linear interpolation vanishes.  A polish
+    that fails or lands outside the box is dropped.  Lines at g = 0 (no coupling) and lines where E_g
     loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and
     their neighbours are linked across them.  Where E_g loses its leading
     term at g = 0 (the semi-infinite chain at n_d >= 2), its complex roots
@@ -393,7 +378,7 @@ def scan_for_ep_seeds(
     if g_range[0] > g_range[1] or ed_range[0] > ed_range[1]:
         return []
     base, d_ed, d_g2 = rows = _w_rows(model)
-    base1, d_ed1, d_g21 = rows[:, 1:] * np.arange(1, rows.shape[1])
+    base1, d_ed1, d_g21 = _derivative(rows)
     # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
     e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
                        np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
@@ -410,7 +395,7 @@ def scan_for_ep_seeds(
     g, g2, coeffs, top = g[solved], g2[solved], coeffs[solved], top[solved]
     if len(g) < 2:
         return []
-    block = max(1, SCAN_BLOCK // (coeffs.shape[1] - 1) ** 2)
+    block = _block_rows(coeffs.shape[1] - 1)
     w = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
                         for i in range(0, len(g), block)])
     lower = w.imag < 0

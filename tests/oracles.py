@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from fanochain import sweep
+from fanochain import dispersion, sweep
 from fanochain.dispersion import _ANTIRESONANCE, _BACKWARD_ERROR, _BOUND_I, _BOUND_II, _HORNER_ROUNDING
 from fanochain.dispersion import _RESONANCE, _WARM_ROUNDS, ROOT_TOL, DiscreteState, StateClass, _horner
 from fanochain.dispersion import _horner_slope, _rate_terms, _residual, _w_coefficients, _w_rows
@@ -488,9 +488,9 @@ def full_certified_roots(coeffs: np.ndarray, start: np.ndarray):
 
 def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL) -> Trajectory:
     """sweep.trace as it was before its links became index maps: each branch linked one
-    value at a time in Python, from every root of the census, on the same census (read
-    through sweep, so that a test patching sweep._census patches both)."""
-    SCAN_BLOCK = sweep.SCAN_BLOCK
+    value at a time in Python, from every root of the census, on the same census and
+    blocks (read through sweep and dispersion, so that a test patching sweep._census or
+    the blocks patches both), and its flags set over the whole sweep once it is linked."""
     if parameter not in ("e_d", "g"):
         raise ModelError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
     values = np.asarray(values, dtype=float)
@@ -508,12 +508,10 @@ def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = R
     lead = _w_coefficients(rows, e_d, g * g)[:, -1]
     through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
     deg = rows.shape[1] - 1
-    block = max(1, SCAN_BLOCK // deg**2)
-    links = max(1, block - 1)
     # Blocks overlap by one value, so each block links its own values.
-    for first in range(0, n - 1, links):
-        rows = np.arange(first, min(first + links, n - 1) + 1)
-        census = sweep._census(model, e_d, g, sweep=(parameter, first, rows[-1] + 1))
+    for block in dispersion._sweep_blocks(n, deg):
+        first, rows = block.start, np.arange(n)[block]
+        census = sweep._census(model, e_d[block], g[block], sweep=parameter)
         if first == 0:
             if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
                 return Trajectory(parameter=parameter, values=values)

@@ -293,21 +293,48 @@ def test_trace_sweeps_exercise_their_edge_cases():
     assert faulting_rows("n_d=8:g") > 0 and faulting_rows("n_d=12:g") > 0
 
 
+@pytest.mark.parametrize("n", [2, 13, 14, 401])
+@pytest.mark.parametrize("cap", [1, 24, 25, 1000])
+def test_sweep_blocks_are_whole_anchor_intervals(n, cap, monkeypatch):
+    # cap: the values SCAN_BLOCK holds at degree 8
+    monkeypatch.setattr(dispersion, "SCAN_BLOCK", cap * 8**2)
+    blocks = dispersion._sweep_blocks(n, 8)
+    stride = dispersion._STRIDE
+    # the blocks cover the sweep, each starting on an anchor where the one before ends
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop - 1 == b.start for a, b in zip(blocks, blocks[1:]))
+    links = [b.stop - b.start - 1 for b in blocks]
+    assert all(k > 0 and k % stride == 0 for k in links[:-1]) and 0 < links[-1] <= links[0]
+    # as many whole intervals as the cap holds, and one where it holds none
+    assert links[0] == min(n - 1, stride * max(1, (cap - 1) // stride))
+
+
 @pytest.mark.parametrize("sweep_name", ["bic-pinch", "real-axis-ep", "n_d=8:e_d"])
-@pytest.mark.parametrize("links", [1, 2, 3, 5, 7, 50])
-def test_trace_blocks_match_single_block(sweep_name, links, monkeypatch):
+@pytest.mark.parametrize("intervals", [1, 2, 3, 5, 7, 50])
+def test_trace_blocks_match_single_block(sweep_name, intervals, monkeypatch):
+    # blocks of whole anchor intervals, the last one partial on most of these sweeps,
+    # give the trajectories of the whole sweep in one block, at the default stride and at 4
     model, parameter, values = TRACE_SWEEPS[sweep_name]
     deg = 2 * model.n_d
-    assert len(values) * deg**2 <= sweep.SCAN_BLOCK  # one block by default
-    whole = trace(model, parameter, values)
-    # a block of links + 1 values links them; consecutive blocks share a value
-    monkeypatch.setattr(sweep, "SCAN_BLOCK", (links + 1) * deg**2)
-    assert trace(model, parameter, values).branches == whole.branches
+    assert len(values) * deg**2 <= dispersion.SCAN_BLOCK  # one block by default
+    for stride in (None, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            if stride is not None:
+                mp.setattr(dispersion, "_STRIDE", stride)
+            whole = trace(model, parameter, values)
+            # a block of links + 1 values links them; consecutive blocks share their boundary anchor
+            links = intervals * dispersion._STRIDE
+            mp.setattr(dispersion, "SCAN_BLOCK", (links + 1) * deg**2)
+            blocks = dispersion._sweep_blocks(len(values), deg)
+            assert [b.start for b in blocks] == list(range(0, len(values) - 1, links))
+            assert trace(model, parameter, values).branches == whole.branches
 
 
 def test_trace_gate_names_the_first_failing_value_and_lowest_branch(monkeypatch):
     # a root_tol that 13 linked roots of this sweep miss: the gate reads the
-    # linked roots once a block is linked, whatever the blocks
+    # linked roots once a block is linked, whatever the blocks (of 1 and 2
+    # anchor intervals at a stride of 4, and the whole sweep)
+    monkeypatch.setattr(dispersion, "_STRIDE", 4)
     model, values, tol = ChainModel.semi_infinite(4, -0.3, 0.2), np.linspace(0.05, 0.4, 61), 1e-15
     deg = 2 * model.n_d
     # |eta| of each branch at each value after the first: the linked roots, as
@@ -320,13 +347,13 @@ def test_trace_gate_names_the_first_failing_value_and_lowest_branch(monkeypatch)
     ]
     assert sum(r >= tol for row in linked for r in row) >= 10
     messages = set()
-    for rows in (1, 7, len(values)):
-        monkeypatch.setattr(sweep, "SCAN_BLOCK", rows * deg**2)
+    for rows in (5, 9, len(values)):
+        monkeypatch.setattr(dispersion, "SCAN_BLOCK", rows * deg**2)
         with pytest.raises(ConvergenceError) as exc:
             trace(model, "g", values, root_tol=tol)
         messages.add(str(exc.value))
     (message,) = messages
-    # the first failing value is the tenth, inside the second block of 7 values;
+    # the first failing value is the tenth, inside the second block of 9 values;
     # there branches i and ii pass and iii, the lowest that fails, is named
     k = next(k for k, row in enumerate(linked, 1) if max(row) >= tol)
     assert k == 9 and [r >= tol for r in linked[k - 1]] == [False, False, True]
@@ -451,9 +478,9 @@ def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
     stride = dispersion._STRIDE
     n = stride + 1  # one whole anchor interval, its far anchor included
     e_d, g = values[:n], np.full(n, model.g)
-    warm = _census(model, e_d, g, sweep=(parameter, 0, n)).w
+    warm = _census(model, e_d, g, sweep=parameter).w
     monkeypatch.setattr(dispersion, "_STRIDE", 1)
-    eig = _census(model, e_d, g, sweep=(parameter, 0, n)).w
+    eig = _census(model, e_d, g, sweep=parameter).w
     moved = np.flatnonzero((warm != eig).any(axis=1))
     assert len(moved) >= 3 and not (moved % stride == 0).any()  # the anchors are companion solves
     coeffs = _w_coefficients(_w_rows(model), e_d, np.array([x**2 for x in g.tolist()]))
@@ -506,6 +533,34 @@ def test_few_warm_values_fall_back_to_eigvals():
         _, n, f = solve_counts(args)
         warm, fallback = warm + n, fallback + f
     assert warm > 4000 and fallback <= 0.03 * warm
+
+
+def test_blocks_solve_each_value_between_anchors_once():
+    # at n_d = 64 a block holds 2 anchor intervals (25 values), so this sweep is 17 blocks:
+    # each value between anchors is warm-started once, with no lead-in back to an anchor,
+    # and only the 16 anchors two blocks share are solved twice
+    model, values = ChainModel.semi_infinite(64, 0.0, 0.2), np.linspace(-0.999, 0.999, 401)
+    blocks = dispersion._sweep_blocks(len(values), 2 * model.n_d)
+    assert len(blocks) == 17
+    eig, warm, fallback = solve_counts((model, "e_d", values))
+    anchors = len(range(0, len(values), dispersion._STRIDE))
+    assert warm == len(values) - anchors == 367
+    assert eig == anchors + len(blocks) - 1 + fallback and fallback <= 0.02 * warm
+
+
+def test_long_sweep_in_small_blocks_holds_no_whole_sweep_pair_array(monkeypatch):
+    # the collision flags are set block by block: the peak memory of a sweep in blocks
+    # of 25 values stays below one complex entry per pair of branches at every value
+    tracemalloc = pytest.importorskip("tracemalloc")
+    model, values = ChainModel.semi_infinite(32, 0.0, 0.2), np.linspace(-0.999, 0.999, 1001)
+    monkeypatch.setattr(dispersion, "SCAN_BLOCK", 25 * (2 * model.n_d) ** 2)
+    tracemalloc.start()
+    try:
+        branches = trace(model, "e_d", values).branches
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(values) * len(branches) ** 2 * np.dtype(complex).itemsize
 
 
 def warm_blocks(args):
@@ -955,9 +1010,9 @@ def test_scan_blocks_match_single_block(box, block, monkeypatch):
     model, g_range, ed_range = SCAN_BOXES[box]
     n_g = 9  # a line at g = 0.5 in the n_d = 1 box
     deg = 2 * model.n_d if model.is_semi_infinite else 6  # the degree of E_g
-    assert (n_g + 20) * deg**2 <= sweep.SCAN_BLOCK  # one block by default, split lines included
+    assert (n_g + 20) * deg**2 <= dispersion.SCAN_BLOCK  # one block by default, split lines included
     seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g)
-    monkeypatch.setattr(sweep, "SCAN_BLOCK", block)
+    monkeypatch.setattr(dispersion, "SCAN_BLOCK", block)
     assert scan_for_ep_seeds(model, g_range, ed_range, n_g) == seeds
 
 
