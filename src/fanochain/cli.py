@@ -37,15 +37,18 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _count(least: int):
-    """argparse type for a count of at least ``least``, so a bad count is a usage error."""
+def _number(kind: type = float, above: float = -math.inf):
+    """argparse type for a finite int or float greater than ``above``, so a count too
+    small, a nan or infinite coordinate or a tolerance <= 0 is a usage error."""
 
-    def count(text: str) -> int:
-        if int(text) < least:
-            raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text}")
-        return int(text)
+    def number(text: str):
+        x = kind(text)
+        if not above < x < math.inf:
+            bound = f" > {above:g}" if above > -math.inf else ""
+            raise argparse.ArgumentTypeError(f"need a finite number{bound}, got {text}")
+        return x
 
-    return count
+    return number
 
 
 def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "roots", "discrete eigenvalues with norms")
-    p.add_argument("--root-tol", type=float, default=ROOT_TOL)
+    p.add_argument("--root-tol", type=_number(float, 0), default=ROOT_TOL)
     p.add_argument(
         "--seeds",
         help="JSON roots file: report the states nearest its (z, sheet) records, with their labels",
@@ -96,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "bic", "bound-in-continuum energies")
 
     p = _add_command(sub, "spectrum", "absorption spectrum decomposition")
-    p.add_argument("--points", type=_count(1), default=2001)
-    p.add_argument("--omega-min", type=float, default=-0.999)
-    p.add_argument("--omega-max", type=float, default=0.999)
+    p.add_argument("--points", type=_number(int, 0), default=2001)
+    p.add_argument("--omega-min", type=_number(), default=-0.999)
+    p.add_argument("--omega-max", type=_number(), default=0.999)
     p.add_argument(
         "--photon-axis",
         action="store_true",
@@ -112,16 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameter", choices=["ed", "g"], default="ed")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=_count(2), default=201)
+    p.add_argument("--steps", type=_number(int, 1), default=201)
 
     p = _add_command(sub, "ep", "scan for and polish exceptional points")
     p.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--ep-tol", type=float, default=EP_TOL)
+    p.add_argument("--ep-tol", type=_number(float, 0), default=EP_TOL)
 
     p = _add_command(sub, "selfenergy", "pointwise self-energy probe")
-    p.add_argument("--re", type=float, required=True, help="Re z")
-    p.add_argument("--im", type=float, default=0.0, help="Im z")
+    p.add_argument("--re", type=_number(), required=True, help="Re z")
+    p.add_argument("--im", type=_number(), default=0.0, help="Im z")
     p.add_argument("--sheet", type=int, choices=[1, 2], default=1)
 
     return parser

@@ -104,15 +104,15 @@ def bic_energies(model: ChainModel) -> list[float]:
 
 def eta(model: ChainModel, z: SheetedEnergy) -> complex:
     """Dispersion function z - e_d - g^2 Sigma(z) on the tagged sheet."""
-    return z.value - model.e_d - model.g**2 * self_energy(model, z)
+    return z.value - model.e_d - model.g * model.g * self_energy(model, z)
 
 
 def eta_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
     """d(eta)/dz (order 1) or d^2(eta)/dz^2 (order 2)."""
     if order == 1:
-        return 1.0 - model.g**2 * self_energy_deriv(model, z, 1)
+        return 1.0 - model.g * model.g * self_energy_deriv(model, z, 1)
     if order == 2:
-        return -model.g**2 * self_energy_deriv(model, z, 2)
+        return -model.g * model.g * self_energy_deriv(model, z, 2)
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
@@ -135,24 +135,12 @@ def _w_coefficients(rows: np.ndarray, e_d: np.ndarray, g2: np.ndarray) -> np.nda
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval row by row: row i of desc (descending) at every x[i, :]."""
+    """Horner's rule from zero: row i of desc (descending), or its one row, at every x[i, :]."""
     y = np.zeros_like(x)
     for c in desc.T[:, :, None]:
         y *= x
         y += c
     return y
-
-
-def _horner_slope(value: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
-    """(value(x), p'(x)) in one _horner pass of one stack: value and p ascending, one
-    row per row of x (value may be one row for all); p' is led by a zero, which leaves
-    Horner's value unchanged."""
-    n, m = coeffs.shape
-    desc = np.zeros((2 * n, m))
-    desc[:n] = value[:, ::-1]
-    desc[n:, 1:] = coeffs[:, :0:-1] * np.arange(m - 1, 0, -1)
-    y = _horner(desc, np.concatenate([x, x]))
-    return y[:n], y[n:]
 
 
 def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int, shrink: bool = False):
@@ -162,19 +150,26 @@ def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int, shrink: bool = False
     is, or after ``rounds``.  Returns (w, p(w), moving), where moving marks
     the roots whose last step was kept: a root not moving has stalled, and
     stays so, since its next step would be the same.  So each root's result
-    depends on its own value alone.  Each round is one _horner_slope pass.
+    depends on its own value alone.  The descending rows of p and of p'
+    (from _derivative; the zero that leads p' leaves Horner's value
+    unchanged) are built once, and each round is one _horner pass of them.
     With ``shrink``, a row whose roots have all stalled leaves the later
-    rounds.  That pays on the warm starts of a sweep (up to 8 rounds, rows
-    stalling at different rounds), not on the 3 rounds of _w_roots, where
-    the bookkeeping costs more than it saves.
+    rounds, its rows of p and p' with it.  That pays on the warm starts of
+    a sweep (up to 8 rounds, rows stalling at different rounds), not on the
+    3 rounds of _w_roots, where the bookkeeping costs more than it saves.
     """
+    desc = np.concatenate([coeffs, _derivative(coeffs)])[:, ::-1]  # the rows of p, then of p'
+
+    def p_slope(x):
+        return _horner(desc, np.concatenate([x, x])).reshape((2,) + x.shape)
+
     whole = None  # (w, p, moving) of every row, once a row has left the rounds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, slope = _horner_slope(coeffs, coeffs, w)
+        p, slope = p_slope(w)
         moving = np.ones(w.shape, dtype=bool)
         for _ in range(rounds):
             trial = w - p / slope
-            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
+            p_trial, slope_trial = p_slope(trial)
             moving = np.abs(p_trial) < np.abs(p)
             if not moving.any():
                 break
@@ -186,7 +181,8 @@ def _newton(coeffs: np.ndarray, w: np.ndarray, rounds: int, shrink: bool = False
                     whole, rows = (w.copy(), p.copy(), np.zeros(w.shape, dtype=bool)), np.arange(len(w))
                 else:
                     whole[0][rows[~live]], whole[1][rows[~live]] = w[~live], p[~live]
-                rows, w, p, slope, coeffs, moving = (x[live] for x in (rows, w, p, slope, coeffs, moving))
+                rows, w, p, slope, moving = (x[live] for x in (rows, w, p, slope, moving))
+                desc = desc[np.concatenate([live, live])]
     if whole is None:
         return w, p, moving
     whole[0][rows], whole[1][rows], whole[2][rows] = w, p, moving
@@ -200,10 +196,9 @@ def _w_roots(coeffs: np.ndarray, top: np.ndarray) -> np.ndarray:
     leading terms, and top the finite first rows -coeffs[:, -2::-1] /
     coeffs[:, -1:] of their companion matrices; row i of the (N, deg)
     result holds the roots of row i.  The companion matrices are built as
-    np.roots builds them and go to one np.linalg.eigvals call, and the
-    Horner loop starts from zero as np.polyval does, so a single row gives
-    bit for bit the roots np.roots and np.polyval would.  Three rounds of
-    _newton on p follow.
+    np.roots builds them and go to one np.linalg.eigvals call, so a single
+    row gives bit for bit the roots np.roots would.  Three rounds of
+    _newton on p follow, whose _horner is numpy's polyval, bit for bit.
     Real coefficients keep real roots exactly real and conjugate pairs
     exactly conjugate.
     """
@@ -343,10 +338,8 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
         dp_dq, d2p_dq2 = 2.0 * g[:, None] * rows[2], 2.0 * rows[2:3]
     slope = _derivative(coeffs)
     terms = [dp_dq, slope] + ([_derivative(slope), _derivative(dp_dq), d2p_dq2] if order == 2 else [])
-    desc = np.empty((len(terms),) + coeffs.shape)
-    for layer, t in zip(desc, terms):
-        layer[...] = t
-    y = _horner(desc.reshape(-1, coeffs.shape[1])[:, ::-1], np.concatenate([w] * len(terms)))
+    desc = np.concatenate(np.broadcast_arrays(*terms))[:, ::-1]
+    y = _horner(desc, np.concatenate([w] * len(terms)))
     p_q, p_w, *second = y.reshape((len(terms),) + w.shape)
     if order == 1:
         return -p_q, p_w
@@ -453,12 +446,14 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
     """Roots of p(w) for every (e_d, g) row of one chain, classified.
 
     This is the solve of discrete_states done on arrays, each row by
-    _w_roots.  A sweep parameter ('e_d' or 'g') marks the rows as the
-    values of one sweep over it, the first an anchor: every _STRIDE-th
-    value is solved by _w_roots, and the values between from their
-    anchor's roots moved by a second-order Taylor step, certified
-    (_sweep_roots).  Each root maps to
-    z = (w + 1/w)/2 on the sheet read from |w|.  Of a complex conjugate
+    _w_roots, on p built with g^2 = g * g, the IEEE product every g^2 of
+    the package is: the norms and rates _rate_terms reads off the roots
+    are on the very p they solve.  A sweep parameter ('e_d' or 'g') marks
+    the rows as the values of one sweep over it, the first an anchor:
+    every _STRIDE-th value is solved by _w_roots, and the values between
+    from their anchor's roots moved by a second-order Taylor step,
+    certified (_sweep_roots).  Each root maps to z = (w + 1/w)/2 on the
+    sheet read from |w|.  Of a complex conjugate
     pair (exact, as p is real) the resonance is the member with Im w < 0
     and the other is its anti-resonance.  Both lie on sheet II, where Im z
     has the sign of Im w; where rounding (|w| near 1) gives Im z the other
@@ -482,9 +477,7 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
     e_d = np.asarray(e_d, dtype=float)
     g = np.asarray(g, dtype=float)
     rows = np.flatnonzero(g > 0)
-    # Python's float power, as the scalar model code squares g: numpy
-    # squares by multiplication, which can differ in the last bit.
-    g2 = np.array([x**2 for x in g[rows].tolist()])
+    g2 = g[rows] * g[rows]
     with np.errstate(over="ignore", invalid="ignore"):  # the top-row check below reports it
         coeffs = _w_coefficients(_w_rows(model), e_d[rows], g2)
         # Powers of w that vanish in every row go, as np.roots strips them; a

@@ -94,8 +94,9 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # imag +0.0: the +i0 boundary value
         (sig,) = _sigma(omega.astype(complex), Sheet.I, model.n_d, model.v)
-        num = -model.g**2 * sig.imag  # = -Im Sigma >= 0
-        den = (omega - model.e_d - model.g**2 * sig.real) ** 2 + (model.g**2 * sig.imag) ** 2
+        g2 = model.g * model.g
+        num = -g2 * sig.imag  # = -Im Sigma >= 0
+        den = (omega - model.e_d - g2 * sig.real) ** 2 + (g2 * sig.imag) ** 2
         vals = (model.transition_weight / np.pi) * num / den
     return np.where((np.abs(omega) < 1.0) & (den > 0.0), vals, 0.0)
 

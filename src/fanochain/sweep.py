@@ -346,7 +346,8 @@ def scan_for_ep_seeds(
     p = P + e_d D with P = base + g^2 d_g2 and D = d_ed (the rows of
     _w_rows), so on a line of fixed g the double roots of p are the roots
     w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
-    and an EP is one with complex w and real e_d.  E_g is solved by
+    and an EP is one with complex w and real e_d.  g^2 is g * g, as in
+    _census, and P and D are evaluated by _horner.  E_g is solved by
     _w_roots on n_g evenly spaced lines, in blocks of at most
     dispersion.SCAN_BLOCK / deg^2.  Each root with Im w < 0 is linked to
     the nearest root of the next line (of a conjugate pair, the one with
@@ -387,7 +388,7 @@ def scan_for_ep_seeds(
     if e_rows[0, -1] == 0:
         split = g[1] * 0.5 ** np.arange(20, 0, -1)
         g = np.concatenate([g[:1], split[split > g[0]], g[1:]])
-    g2 = np.array([x**2 for x in g.tolist()])  # as _census squares g
+    g2 = g * g
     coeffs = e_rows[0] + g2[:, None] * e_rows[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = -coeffs[:, -2::-1] / coeffs[:, -1:]
@@ -403,7 +404,7 @@ def scan_for_ep_seeds(
     nearest = np.concatenate([np.abs(w[1:][i : i + block, None] - w[:-1][i : i + block, :, None])
                               .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
     with np.errstate(all="ignore"):
-        e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / np.polyval(d_ed[::-1], w)
+        e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / _horner(d_ed[None, ::-1], w)
         w1, e1 = (np.take_along_axis(x[1:], nearest, axis=1) for x in (w, e_d))
         a, b = e_d[:-1].imag, e1.imag
         k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))

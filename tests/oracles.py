@@ -9,7 +9,8 @@ lines; and full_certified_roots and trace_by_loop, which check that the
 warm solve of a sweep computes one member of each conjugate pair and
 mirrors the other, and that trace links its branches by index maps, are
 the earlier Newton and certificate on every root and the earlier
-per-branch link loop, built on the same kernels and census.
+per-branch link loop, built on the same kernels and census (the Newton
+builds its own stack of p and p', apart from dispersion._newton's).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.integrate import quad
 from fanochain import dispersion, sweep
 from fanochain.dispersion import _ANTIRESONANCE, _BACKWARD_ERROR, _BOUND_I, _BOUND_II, _HORNER_ROUNDING
 from fanochain.dispersion import _RESONANCE, _WARM_ROUNDS, ROOT_TOL, DiscreteState, StateClass, _horner
-from fanochain.dispersion import _horner_slope, _rate_terms, _residual, _w_coefficients, _w_rows
+from fanochain.dispersion import _rate_terms, _residual, _w_coefficients, _w_rows
 from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from fanochain.model import ChainModel
@@ -448,13 +449,24 @@ def census_by_z(census, at_bic: np.ndarray):
 
 def _full_newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):
     """dispersion._newton as it was before it computed one member of each conjugate pair
-    and dropped stalled rows: every root of every row in every round."""
+    and dropped stalled rows: every root of every row in every round.  Each round stacks
+    the descending rows of p and of p' anew, p' from its own derivative arithmetic and
+    led by a zero (which leaves Horner's value unchanged), and takes one _horner pass."""
+
+    def p_slope(x):
+        n, m = coeffs.shape
+        desc = np.zeros((2 * n, m))
+        desc[:n] = coeffs[:, ::-1]
+        desc[n:, 1:] = coeffs[:, :0:-1] * np.arange(m - 1, 0, -1)
+        y = _horner(desc, np.concatenate([x, x]))
+        return y[:n], y[n:]
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, slope = _horner_slope(coeffs, coeffs, w)
+        p, slope = p_slope(w)
         moving = np.ones(w.shape, dtype=bool)
         for _ in range(rounds):
             trial = w - p / slope
-            p_trial, slope_trial = _horner_slope(coeffs, coeffs, trial)
+            p_trial, slope_trial = p_slope(trial)
             moving = np.abs(p_trial) < np.abs(p)
             if not moving.any():
                 break

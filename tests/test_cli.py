@@ -402,6 +402,28 @@ def test_bad_count_is_usage_error(capsys, argv, option):
     assert f"argument {option}" in capsys.readouterr().err
 
 
+ROOTS = ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
+EP_BOX = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+          "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
+PROBE = ["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
+SPECTRUM = ["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--points", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [ROOTS + ["--root-tol", x] for x in ("nan", "0", "-1", "inf")]
+    + [EP_BOX + ["--ep-tol", x] for x in ("nan", "0", "-1", "inf")]
+    + [PROBE + ["--re", "nan"], PROBE + ["--re", "inf"], PROBE + ["--re", "0.3", "--im", "nan"]]
+    + [SPECTRUM + ["--omega-max", "inf"], SPECTRUM + ["--omega-min", "nan"]],
+    ids=lambda argv: " ".join([argv[0]] + argv[-2:]),
+)
+def test_bad_number_is_usage_error(capsys, argv):
+    # a tolerance must be positive and finite, and a coordinate finite: not an EP list
+    # emptied by a nan tolerance, a failed |eta| gate, or a row of nan
+    assert run(argv) == 2
+    assert f"argument {argv[-2]}: need a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", [["--grid", "16", "16"], ["--threshold", "0.2"]],
                          ids=["--grid", "--threshold"])
 def test_retired_ep_options_are_usage_errors(capsys, option):

@@ -17,6 +17,7 @@ from fanochain import (
     discrete_states,
     normalization,
 )
+from fanochain.dispersion import _census, _w_rows
 from fanochain.states import bic_line_weight
 
 EP_G = 0.17284479822974877
@@ -245,3 +246,26 @@ def test_nan_bound_norm_refused_by_bound_weight():
     bound = next(s for s in discrete_states(m) if s.state_class is StateClass.BOUND_I)
     with pytest.raises(FanochainError, match="real positive"):
         bound_weight(m, replace(bound, norm=complex(np.nan, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ChainModel.semi_infinite(2, 0.907, 0.1176, v=0.7),
+        ChainModel.semi_infinite(22, -0.12600394353453725, 0.22232202641324106),
+    ],
+    ids=["g=0.1176", "n_d=22"],
+)
+def test_norms_are_read_off_the_polynomial_the_census_solves(model):
+    # two g at which glibc's pow(g, 2) differs from g * g in the last bit: the census squares g as
+    # the norms do, so each norm is (w^2 - 1)/(2 w^2) (-p_q)/p_w of the census's own p
+    census = _census(model, [model.e_d], [model.g])
+    assert census.g2.tobytes() == np.array([[model.g * model.g]]).tobytes()
+    rows = _w_rows(model)
+    p = (rows[0] + census.e_d[0] * rows[1] + census.g2[0] * rows[2])[::-1]
+    states = attach_norms(model, discrete_states(model, include_antiresonances=True))
+    w = np.array([s.w for s in states])
+    assert set(w.tolist()) == set(census.w[0].tolist())
+    minus_p_q, p_w = -np.polyval(rows[1][::-1], w), np.polyval(np.polyder(p), w)
+    want = (w * w - 1.0) / (2.0 * w * w) * minus_p_q / p_w
+    np.testing.assert_array_equal([s.norm for s in states], want)

@@ -483,7 +483,7 @@ def test_warm_started_roots_are_as_accurate_as_the_companion_roots(monkeypatch):
     eig = _census(model, e_d, g, sweep=parameter).w
     moved = np.flatnonzero((warm != eig).any(axis=1))
     assert len(moved) >= 3 and not (moved % stride == 0).any()  # the anchors are companion solves
-    coeffs = _w_coefficients(_w_rows(model), e_d, np.array([x**2 for x in g.tolist()]))
+    coeffs = _w_coefficients(_w_rows(model), e_d, g * g)
     with mpmath.workdps(40):
         for row in range(1, stride):  # every value between, the one farthest from its anchor too
             exact = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[row, ::-1]], maxsteps=200, extraprec=200)
