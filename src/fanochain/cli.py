@@ -365,12 +365,16 @@ def _cmd_ep(model: ChainModel, args) -> None:
 
 def _cmd_selfenergy(model: ChainModel, args) -> None:
     se = SheetedEnergy(complex(args.re, args.im), Sheet(args.sheet))
+    with np.errstate(all="ignore"):
+        sigma = [self_energy(model, se), self_energy_deriv(model, se, 1), self_energy_deriv(model, se, 2)]
+    if not np.isfinite(sigma).all():
+        raise FanochainError(f"the self-energy at z = {se.value} on sheet {args.sheet} is not finite")
     record = {
         **_re_im("z", [se.value]),
         "sheet": [args.sheet],
-        **_re_im("sigma", [self_energy(model, se)]),
-        **_re_im("dsigma", [self_energy_deriv(model, se, 1)]),
-        **_re_im("d2sigma", [self_energy_deriv(model, se, 2)]),
+        **_re_im("sigma", sigma[:1]),
+        **_re_im("dsigma", sigma[1:2]),
+        **_re_im("d2sigma", sigma[2:]),
     }
     _emit(args, record)
 

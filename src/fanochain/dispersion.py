@@ -533,7 +533,7 @@ def _residual(model: ChainModel, z, sheet_ii, e_d, g2) -> np.ndarray:
     with real z on the +i0 side of the cut; inf at the branch points, where
     eta is singular."""
     branch = (z == 1.0) | (z == -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         (sigma,) = _sigma(np.where(z.imag == 0.0, z.real, z), sheet_ii, model.n_d, model.v)
         return np.where(branch, np.inf, np.abs(z - e_d - g2 * sigma))
 

@@ -11,11 +11,15 @@ to the next in w, where both sheets form one plane and roots move
 continuously through the band: to the root nearest its Euler prediction,
 with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
 identity dz/de_d = N, the normalization).  p is real, so its roots come
-in exact conjugate pairs, and the Newton polish, the rates and the
-nearest-root search run on one member of each pair, the other following
-by exact conjugation.  The links of a block are one precomputed index
-map from each root of a value to the root of the next value that a
-branch there goes on from, so following a branch is a lookup per value.
+in exact conjugate pairs, and the Newton polish, the rates and the links
+run on the Im w <= 0 member of each pair and the real roots, the other
+member following by exact conjugation.  A link starts from the
+prediction folded below the axis, Re - i |Im|: of a pair the member on
+the prediction's side is the nearer, so it still goes to the nearest
+root, and crosses the axis exactly where the prediction lies above it
+and the root is complex.  The links of a block are one precomputed
+index map from each root of a value to the root of the next value that a
+branch there goes on to, so following a branch is a lookup per value.
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone.
@@ -50,7 +54,7 @@ class TrajectoryPoint(NamedTuple):
     z: complex
     bic: bool = False          # branch pinned on the real axis inside the band (zero width)
     collision: bool = False    # another branch claimed (nearly) the same root
-    crossed_axis: bool = False  # linked to an anti-resonance (Im w > 0), went on from its conjugate
+    crossed_axis: bool = False  # prediction above the axis, complex root: went on from its conjugate
 
 
 @dataclass(frozen=True)
@@ -108,18 +112,24 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     and labelled (i), (ii), ... by ascending Re z (then ascending width).
     Each branch is linked in w to the root nearest its Euler prediction
     w + (dw/dq) dq at the next value, sheet-I roots aside, read off the
-    block's index maps (_link_maps).
-    At a BIC pinch the decaying root only touches |w| = 1.  A link to an
-    anti-resonance (Im w > 0) goes on from its conjugate and is marked
-    crossed_axis.  Past a real-axis EP a branch follows, of the real roots
-    nearer it than any other root was, the one with the larger |w|.  A
-    point within 1e-12 of the axis is pinned to it, and marked bic if it
-    lies inside the band (|Re z| < 1); branches closer than COLLISION_TOL are marked collision.
+    block's index maps (_link_maps): among the Im w <= 0 member of each
+    conjugate pair and the real roots, the one nearest the prediction
+    folded below the axis, Re - i |Im|.
+    At a BIC pinch the decaying root only touches |w| = 1.  A link whose
+    prediction lies above the axis and whose root is complex crossed the
+    axis: the nearest root was the anti-resonance (Im w > 0), the branch
+    goes on from its conjugate, and the point is marked crossed_axis.  A
+    real prediction never crosses.  Past a real-axis EP a branch follows,
+    of the real roots nearer it than any other root was, the one with the
+    larger |w|.  A point within 1e-12 of the axis is pinned to it, and
+    marked bic if it lies inside the band (|Re z| < 1); branches closer
+    than COLLISION_TOL are marked collision.
 
     The census of the sweep is not audited as discrete_states audits a
-    model: the |eta| < root_tol gate reads only the start roots and the
-    roots the branches link to (before a crossed_axis conjugation), once
-    each block is linked, and no other root is gated.
+    model: the |eta| < root_tol gate reads only the roots the branches
+    visit, the start roots and each one they go on to, the same roots
+    their points come from, once each block is linked, and no other root
+    is gated.
 
     Raises
     ------
@@ -128,7 +138,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         values or they are not strictly increasing, or if the model at the
         first or last value is invalid.
     ConvergenceError
-        If a start or linked root misses |eta| < root_tol (the message
+        If a root a branch visits misses |eta| < root_tol (the message
         names the first such value and, there, the lowest branch), or if a
         root passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
     """
@@ -147,7 +157,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     # The leading coefficient of p changes sign where a root passes w = infinity.
     rows = _w_rows(model)
     lead = _w_coefficients(rows, e_d, g * g)[:, -1]
-    through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
+    through = np.flatnonzero(np.sign(lead[:-1]) * np.sign(lead[1:]) <= 0)
     points = []  # (z, bic, collision, crossed_axis) of each branch at each value, by block
     for block in _sweep_blocks(n, rows.shape[1] - 1):
         census = _census(model, e_d[block], g[block], sweep=parameter)
@@ -165,35 +175,32 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
                     f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
                 )
             points.append((census.z[:1, current], *np.zeros((3, 1, len(current)), dtype=bool)))  # no flags
-        # maps[:, k, j]: the root a branch at root j of row k links to (before a
-        # conjugation), the root it goes on from, and whether it crossed the axis
+        # maps[:, k, j]: the root of row k + 1 a branch at root j of row k goes on to, the
+        # one nearest its prediction folded below the axis, and whether the link crossed
+        # the axis (a prediction above it and a complex root)
         maps = _link_maps(model, parameter, census, e_d[block], g[block], values[block])
         path = [current]
-        for row in maps[1].tolist():
+        for row in maps[0].tolist():
             current = [row[j] for j in current]
             path.append(current)
         path = np.array(path)
-        k = np.arange(len(path) - 1)[:, None]
-        # the start roots, then the root each branch links to at each step, before a conjugation
-        gated = maps[0][k, path[:-1]]
-        gated = (np.concatenate([path[:1], gated]) if block.start == 0 else gated).ravel()
-        step = np.repeat(np.arange(block.start > 0, len(path)), len(current))
-        residual = _residual(model, census.z[step, gated], census.sheet_ii[step, gated],
-                             census.e_d[step, 0], census.g2[step, 0])
-        failed = np.flatnonzero(~(residual < root_tol))
+        # the gate reads the roots the branches visit; a later block's first row, the last
+        # of the block before, is gated again and passes again
+        k = np.arange(len(path))[:, None]
+        residual = _residual(model, census.z[k, path], census.sheet_ii[k, path], census.e_d, census.g2)
+        failed = np.argwhere(~(residual < root_tol))
         if failed.size:
-            f = int(failed[0])
-            k, i = step[f], f % len(current)
+            f, i = failed[0]
             raise ConvergenceError(
-                f"branch {roman_label(i)} at {parameter} = {values[block][k]}: |eta| = "
-                f"{residual[f]:.3e} >= root_tol at z = {complex(census.z[k, gated[f]])}"
+                f"branch {roman_label(i)} at {parameter} = {values[block][f]}: |eta| = "
+                f"{residual[f, i]:.3e} >= root_tol at z = {complex(census.z[f, path[f, i]])}"
             )
-        zs = census.z[k + 1, path[1:]]
+        zs = census.z[k[1:], path[1:]]
         pinned = np.abs(zs.imag) <= 1e-12
         zs = np.where(pinned, zs.real, zs)
         bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
         collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
-        points.append((zs, bic, collision, maps[2][k, path[:-1]].astype(bool)))
+        points.append((zs, bic, collision, maps[1][k[:-1], path[:-1]].astype(bool)))
 
     columns = zip(*(np.concatenate(x).T.tolist() for x in zip(*points)))
     # each point as its fields' tuple, built as TrajectoryPoint._make builds it
@@ -206,58 +213,44 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
 
 
 def _link_maps(model: ChainModel, parameter: str, census: _Census, e_d, g, values) -> np.ndarray:
-    """Index maps (3, rows - 1, deg) of trace's links from each row of a sweep census
+    """Index maps (2, rows - 1, deg) of trace's links from each row of a sweep census
     (e_d, g and the swept values by row) to the next.
 
-    For a branch at root j of row k, maps[0, k, j] is the root of row k + 1
-    it links to, maps[2, k, j] whether that root has Im w > 0, and
-    maps[1, k, j] the root the branch goes on from: the linked root's exact
-    conjugate where it has Im w > 0 (with none in the row, the root nearest
-    its conjugate), else the linked root itself.  The link is to the root
-    nearest the Euler prediction w + (dw/dq) dq, sheet-I roots aside; where
-    that is a virtual state and w is complex (past a real-axis EP), it is,
-    of the virtual states nearer w than any other root of row k is, the one
-    with the larger |w|.
-
-    A branch so never goes on from an Im w > 0 root whose exact conjugate
-    stands in its row, and the maps are built from the other roots alone,
-    the ones _halves computes: the columns of the rest are never read.  A
-    census where some Im w > 0 root lacks its conjugate is mapped from
-    every root.
+    The links run on the roots _halves computes: the Im w <= 0 member of
+    each conjugate pair, and the real roots.  For a branch at such a root j
+    of row k, maps[0, k, j] is the root of row k + 1 it goes on to: the one
+    nearest its Euler prediction w + (dw/dq) dq folded below the axis,
+    Re - i |Im|, sheet-I roots aside.  Of a conjugate pair the member on
+    the prediction's side of the axis is the nearer, so this is the root
+    nearest the prediction itself, read on its Im w <= 0 side, and
+    maps[1, k, j] marks a link that crossed the axis: Im pred > 0 and a
+    complex root.  A real prediction never crosses.  Where the root is a
+    virtual state and w is complex (past a real-axis EP), it is, of the
+    virtual states nearer w than any other root of row k is, the one with
+    the larger |w|.  The columns of the Im w > 0 roots are never read.
     """
     w, cls = census.w, census.cls
     deg = w.shape[1]
-    every = np.arange(w.size).reshape(w.shape)
-    take, src = _halves(w)
-    if ((w.imag > 0) & (src == every)).any():
-        take = every
+    take = _halves(w)[0]
     source = w.take(take)
-    minus_dp, slope = _rate_terms(model, parameter, source, e_d, g)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        minus_dp, slope = _rate_terms(model, parameter, source, e_d, g)
         rate = minus_dp / slope
-    rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
-    pred = source[:-1] + rate[:-1] * np.diff(values)[:, None]
-    gap = np.abs(w[1:, None, :] - pred[:, :, None])
-    gap[np.broadcast_to((cls == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
-    lin = gap.argmin(axis=-1)
-    k = np.arange(len(lin))[:, None]
-    for kk, i in zip(*np.nonzero((cls[k + 1, lin] == _BOUND_II) & (source[:-1].imag != 0.0))):
-        last, now = w[kk].tolist(), w[kk + 1].tolist()
+        rate[~np.isfinite(rate)] = 0.0  # at an exact double root: predict no move
+        pred = source[:-1] + rate[:-1] * np.diff(values)[:, None]
+        above = pred.imag > 0.0
+        gap = np.abs(source[1:, None, :] - np.where(above, pred.conj(), pred)[:, :, None])
+    gap[np.broadcast_to((cls.take(take) == _BOUND_I)[1:, None, :], gap.shape)] = np.inf
+    k = np.arange(len(pred))[:, None]
+    nxt = take[k + 1, gap.argmin(axis=-1)] % deg
+    for kk, i in zip(*np.nonzero((cls[k + 1, nxt] == _BOUND_II) & (source[:-1].imag != 0.0))):
+        last, now, at = source[kk].tolist(), w[kk + 1].tolist(), complex(source[kk, i])
         split = [c for c in range(deg) if cls[kk + 1, c] == _BOUND_II
-                 and abs(now[c] - last[take[kk, i] % deg]) <= min(abs(now[c] - x) for x in last)]
-        lin[kk, i] = max(split, key=lambda c: abs(now[c]), default=lin[kk, i])
-    up = w[k + 1, lin].imag > 0.0
-    nxt = lin.copy()
-    ku, iu = np.nonzero(up)
-    conj = w[ku + 1, lin[ku, iu]].conj()
-    exact = w[ku + 1] == conj[:, None]
-    nxt[ku, iu] = exact.argmax(axis=1)
-    for n in np.flatnonzero(~exact.any(axis=1)):
-        row, c0 = w[ku[n] + 1].tolist(), complex(conj[n])
-        nxt[ku[n], iu[n]] = min(range(deg), key=lambda c: abs(row[c] - c0))
-    maps = np.zeros((3, len(lin) * deg), dtype=int)
-    maps[:, take[:-1]] = lin, nxt, up
-    return maps.reshape(3, len(lin), deg)
+                 and abs(now[c] - at) <= min(abs(now[c] - x) for x in last)]
+        nxt[kk, i] = max(split, key=lambda c: abs(now[c]), default=nxt[kk, i])
+    maps = np.zeros((2, len(pred) * deg), dtype=int)
+    maps[:, take[:-1]] = nxt, above & (w[k + 1, nxt].imag != 0.0)
+    return maps.reshape(2, len(pred), deg)
 
 
 def find_ep(

@@ -276,6 +276,39 @@ def test_companion_matrix_not_finite_is_numerical_failure(capsys):
     assert "companion matrix" in err and "e_d = 1e+300, g = 1e-05" in err
 
 
+_EXTREME_SWEEPS = {
+    # the roots' z overflow the gate's self-energy
+    "e_d=1e300": ["--nd", "4", "--g", "0.2", "--start", "-1e300", "--stop", "1e300"],
+    # the rates overflow in the links
+    "n_d=64:e_d=1e100": ["--nd", "64", "--g", "0.2", "--start", "-1e100", "--stop", "1e100"],
+    # the leading coefficients of p reach 4e300: a product of two overflows
+    "g=1e150": ["--nd", "4", "--g", "0.2", "--parameter", "g", "--start", "0.01", "--stop", "1e150"],
+    # |lead| = 4 g^2 v^2 is 4e-200 at every value: a product of two underflows to 0,
+    # but an e_d sweep cannot move it through zero
+    "g=1e-100": ["--nd", "4", "--g", "1e-100", "--start", "-0.9", "--stop", "0.9", "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", _EXTREME_SWEEPS.values(), ids=_EXTREME_SWEEPS)
+def test_extreme_sweep_fails_the_gate_without_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["trajectory", "--chain", "semi", "--ed", "-0.5", "--steps", "3", *argv])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: branch i at ")
+
+
+def test_selfenergy_that_is_not_finite_is_numerical_failure(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+                  "--re", "1e300", "--im", "1e300"])
+    assert rc == 3
+    assert capsys.readouterr() == (
+        "", "numerical failure: the self-energy at z = (1e+300+1e+300j) on sheet 1 is not finite\n"
+    )
+
+
 @pytest.mark.parametrize("text", ["5", "null", '[{"a": 1}]'])
 def test_model_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text):
     descriptor = tmp_path / "model.json"

@@ -92,16 +92,36 @@ def test_trace_points_continuous():
         assert max(steps) < 0.05
 
 
+# a branch's prediction real and exactly halfway between the two members of a conjugate
+# pair: in the link to g = 0.1882 of the first sweep, and to e_d = 0.98901 of the second
+TIE_SWEEPS = {
+    "n_d=2:g:tie": (ChainModel.semi_infinite(2, 0.92, 0.1, v=0.7), "g", np.linspace(0.02, 0.6, 201)),
+    "n_d=4:e_d:g=0.0625": (
+        ChainModel.semi_infinite(4, 0.0, 0.0625, v=0.7), "e_d", np.linspace(-0.999, 0.999, 401)
+    ),
+}
+
+
 def test_trace_axis_crossing_marked():
-    # the branch turns into a virtual state at g = 0.1853 and splits off the
-    # axis again; its first link after that lands on the anti-resonance
-    m = ChainModel.semi_infinite(2, 0.92, 0.1, v=0.7)
-    (branch,) = trace(m, "g", np.linspace(0.02, 0.6, 201)).branches
-    assert [p.value for p in branch.points if p.crossed_axis] == [pytest.approx(0.1882)]
+    # near e_d = -0.98 branch (i) passes between samples the real-axis EPs of the pair
+    # w = -1.30 +- 0.10i (JUMP_SWEEPS); in the link to e_d = -0.97902 its Euler prediction
+    # lies above the axis, nearest an anti-resonance: the one crossing of the sweep
+    branches = trace(*TIE_SWEEPS["n_d=4:e_d:g=0.0625"]).branches
+    crossed = [(b.label, p) for b in branches for p in b.points if p.crossed_axis]
+    assert [(label, p.value) for label, p in crossed] == [("i", pytest.approx(-0.97902))]
+    # the branch goes on from that root's conjugate, below the axis
+    assert crossed[0][1].z == pytest.approx(-0.9989348 - 0.0103924j, abs=1e-7)
+
+
+def test_trace_real_prediction_does_not_cross_the_axis():
+    # the branch turns into a virtual state at g = 0.1853 and splits off the axis again:
+    # its prediction is real, as near the pair's Im w > 0 member as its Im w < 0 one, and
+    # the link, to the root nearest the prediction folded below the axis, does not cross
+    (branch,) = trace(*TIE_SWEEPS["n_d=2:g:tie"]).branches
+    assert not any(p.crossed_axis for p in branch.points)
     assert all(p.z.imag <= 1e-12 for p in branch.points)
-    # it goes on from the conjugate of that anti-resonance, and jumps nowhere
-    (crossed,) = [p.z for p in branch.points if p.crossed_axis]
-    assert crossed == pytest.approx(1.1327217 - 0.0880807j, abs=1e-7)
+    (split,) = [p for p in branch.points if p.value == pytest.approx(0.1882)]
+    assert split.z == pytest.approx(1.1327217 - 0.0880807j, abs=1e-7)
     assert np.abs(np.diff([p.z for p in branch.points])).max() < 0.1
 
 
@@ -594,6 +614,32 @@ def test_warm_starts_come_in_exact_adjacent_pairs():
     assert mirrored == upper > 10000
 
 
+def linked_censuses(args):
+    """The roots w of each block census that the trace of a sweep links."""
+    censuses, link_maps = [], sweep._link_maps
+
+    def record(model, parameter, census, *rest):
+        censuses.append(census.w)
+        return link_maps(model, parameter, census, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_link_maps", record)
+        traced(*args)
+    return censuses
+
+
+def test_linked_censuses_come_in_exact_adjacent_pairs():
+    # guards the links, which run on the Im w <= 0 member of each pair alone: each Im w > 0
+    # root of a census that trace links has its exact conjugate next to it
+    mirrored = upper = 0
+    for args in EQUIVALENCE_SWEEPS.values():
+        for w in linked_censuses(args):
+            src = _halves(w)[1]
+            mirrored += (src != np.arange(w.size).reshape(w.shape)).sum()
+            upper += (w.imag > 0).sum()
+    assert mirrored == upper > 10000
+
+
 @pytest.mark.parametrize("sweep_name", EQUIVALENCE_SWEEPS)
 def test_certified_roots_match_the_full_solve_bit_for_bit(sweep_name):
     # one member of each conjugate pair is polished and the other is its conjugate: the
@@ -659,20 +705,27 @@ def test_trace_links_as_the_per_branch_loop(sweep_name):
     assert trace_record(trace, *args) == trace_record(trace_by_loop, *args)
 
 
-def test_trace_links_a_census_without_exact_pairs_as_the_loop(monkeypatch):
-    # with every Im w > 0 root 1 ulp below its partner's conjugate, the maps are built from
-    # every root and a link above the axis goes on from the root nearest its conjugate
-    args = ChainModel.semi_infinite(2, 0.92, 0.1, v=0.7), "g", np.linspace(0.02, 0.6, 201)
-    census = sweep._census
+@pytest.mark.parametrize("sweep_name", [*EQUIVALENCE_SWEEPS, *TIE_SWEEPS])
+def test_trace_is_the_same_with_the_census_columns_reversed(sweep_name, monkeypatch):
+    # the links are decided by the roots, not by their order in a row: with every row's
+    # columns reversed (each pair still side by side, its Im w < 0 member first), every
+    # point, flag and error stays
+    args = {**EQUIVALENCE_SWEEPS, **TIE_SWEEPS}[sweep_name]
 
-    def nudged(*args, **kwargs):
+    def record():
+        # point by point, so that a difference shows as the first point that differs
+        got = trace_record(trace, *args)
+        return got.split("TrajectoryPoint") if isinstance(got, str) else got
+
+    want, census = record(), sweep._census
+
+    def reversed_columns(*args, **kwargs):
         c = census(*args, **kwargs)
-        return dataclasses.replace(c, w=np.where(c.w.imag > 0, c.w - 1j * np.spacing(c.w.imag), c.w))
+        flip = {name: getattr(c, name)[:, ::-1] for name in ("w", "z", "sheet_ii", "cls", "kept")}
+        return dataclasses.replace(c, **flip)
 
-    monkeypatch.setattr(sweep, "_census", nudged)
-    got = trace(*args)
-    assert sum(p.crossed_axis for b in got.branches for p in b.points) > 0
-    assert repr(got.branches) == trace_record(trace_by_loop, *args)
+    monkeypatch.setattr(sweep, "_census", reversed_columns)
+    assert record() == want
 
 
 def test_trace_refuses_root_through_infinity():
