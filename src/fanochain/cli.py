@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "roots", "discrete eigenvalues with norms")
-    p.add_argument("--root-tol", type=_number(float, 0), default=ROOT_TOL)
+    p.add_argument(
+        "--root-tol", type=_number(float, 0), default=ROOT_TOL,
+        help="bound on |eta(z)| at every root (default %(default)s); a root that misses it fails",
+    )
     p.add_argument(
         "--seeds",
         help="JSON roots file: report the states nearest its (z, sheet) records, with their labels",
@@ -120,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "ep", "scan for and polish exceptional points")
     p.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--ep-tol", type=_number(float, 0), default=EP_TOL)
+    p.add_argument(
+        "--ep-tol", type=_number(float, 0), default=EP_TOL,
+        help="bound on |eta| and |eta'| of an EP; only tightens, as the scan drops any past %(default)s",
+    )
 
     p = _add_command(sub, "selfenergy", "pointwise self-energy probe")
     p.add_argument("--re", type=_number(), required=True, help="Re z")

@@ -380,12 +380,11 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
     A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
     is not among the rows, is solved by _w_roots.  Each other row starts
     from its anchor's roots moved by their second-order Taylor step
-    w + w' dq + w'' dq^2 / 2, with w' and w'' from _rate_terms (taken at
-    the roots _halves picks, the rest by exact conjugation; a start that is
-    not finite, at a double root of the anchor, stays at the anchor's
-    root), and keeps the roots of _certified_roots if they are certified,
-    else it too is solved by _w_roots.  So a row's roots depend only on its
-    own coefficients and its anchor's.
+    w + w' dq + w'' dq^2 / 2, with w' and w'' from _rate_terms at the
+    anchor (a start that is not finite, at a double root of the anchor,
+    stays at the anchor's root), and keeps the roots of _certified_roots if
+    they are certified, else it too is solved by _w_roots.  So a row's roots
+    depend only on its own coefficients and its anchor's.
     """
     anchor = index - index % _STRIDE
     at = np.searchsorted(index, anchor)  # the anchor's row, where it is a row
@@ -397,13 +396,10 @@ def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) 
         rate, curve = np.zeros((2,) + w.shape, dtype=complex)
         q = e_d if parameter == "e_d" else g
         with np.errstate(all="ignore"):
-            anchors = w[eig]
-            take, src = _halves(anchors)
             minus_dp, slope, minus_d2p = _rate_terms(
-                model, parameter, anchors.take(take), e_d[index[eig]], g[index[eig]], order=2
+                model, parameter, w[eig], e_d[index[eig]], g[index[eig]], order=2
             )
-            rate[eig] = _unfold(minus_dp / slope, take, src)
-            curve[eig] = _unfold(minus_d2p / slope, take, src)
+            rate[eig], curve[eig] = minus_dp / slope, minus_d2p / slope
             a = at[warm]
             h = (q[index[warm]] - q[index[a]])[:, None]
             start = w[a] + (rate[a] + 0.5 * curve[a] * h) * h

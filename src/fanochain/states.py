@@ -15,9 +15,11 @@ eigenvector components are ever materialized.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .dispersion import ROOT_TOL, DiscreteState, StateClass, _rate_terms
+from .dispersion import DiscreteState, StateClass, _rate_terms
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
 
@@ -30,8 +32,8 @@ def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
     """dz/de_d = (w^2 - 1)/(2 w^2) dw/de_d at each state's root w of p, one _rate_terms call
     for the list; exactly 1 at g = 0 (z = e_d), where dw/de_d is 0/0 for a level at w = +-1.
 
-    The states are checked in list order, each for its residual and then for its norm, so
-    the first bad state raises what normalization would raise for it alone."""
+    The states are checked in list order, each for its norm, so the first bad state
+    raises what normalization would raise for it alone."""
     if model.g == 0.0 or not states:
         norms = [1 + 0j] * len(states)
     else:
@@ -39,8 +41,6 @@ def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
         minus_dp, slope = _rate_terms(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))
         norms = ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0].tolist()
     for s, n in zip(states, norms):
-        if not s.residual <= 10 * ROOT_TOL:
-            raise FanochainError(f"state residual {s.residual:.3e} too large for a residue")
         if abs(n) > 1 / EP_GUARD:
             raise NearExceptionalPointError(
                 f"|1 - g^2 Sigma'| = {1 / abs(n):.3e} at z = {s.z}: "
@@ -63,8 +63,7 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
         If |de_d/dz| = |1 - g^2 Sigma'| is smaller than EP_GUARD: the
         normalization constant diverges at an exceptional point.
     FanochainError
-        For BIC-classified states (their convention is fixed separately)
-        or a state whose residual exceeds the root tolerance.
+        For BIC-classified states (their convention is fixed separately) or a nan norm.
     """
     if state.state_class is StateClass.BIC:
         raise FanochainError("BIC states carry unit norm by convention; see attach_norms()")
@@ -109,11 +108,4 @@ def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[Discret
     A BIC state carries unit norm by convention.
     """
     norms = iter(_norms(model, [s for s in states if s.state_class is not StateClass.BIC]))
-    return [
-        DiscreteState(
-            s.z, s.sheet, s.state_class, s.residual,
-            1 + 0j if s.state_class is StateClass.BIC else next(norms),
-            s.near_degenerate, s.label, s.w,
-        )
-        for s in states
-    ]
+    return [replace(s, norm=1 + 0j if s.state_class is StateClass.BIC else next(norms)) for s in states]

@@ -11,9 +11,9 @@ to the next in w, where both sheets form one plane and roots move
 continuously through the band: to the root nearest its Euler prediction,
 with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
 identity dz/de_d = N, the normalization).  p is real, so its roots come
-in exact conjugate pairs, and the Newton polish, the rates and the links
-run on the Im w <= 0 member of each pair and the real roots, the other
-member following by exact conjugation.  A link starts from the
+in exact conjugate pairs, and the Newton polish and the links run on the
+Im w <= 0 member of each pair and the real roots, the other member
+following by exact conjugation.  A link starts from the
 prediction folded below the axis, Re - i |Im|: of a pair the member on
 the prediction's side is the nearer, so it still goes to the nearest
 root, and crosses the axis exactly where the prediction lies above it

@@ -219,6 +219,17 @@ def test_exit_code_numerical_failure(capsys):
     assert "failure" in capsys.readouterr().err
 
 
+def test_roots_at_a_loose_root_tol_get_their_norms(capsys):
+    # the looser --root-tol passes a bound state 1.4e-6 above the band edge, and its
+    # norm is read off w, so the command writes all 4 states; the default still fails
+    model = ["roots", "--chain", "infinite", "--ed", "-0.5", "--g", "0.05"]
+    assert run([*model, "--root-tol", "1e-9"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4
+    assert run(model) == 3
+    assert "z = 1.0000013888853525+0j" in capsys.readouterr().err
+
+
 def test_bic_on_infinite_is_validation_error(capsys):
     rc = run(["bic", "--chain", "infinite", "--g", "0.2", "--ed", "-0.5"])
     assert rc == 2

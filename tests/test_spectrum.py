@@ -264,18 +264,18 @@ def test_decompose_computes_each_resonance_norm_once(semi_model, monkeypatch):
 
 def test_decompose_batched_norms_raise_what_normalization_raises(semi_model):
     # the first bad resonance in list order names the error, as if each were
-    # normalized on its own: here an EP-like norm before a bad residual
+    # normalized on its own: here an EP-like norm before a nan one
     res = [s for s in discrete_states(semi_model) if s.state_class is StateClass.RESONANCE]
     on_ep = DiscreteState(
         z=EP_Z, sheet=Sheet.II, state_class=StateClass.RESONANCE, residual=0.0, label="i"
     )
-    bad = replace(res[1], residual=1.0)
+    bad = replace(res[1], w=complex(np.nan, -0.1))
     m = semi_model.with_params(e_d=EP_ED, g=EP_G)
     with pytest.raises(NearExceptionalPointError):
         normalization(m, on_ep)
     with pytest.raises(NearExceptionalPointError):
         decompose(m, states=[on_ep, bad])
-    with pytest.raises(FanochainError, match="residual 1.000e\\+00 too large"):
+    with pytest.raises(FanochainError, match="not a number"):
         decompose(m, states=[bad, on_ep])
 
 

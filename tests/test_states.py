@@ -9,6 +9,7 @@ from fanochain import (
     DiscreteState,
     FanochainError,
     NearExceptionalPointError,
+    RootCountError,
     Sheet,
     StateClass,
     attach_norms,
@@ -217,6 +218,25 @@ def test_band_edge_norm_matches_mpmath(n_d, e_d, g):
     assert abs(state.norm - ref) <= 1e-12 * abs(ref)
 
 
+def test_state_passed_at_a_loose_root_tol_gets_its_norm():
+    # the bound state 1.4e-6 above the band edge misses the default |eta| gate, but
+    # passes at root_tol = 1e-9, and its norm is read off w, not re-gated in z
+    m = ChainModel.infinite(-0.5, 0.05)
+    with pytest.raises(RootCountError, match=r"z = 1\.0000013888853525\+0j"):
+        discrete_states(m)
+    states = attach_norms(m, discrete_states(m, root_tol=1e-9))
+    assert len(states) == 4
+    bound = [s for s in states if s.state_class is StateClass.BOUND_I]
+    assert len(bound) == 2
+    with mpmath.workdps(50):
+        e, G = mpmath.mpf(m.e_d), mpmath.mpf(m.g) ** 2
+        p = lambda w: (w * w - 2 * e * w + 1) * (1 - w * w) - 4 * G * w * w
+        for state in bound:
+            w = mpmath.findroot(p, mpmath.mpf(state.w.real))
+            ref = complex(-((w * w - 1) ** 2) / (w * mpmath.diff(p, w)))
+            assert abs(state.norm - ref) <= 1e-12 * abs(ref), (state.z, ref)
+
+
 def test_hand_made_state_reads_w_off_z():
     for z in (0.3, complex(0.3, -0.0)):
         state = DiscreteState(z=z, sheet=Sheet.I, state_class=StateClass.BIC, residual=0.0)
@@ -231,13 +251,6 @@ def test_nan_state_normalization_refused():
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     state = DiscreteState(complex(np.nan, -0.1), Sheet.II, StateClass.RESONANCE, residual=0.0)
     with pytest.raises(FanochainError, match="not a number"):
-        normalization(m, state)
-
-
-def test_nan_residual_refused():
-    m = ChainModel.semi_infinite(4, -0.5, 0.2)
-    state = replace(resonances(m)[0], residual=np.nan)
-    with pytest.raises(FanochainError, match="residual nan too large"):
         normalization(m, state)
 
 

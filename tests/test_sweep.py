@@ -670,10 +670,11 @@ def test_certified_roots_match_the_full_solve_on_starts_without_exact_pairs():
 
 
 def trace_record(trace_fn, *args):
-    """repr of the branches a trace returns, which tells every bit of each point, or the
+    """repr of the branches a trace returns, which tells every bit of each point, split
+    point by point so that a difference shows as the first point that differs, or the
     type and message of the error it raises."""
     try:
-        return repr(trace_fn(*args).branches)
+        return repr(trace_fn(*args).branches).split("TrajectoryPoint")
     except FanochainError as exc:
         return type(exc), str(exc)
 
@@ -711,13 +712,7 @@ def test_trace_is_the_same_with_the_census_columns_reversed(sweep_name, monkeypa
     # columns reversed (each pair still side by side, its Im w < 0 member first), every
     # point, flag and error stays
     args = {**EQUIVALENCE_SWEEPS, **TIE_SWEEPS}[sweep_name]
-
-    def record():
-        # point by point, so that a difference shows as the first point that differs
-        got = trace_record(trace, *args)
-        return got.split("TrajectoryPoint") if isinstance(got, str) else got
-
-    want, census = record(), sweep._census
+    want, census = trace_record(trace, *args), sweep._census
 
     def reversed_columns(*args, **kwargs):
         c = census(*args, **kwargs)
@@ -725,7 +720,7 @@ def test_trace_is_the_same_with_the_census_columns_reversed(sweep_name, monkeypa
         return dataclasses.replace(c, **flip)
 
     monkeypatch.setattr(sweep, "_census", reversed_columns)
-    assert record() == want
+    assert trace_record(trace, *args) == want
 
 
 def test_trace_refuses_root_through_infinity():
