@@ -46,7 +46,6 @@ from .spectrum import (
 from .states import attach_norms, bound_weight, normalization
 from .sweep import (
     EpResult,
-    EpSeed,
     Trajectory,
     find_ep,
     scan_for_ep_seeds,
@@ -61,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "DiscreteState",
     "EpResult",
-    "EpSeed",
     "FanochainError",
     "ModelError",
     "NearExceptionalPointError",

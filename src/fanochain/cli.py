@@ -30,7 +30,7 @@ from .model import INFINITE, SEMI_INFINITE, ChainModel
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 from .spectrum import decompose
 from .states import attach_norms
-from .sweep import EP_TOL, find_ep, scan_for_ep_seeds, trace
+from .sweep import EP_TOL, scan_for_ep_seeds, trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "trajectory", "trace resonance branches over a parameter")
     p.add_argument("--parameter", choices=["ed", "g"], default="ed")
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--start", type=_number(), required=True)
+    p.add_argument("--stop", type=_number(), required=True)
     p.add_argument("--steps", type=_number(int, 1), default=201)
 
     p = _add_command(sub, "ep", "scan for and polish exceptional points")
@@ -353,12 +353,8 @@ def _cmd_trajectory(model: ChainModel, args) -> None:
 
 def _cmd_ep(model: ChainModel, args) -> None:
     g_range, ed_range = tuple(args.g_range), tuple(args.ed_range)
-    results = []
-    for seed in scan_for_ep_seeds(model, g_range, ed_range):
-        try:
-            results.append(find_ep(model, seed, ep_tol=args.ep_tol))
-        except FanochainError:
-            continue
+    results = [ep for ep in scan_for_ep_seeds(model, g_range, ed_range)
+               if ep.residual_eta < args.ep_tol and ep.residual_eta_prime < args.ep_tol]
     record = {
         "g": [r.g for r in results],
         "ed": [r.e_d for r in results],

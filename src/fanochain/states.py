@@ -15,8 +15,6 @@ eigenvector components are ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dispersion import DiscreteState, StateClass, _rate_terms
@@ -108,4 +106,7 @@ def attach_norms(model: ChainModel, states: list[DiscreteState]) -> list[Discret
     A BIC state carries unit norm by convention.
     """
     norms = iter(_norms(model, [s for s in states if s.state_class is not StateClass.BIC]))
-    return [replace(s, norm=1 + 0j if s.state_class is StateClass.BIC else next(norms)) for s in states]
+    # built directly: dataclasses.replace costs about a fifth of this function
+    return [DiscreteState(s.z, s.sheet, s.state_class, s.residual,
+                          1 + 0j if s.state_class is StateClass.BIC else next(norms),
+                          s.near_degenerate, s.label, s.w) for s in states]

@@ -73,15 +73,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class EpSeed:
-    """An exceptional point as scan_for_ep_seeds finds it, and a seed for find_ep."""
-
-    g: float
-    e_d: float
-    z: complex
-
-
-@dataclass(frozen=True)
 class EpResult:
     """A located exceptional point with its defining residuals."""
 
@@ -154,9 +145,10 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     n = len(values)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
-    # The leading coefficient of p changes sign where a root passes w = infinity.
+    # The leading coefficient of p changes sign where a root passes w = infinity.  e_d
+    # does not enter it, so an e_d past the double range overflows nothing here.
     rows = _w_rows(model)
-    lead = _w_coefficients(rows, e_d, g * g)[:, -1]
+    lead = _w_coefficients(rows[:, -1:], e_d, g * g)[:, 0]
     through = np.flatnonzero(np.sign(lead[:-1]) * np.sign(lead[1:]) <= 0)
     points = []  # (z, bic, collision, crossed_axis) of each branch at each value, by block
     for block in _sweep_blocks(n, rows.shape[1] - 1):
@@ -255,7 +247,7 @@ def _link_maps(model: ChainModel, parameter: str, census: _Census, e_d, g, value
 
 def find_ep(
     model: ChainModel,
-    seed: EpSeed | tuple,
+    seed: EpResult | tuple,
     ep_tol: float = EP_TOL,
     max_iter: int = 200,
 ) -> EpResult:
@@ -263,13 +255,15 @@ def find_ep(
 
     p is linear in (e_d, g^2), so at a double root p = p' = 0 gives both in
     closed form, e_d(w) and g^2(w), and differentiating p' = 0 gives their
-    w-derivatives from p''.  Newton in w alone, from the seed's z on sheet
-    II (its g and e_d are not used), drives Im e_d(w) = Im g^2(w) = 0 until
-    the step is below 1e-12 |w|.  p is real, so where Newton settles at
-    Im w > 0, on the double root of an anti-resonance pair, its conjugate
-    is the resonance pair's EP at the same g and e_d, and that is the one
-    reported: the EP's z has Im z < 0.  The residuals |eta| and |eta'| of
-    the EP (sqrt(g^2), e_d, (w + 1/w)/2) are taken on sheet II.
+    w-derivatives from p''.  The seed is an EpResult, as scan_for_ep_seeds
+    returns it, or a (g, e_d, z) sequence.  Newton in w alone, from the
+    seed's z on sheet II (its g and e_d are not used), drives
+    Im e_d(w) = Im g^2(w) = 0 until the step is below 1e-12 |w|.  p is
+    real, so where Newton settles at Im w > 0, on the double root of an
+    anti-resonance pair, its conjugate is the resonance pair's EP at the
+    same g and e_d, and that is the one reported: the EP's z has Im z < 0.
+    The residuals |eta| and |eta'| of the EP (sqrt(g^2), e_d,
+    (w + 1/w)/2) are taken on sheet II.
 
     Raises
     ------
@@ -278,20 +272,17 @@ def find_ep(
         system, or settles at g^2 <= 0 or with a residual not below ep_tol.
         The trace holds (z, g^2(w), e_d(w)) at each iterate.
     """
-    z = complex(seed.z if isinstance(seed, EpSeed) else seed[2])
+    z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
     # base, d_ed, d_g2 (rows) and their first two derivatives (layers), against w^k
     rows = _w_rows(model)
-    k = np.arange(rows.shape[1])
-    stack = np.zeros((3,) + rows.shape)
-    stack[0] = rows
-    stack[1, :, :-1] = rows[:, 1:] * k[1:]
-    stack[2, :, :-2] = rows[:, 2:] * (k[2:] * k[1:-1])
+    slope = _derivative(rows)
+    stack = np.array([rows, slope, _derivative(slope)])
 
     trace_pts = []
     settled = False
     for _ in range(max_iter):
-        powers = np.full(len(k), w)
+        powers = np.full(rows.shape[1], w)
         powers[0] = 1.0
         (b, e, c), (b1, e1, c1), (b2, e2, c2) = (stack @ powers.cumprod()).tolist()
         det = e * c1 - c * e1
@@ -333,7 +324,7 @@ def scan_for_ep_seeds(
     ed_range: tuple[float, float],
     n_g: int = 16,
     n_ed: int = 16,
-) -> list[EpSeed]:
+) -> list[EpResult]:
     """Every exceptional point of a resonance pair in the box, each once.
 
     p = P + e_d D with P = base + g^2 d_g2 and D = d_ed (the rows of
@@ -356,8 +347,9 @@ def scan_for_ep_seeds(
     last is sought (further down, at n_d = 40 below g ~ 1e-11, the roots
     of E_g lose their accuracy).  The infinite chain has no EP.
 
-    Returns an EpSeed per EP in the box, with the EP's own g, e_d and z,
-    sorted by g, then e_d.  n_ed is not used; callers still pass it.
+    Returns the EpResult of each EP in the box, as find_ep polished it: its
+    g, e_d and z with its residuals |eta| and |eta'|, sorted by g, then
+    e_d.  n_ed is not used; callers still pass it.
 
     Raises
     ------
@@ -403,12 +395,12 @@ def scan_for_ep_seeds(
         k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))
         w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
         z0 = 0.5 * (w0 + 1.0 / w0)
-    seeds = []
+    eps = []
     for seed in zip(g[k].tolist(), e_d[k, j].real.tolist(), z0.tolist()):
         try:
             ep = find_ep(model, seed)
         except FanochainError:
             continue
         if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]:
-            seeds.append(EpSeed(g=ep.g, e_d=ep.e_d, z=ep.z))
-    return sorted(seeds, key=lambda s: (s.g, s.e_d))
+            eps.append(ep)
+    return sorted(eps, key=lambda ep: (ep.g, ep.e_d))

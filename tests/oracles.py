@@ -11,12 +11,15 @@ mirrors the other, and that trace links its branches by index maps, are
 the earlier Newton and certificate on every root and the earlier
 per-branch link loop, built on the same kernels and census (the Newton
 builds its own stack of p and p', apart from dispersion._newton's).
+ep_by_mpmath solves p = p' = 0 in w, but at 50 digits, with p written
+out from its definition rather than taken from dispersion._w_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -295,6 +298,33 @@ def reference_eps(model: ChainModel, g_range, ed_range, cells: int = 12) -> list
                 ):
                     found.append(ep)
     return sorted(found, key=lambda ep: (ep.g, ep.e_d))
+
+
+def ep_by_mpmath(model: ChainModel, ep: EpResult, dps: int = 50) -> tuple[float, float, complex]:
+    """(g, e_d, z) of the semi-infinite chain's EP nearest ep, by a dps-digit solve.
+
+    mpmath's findroot solves Re and Im of p and p' = dp/dw for (Re w,
+    Im w, e_d, g^2), with p(w) = w^2 - 2 e_d w + 1 - 4 g^2 v^2 sum_{k=1}^{n_d}
+    w^(2k), from ep's g, e_d and w = z - sqrt(z^2 - 1), the root of
+    w^2 - 2 z w + 1 with |w| > 1 (sheet II).
+    """
+    with mpmath.workdps(dps):
+        v2, powers = mpmath.mpf(model.v) ** 2, range(1, model.n_d + 1)
+
+        def system(x, y, e_d, g2):
+            w = mpmath.mpc(x, y)
+            c = 4 * g2 * v2
+            p = w * w - 2 * e_d * w + 1 - c * mpmath.fsum(w ** (2 * k) for k in powers)
+            dp = 2 * w - 2 * e_d - c * mpmath.fsum(2 * k * w ** (2 * k - 1) for k in powers)
+            return [p.real, p.imag, dp.real, dp.imag]
+
+        z = mpmath.mpc(ep.z)
+        s = mpmath.sqrt(z * z - 1)
+        w = max(z - s, z + s, key=abs)
+        start = (w.real, w.imag, mpmath.mpf(ep.e_d), mpmath.mpf(ep.g) ** 2)
+        x, y, e_d, g2 = mpmath.findroot(system, start)
+        w = mpmath.mpc(x, y)
+        return float(mpmath.sqrt(g2)), float(e_d), complex((w + 1 / w) / 2)
 
 
 def trace_by_continuation(

@@ -16,7 +16,6 @@ from fanochain import (
     bic_energies,
     decompose,
     discrete_states,
-    find_ep,
     scan_for_ep_seeds,
     self_energy,
     self_energy_deriv,
@@ -240,7 +239,7 @@ def test_missing_model_args(capsys):
 
 
 @pytest.mark.parametrize(
-    "start, stop", [("0.5", "-0.5"), ("0.5", "0.5"), ("nan", "0.5")], ids=["reversed", "empty", "nan"]
+    "start, stop", [("0.5", "-0.5"), ("0.5", "0.5")], ids=["reversed", "empty"]
 )
 def test_trajectory_sweep_not_increasing_is_usage_error(capsys, start, stop):
     rc = run(["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5",
@@ -450,6 +449,7 @@ ROOTS = ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
 EP_BOX = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
           "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
 PROBE = ["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
+SWEEP = ["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.16", "--ed", "-0.5"]
 SPECTRUM = ["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--points", "5"]
 
 
@@ -458,7 +458,8 @@ SPECTRUM = ["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--
     [ROOTS + ["--root-tol", x] for x in ("nan", "0", "-1", "inf")]
     + [EP_BOX + ["--ep-tol", x] for x in ("nan", "0", "-1", "inf")]
     + [PROBE + ["--re", "nan"], PROBE + ["--re", "inf"], PROBE + ["--re", "0.3", "--im", "nan"]]
-    + [SPECTRUM + ["--omega-max", "inf"], SPECTRUM + ["--omega-min", "nan"]],
+    + [SPECTRUM + ["--omega-max", "inf"], SPECTRUM + ["--omega-min", "nan"]]
+    + [SWEEP + ["--stop", "0.5", "--start", "nan"], SWEEP + ["--start", "0.1", "--stop", "inf"]],
     ids=lambda argv: " ".join([argv[0]] + argv[-2:]),
 )
 def test_bad_number_is_usage_error(capsys, argv):
@@ -647,7 +648,7 @@ def expect_trajectory(fmt, tmp_path):
 
 def expect_ep(fmt, tmp_path):
     model = ChainModel.semi_infinite(4, -0.5, 0.2)
-    results = [find_ep(model, seed) for seed in scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))]
+    results = scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))  # each EP as the scan polished it
     assert results
     header = ["g", "ed", "re_z", "im_z", "res_eta", "res_etaprime"]
     rows = [

@@ -28,10 +28,10 @@ from fanochain import dispersion, sweep
 from fanochain.dispersion import ROOT_TOL, _audit, _census, _certified_roots, _halves, _rate_terms
 from fanochain.dispersion import _w_coefficients, _w_rows
 from fanochain.states import attach_norms
-from fanochain.sweep import EP_TOL, EpSeed, TrajectoryPoint
+from fanochain.sweep import EP_TOL, EpResult, TrajectoryPoint
 
-from oracles import find_ep_in_z, full_certified_roots, reference_eps, trace_by_continuation
-from oracles import trace_by_loop
+from oracles import ep_by_mpmath, find_ep_in_z, full_certified_roots, reference_eps
+from oracles import trace_by_continuation, trace_by_loop
 
 EP_G = 0.1728
 EP_ED = 0.3981
@@ -731,6 +731,16 @@ def test_trace_refuses_root_through_infinity():
         trace(model, "g", np.linspace(0.15, 0.4, 126))
 
 
+def test_trace_whose_end_overflows_p_fails_cleanly():
+    # e_d = 1e308 is a valid model whose p(w) spans more than the double range: the census
+    # refuses it, and the sign test of p's leading coefficient, which e_d does not enter,
+    # raises no overflow warning first
+    model = ChainModel.semi_infinite(4, -0.5, 0.2)
+    message = r"companion matrix of p\(w\) is not finite at e_d = 1e\+308"
+    with pytest.raises(FanochainError, match=message):
+        trace(model, "e_d", [0.1, 1e308])
+
+
 @pytest.mark.parametrize(
     "model, values",
     [
@@ -940,12 +950,11 @@ def test_scan_seeds_are_exceptional_points():
 
 
 def test_seed_tuple_and_dataclass_equivalent():
+    # a scan result seeds find_ep as its (g, e_d, z) tuple does
     m = ChainModel.semi_infinite(4, -0.4, 0.17)
-    seed = EpSeed(g=0.17, e_d=-0.4, z=-0.41 - 0.15j)
-    a = find_ep(m, seed)
-    b = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
-    assert a.g == pytest.approx(b.g, rel=1e-12)
-    assert a.e_d == pytest.approx(b.e_d, rel=1e-12)
+    (seed,) = scan_for_ep_seeds(m, (0.1, 0.25), (-0.8, 0.0))
+    assert isinstance(seed, EpResult)
+    assert find_ep(m, seed) == find_ep(m, (seed.g, seed.e_d, seed.z))
 
 
 def split_slope(model, ep):
@@ -993,6 +1002,30 @@ def test_scan_from_g_zero_at_large_n_d():
         assert s.z.imag < -1e-6
         ep = find_ep(model, s)
         assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+
+
+MPMATH_BOXES = {
+    "readme": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.1, 0.25), (-0.8, 0.0), 1),
+    "n_d=4:wide": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.01, 0.5), (-1.5, 1.5), 2),
+    "n_d=3:axis": (ChainModel.semi_infinite(3, -0.5, 0.2), (0.02, 0.5), (-0.95, 0.95), 1),
+    "n_d=12:v=0.7": (ChainModel.semi_infinite(12, -0.5, 0.2, v=0.7), (0.01, 0.6 / 0.7),
+                     (-1.5, 1.5), 10),
+}
+
+
+@pytest.mark.parametrize("box", MPMATH_BOXES)
+def test_scan_eps_match_a_50_digit_solve(box):
+    # the scan polishes each EP once, to rounding: a 50-digit solve of p = p' = 0 moves
+    # g, z and e_d (off the e_d = 0 axis) by under 2e-14 relative, and the residuals the
+    # scan reports are its own, below EP_TOL
+    model, g_range, ed_range, count = MPMATH_BOXES[box]
+    eps = scan_for_ep_seeds(model, g_range, ed_range)
+    assert len(eps) == count
+    for ep in eps:
+        assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+        g, e_d, z = ep_by_mpmath(model, ep)
+        assert abs(ep.g - g) <= 2e-14 * g and abs(ep.z - z) <= 2e-14 * abs(z)
+        assert abs(ep.e_d - e_d) <= 2e-14 * (abs(e_d) if abs(e_d) > 1e-10 else 1.0)
 
 
 SCAN_BOXES = {
