@@ -280,6 +280,16 @@ def _coordinate(re, im) -> complex:
     return x
 
 
+def _linspace(args, start: str, stop: str, num: int) -> np.ndarray:
+    """np.linspace between the options whose dests are start and stop; a span that
+    overflows a double is a ModelError naming both, raised before numpy overflows."""
+    lo, hi = getattr(args, start), getattr(args, stop)
+    if not math.isfinite(hi - lo):
+        names = [f"--{dest.replace('_', '-')}" for dest in (start, stop)]
+        raise ModelError(f"{names[0]} {lo:g} to {names[1]} {hi:g} spans more than the double range")
+    return np.linspace(lo, hi, num)
+
+
 def _cmd_roots(model: ChainModel, args) -> None:
     if args.seeds:
         states = polish_seeds(model, _read_seeds(args.seeds), args.root_tol)
@@ -306,7 +316,7 @@ def _cmd_bic(model: ChainModel, args) -> None:
 
 
 def _cmd_spectrum(model: ChainModel, args) -> None:
-    sg = decompose(model, np.linspace(args.omega_min, args.omega_max, args.points))
+    sg = decompose(model, _linspace(args, "omega_min", "omega_max", args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0
     record = {axis: sg.omega - shift, "total": sg.total}
@@ -338,7 +348,7 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
 
 def _cmd_trajectory(model: ChainModel, args) -> None:
     parameter = "e_d" if args.parameter == "ed" else "g"
-    tr = trace(model, parameter, np.linspace(args.start, args.stop, args.steps))
+    tr = trace(model, parameter, _linspace(args, "start", "stop", args.steps))
     points = [(br.label, pt) for br in tr.branches for pt in br.points]
     record = {
         "param": [pt.value for _, pt in points],

@@ -132,6 +132,22 @@ def _sigma(z, sheet, n_d: int | None, v: float, order: int = 0) -> list:
     return out
 
 
+def _band_sigma(omega: np.ndarray, n_d: int | None, v: float) -> np.ndarray:
+    """Sigma at the real Omega + i0 on sheet I, for Omega inside the band.
+
+    There s = i r with r = sqrt(1 - Omega) sqrt(1 + Omega) and w = Omega - i r,
+    so Sigma = -i (v^2/r) [1 - w^(2 n_d)], with w^(2 n_d) = 0 on the infinite
+    chain: real square roots, then one complex power and one complex product.
+    Bit for bit, signed zeros included, the Sigma of _sigma at Omega + 0j:
+    numpy's complex sqrt of (Omega - 1, +0) is exactly i sqrt(1 - Omega),
+    and its division v^2/(i r) forms -i v^2 (1/r), not -i v^2/r.  Outside
+    the band r is nan.
+    """
+    r = np.sqrt(1.0 - omega) * np.sqrt(1.0 + omega)
+    w2n = 0.0 if n_d is None else (omega - 1j * r) ** (2 * n_d)
+    return (-1j * ((v * v) * (1.0 / r))) * (1.0 - w2n)
+
+
 def _sigma_at(model: ChainModel, z: SheetedEnergy, order: int = 0) -> list[complex]:
     """Sigma and its derivatives up to order at one tagged energy."""
     return [complex(x) for x in _sigma(_point(z), z.sheet, model.n_d, model.v, order)]

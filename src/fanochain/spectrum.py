@@ -4,7 +4,12 @@ The exact spectrum is the boundary value
 
     F(Omega) = -(w/pi) * Im [ 1 / (Omega - e_d - g^2 Sigma(Omega + i0)) ]
 
-on the physical sheet.  Each resonance contributes
+on the physical sheet.  Inside the band s(Omega + i0) = i r with
+r = sqrt(1 - Omega) sqrt(1 + Omega), so the curve is evaluated from the
+band form Sigma = -i (v^2/r) [1 - w^(2 n_d)], with the uniformizing
+variable w = Omega - i r: no complex square root or division, and bit
+for bit the complex closed form at Omega + 0j.  Each resonance
+contributes
 
     f = fS + fA,
     fS = (w/pi) *  gamma/((Omega-eps)^2 + gamma^2) * d(eps)/d(e_d),
@@ -28,7 +33,7 @@ import numpy as np
 from .dispersion import DiscreteState, StateClass, discrete_states
 from .errors import BranchPointError, FanochainError
 from .model import ChainModel
-from .selfenergy import Sheet, _sigma
+from .selfenergy import _band_sigma
 from .states import _norms, bic_line_weight, bound_weight, normalization
 
 #: Default Omega grid: resolves widths down to ~1e-3 across the open band.
@@ -79,6 +84,10 @@ def default_grid(
     return np.linspace(-span, span, points)
 
 
+#: decompose's grid when it is given none; each call gets a copy.
+_DEFAULT_GRID = default_grid()
+
+
 def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     """Exact absorption curve from the impurity Green's function.
 
@@ -87,22 +96,31 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     0/0 (its weight is a line too); points exactly at +-1 are refused.
     The curve is computed on the whole grid, and one np.where zeroes both
     kinds of point.
+
+    Sigma(Omega + i0) is the band form -i (v^2/r) [1 - w^(2 n_d)] of
+    selfenergy._band_sigma, with r = sqrt(1 - Omega) sqrt(1 + Omega) and
+    w = Omega - i r: no complex square root or division, and bit for bit
+    the complex Sigma of selfenergy._sigma at Omega + 0j.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(np.abs(omega) == 1.0):
+    abs_omega = np.abs(omega)
+    if (abs_omega == 1.0).any():
         raise BranchPointError("grid point exactly at a band edge")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # imag +0.0: the +i0 boundary value
-        (sig,) = _sigma(omega.astype(complex), Sheet.I, model.n_d, model.v)
+        sig = _band_sigma(omega, model.n_d, model.v)
         g2 = model.g * model.g
-        num = -g2 * sig.imag  # = -Im Sigma >= 0
-        den = (omega - model.e_d - g2 * sig.real) ** 2 + (g2 * sig.imag) ** 2
-        vals = (model.transition_weight / np.pi) * num / den
-    return np.where((np.abs(omega) < 1.0) & (den > 0.0), vals, 0.0)
+        im_shift = g2 * sig.imag  # = g^2 Im Sigma <= 0
+        den = (omega - model.e_d - g2 * sig.real) ** 2 + im_shift**2
+        vals = (-model.transition_weight / np.pi) * im_shift / den
+    return np.where((abs_omega < 1.0) & (den > 0.0), vals, 0.0)
 
 
 def _component(omega: np.ndarray, eps: float, gam: float, n: complex, weight: float):
-    """(f, fS, fA) of a resonance at eps - i gam with normalization n."""
+    """(f, fS, fA) of a resonance at eps - i gam with normalization n.
+
+    Where (Omega - eps)^2 overflows the components are exactly 0; the
+    caller silences that overflow, once per grid rather than per resonance.
+    """
     d = omega - eps
     denom = d**2 + gam**2
     fs = (weight / np.pi) * gam / denom * n.real
@@ -122,7 +140,8 @@ def resonance_component(
         raise FanochainError(f"resonance_component needs a resonance, got {state.state_class.value}")
     n = state.norm if state.norm is not None else normalization(model, state)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _component(omega, state.epsilon, state.gamma, n, model.transition_weight)
+    with np.errstate(over="ignore"):
+        return _component(omega, state.epsilon, state.gamma, n, model.transition_weight)
 
 
 def degree_of_asymmetry(norm: complex) -> float:
@@ -178,9 +197,7 @@ def decompose(
     continuum residual that is not finite (a nan Omega or norm) raises
     FanochainError.
     """
-    if omega is None:
-        omega = default_grid()
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = _DEFAULT_GRID.copy() if omega is None else np.atleast_1d(np.asarray(omega, dtype=float))
     if states is None:
         states = discrete_states(model)
 
@@ -190,24 +207,25 @@ def decompose(
     missing = iter(_norms(model, [s for s in resonances if s.norm is None]))
     f_by, fs_by, fa_by, meta = {}, {}, {}, []
     res_sum = np.zeros_like(total)
-    for s in resonances:
-        n = s.norm if s.norm is not None else next(missing)
-        f, fs, fa = _component(omega, s.epsilon, s.gamma, n, model.transition_weight)
-        label = s.label or f"z={s.z:.6g}"
-        f_by[label], fs_by[label], fa_by[label] = f, fs, fa
-        res_sum += f
-        da = degree_of_asymmetry(n)
-        meta.append(
-            ResonanceMeta(
-                label=label,
-                epsilon=s.epsilon,
-                gamma=s.gamma,
-                norm=n,
-                da=da,
-                q=fano_q(da, -n.imag),
-                near_degenerate=s.near_degenerate,
+    with np.errstate(over="ignore"):  # far from a resonance its components are 0
+        for s in resonances:
+            n = s.norm if s.norm is not None else next(missing)
+            f, fs, fa = _component(omega, s.epsilon, s.gamma, n, model.transition_weight)
+            label = s.label or f"z={s.z:.6g}"
+            f_by[label], fs_by[label], fa_by[label] = f, fs, fa
+            res_sum += f
+            da = degree_of_asymmetry(n)
+            meta.append(
+                ResonanceMeta(
+                    label=label,
+                    epsilon=s.epsilon,
+                    gamma=s.gamma,
+                    norm=n,
+                    da=da,
+                    q=fano_q(da, -n.imag),
+                    near_degenerate=s.near_degenerate,
+                )
             )
-        )
 
     continuum = total - res_sum
     bad = ~(np.abs(continuum) < np.inf)

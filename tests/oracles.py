@@ -13,6 +13,9 @@ per-branch link loop, built on the same kernels and census (the Newton
 builds its own stack of p and p', apart from dispersion._newton's).
 ep_by_mpmath solves p = p' = 0 in w, but at 50 digits, with p written
 out from its definition rather than taken from dispersion._w_rows.
+green_by_complex_sigma is spectrum.green_spectrum as it was before its
+self-energy became the band form: the complex closed form of
+selfenergy._sigma at Omega + 0j, which the band form must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fanochain.dispersion import _rate_terms, _residual, _w_coefficients, _w_row
 from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from fanochain.model import ChainModel
-from fanochain.selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
+from fanochain.selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv
 from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
 from fanochain.sweep import TrajectoryPoint, find_ep
 
@@ -110,6 +113,19 @@ def sigma_theta(model: ChainModel, energy: float) -> complex:
         raise ValueError("theta oracle is for the semi-infinite chain")
     theta = np.arccos(-energy)
     return model.v**2 / (1j * np.sin(theta)) * (1.0 - np.exp(2j * model.n_d * theta))
+
+
+def green_by_complex_sigma(model: ChainModel, omega) -> np.ndarray:
+    """F(Omega) from the complex Sigma(Omega + 0j) on sheet I, 0 outside the open band
+    and where the denominator is 0, by the arithmetic of spectrum.green_spectrum."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (sig,) = _sigma(omega.astype(complex), Sheet.I, model.n_d, model.v)
+        g2 = model.g * model.g
+        num = -g2 * sig.imag
+        den = (omega - model.e_d - g2 * sig.real) ** 2 + (g2 * sig.imag) ** 2
+        vals = (model.transition_weight / np.pi) * num / den
+    return np.where((np.abs(omega) < 1.0) & (den > 0.0), vals, 0.0)
 
 
 def continue_sqrt_through_cut(z_start: complex, z_end: complex, steps: int = 4001) -> complex:

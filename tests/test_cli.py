@@ -469,6 +469,36 @@ def test_bad_number_is_usage_error(capsys, argv):
     assert f"argument {argv[-2]}: need a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, options",
+    [(SPECTRUM + ["--omega-min=-1e308", "--omega-max", "1e308"], ("--omega-min", "--omega-max")),
+     (SWEEP + ["--start=-1e308", "--stop", "1e308"], ("--start", "--stop"))],
+    ids=["spectrum", "trajectory"],
+)
+def test_range_whose_span_overflows_is_usage_error(capsys, argv, options):
+    # each end is finite, but stop - start is not: refused before np.linspace overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(argv)
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {options[0]} -1e+308 to {options[1]} 1e+308 spans more than the double range\n"
+    )
+
+
+def test_spectrum_far_outside_the_band_is_zero_without_warnings(capsys):
+    # (Omega - eps)^2 overflows at Omega = +-1e200, where every component is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["spectrum", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
+                  "--points", "3", "--omega-min=-1e200", "--omega-max", "1e200"])
+    assert rc == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(header) == 12 and len(rows) == 3
+    for row in (rows[0], rows[2]):
+        assert [float(x) for x in row[1:]] == [0.0] * 11
+
+
 @pytest.mark.parametrize("option", [["--grid", "16", "16"], ["--threshold", "0.2"]],
                          ids=["--grid", "--threshold"])
 def test_retired_ep_options_are_usage_errors(capsys, option):

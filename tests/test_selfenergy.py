@@ -17,7 +17,7 @@ from fanochain import (
     self_energy_deriv,
     sqrt_branch,
 )
-from fanochain.selfenergy import _sigma
+from fanochain.selfenergy import _band_sigma, _sigma
 from oracles import (
     continue_sqrt_through_cut,
     sigma_boundary_quadrature,
@@ -260,6 +260,18 @@ def test_array_kernel_with_sheet_mask_matches_scalar(n_d):
                 self_energy_deriv(m, point, 2))
         for order in range(3):
             assert got[order][k] == pytest.approx(want[order], rel=1e-14)
+
+
+@pytest.mark.parametrize("v", [0.7, 1.0, 1.3])
+def test_band_kernel_is_the_complex_kernel_at_plus_i0(v):
+    # inside the band, the band form is the complex Sigma(Omega + 0j) to the last bit,
+    # signed zeros included: the BIC energies of each n_d, where Sigma is 0, among them
+    bic = [-math.cos(math.pi * k / n) for n in range(1, 65) for k in range(1, n)]
+    omega = np.concatenate([np.linspace(-0.9999, 0.9999, 4001), bic, [-0.0, 0.0, -1e-300, 1e-300]])
+    for n_d in [None, *range(1, 65)]:
+        got = _band_sigma(omega, n_d, v)
+        (want,) = _sigma(omega.astype(complex), Sheet.I, n_d, v)
+        assert got.tobytes() == want.tobytes(), n_d
 
 
 def test_deriv_asymptote(semi_model, infinite_model):

@@ -28,7 +28,7 @@ from fanochain import (
     self_energy,
 )
 from fanochain.states import _norms
-from oracles import sigma_boundary_quadrature
+from oracles import green_by_complex_sigma, sigma_boundary_quadrature
 
 #: The README exceptional point of the n_d = 4 chain (as in test_states.py).
 EP_G = 0.17284479822974877
@@ -118,6 +118,39 @@ def test_green_scale_with_transition_weight(semi_model):
     m2 = semi_model.with_params(transition_weight=2.5)
     omega = np.linspace(-0.8, 0.8, 11)
     assert green_spectrum(m2, omega) == pytest.approx(2.5 * green_spectrum(semi_model, omega))
+
+
+#: A grid across both band edges, with no point exactly on one.
+WIDE_GRID = np.linspace(-1.3, 1.3, 20001)
+
+
+@pytest.mark.parametrize("v", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("grid", ["default", "wide"])
+def test_green_band_form_matches_the_complex_sigma_bit_for_bit(v, grid):
+    omega = default_grid() if grid == "default" else WIDE_GRID
+    outside = np.abs(omega) > 1.0
+    models = [ChainModel.infinite(0.3, 0.2, v=v),
+              ChainModel.infinite(-0.6, 0.35, v=v, transition_weight=0.37)]
+    models += [
+        ChainModel.semi_infinite(n_d, 0.3 - 0.02 * n_d, 0.1 + 0.005 * n_d, v=v,
+                                 transition_weight=0.37 if n_d % 2 else 1.0)
+        for n_d in range(1, 65)
+    ]
+    for m in models:
+        got = green_spectrum(m, omega)
+        assert got.tobytes() == green_by_complex_sigma(m, omega).tobytes(), m
+        assert np.all(got[outside] == 0.0) and np.all(got[~outside] >= 0.0)
+
+
+@pytest.mark.parametrize("e_d", [0.0, -0.5], ids=["pole", "zero"])
+def test_green_band_form_reads_0_at_the_bic_energy(e_d):
+    # n_d = 2: at Omega = 0, w^4 = 1 and Sigma = 0, so the curve is 0/0 at e_d = 0 (the BIC
+    # pole) and 0 elsewhere, with the complex form's sign of that zero
+    m = ChainModel.semi_infinite(2, e_d, 0.2)
+    omega = np.array([-0.5, -0.0, 0.0, 0.5])
+    got = green_spectrum(m, omega)
+    assert got.tobytes() == green_by_complex_sigma(m, omega).tobytes()
+    assert got[1] == got[2] == 0.0 and np.all(got[[0, 3]] > 0.0)
 
 
 # ------------------------------------------------------- resonance components
@@ -291,6 +324,33 @@ def test_decompose_components_equal_resonance_component(semi_model, infinite_mod
             assert np.array_equal(sg.resonance_f[s.label], f)
             assert np.array_equal(sg.resonance_fs[s.label], fs)
             assert np.array_equal(sg.resonance_fa[s.label], fa)
+
+
+def test_far_grid_points_get_zero_components_without_warnings(semi_model):
+    # (Omega - eps)^2 overflows past |Omega - eps| ~ 1.3e154, where every component is 0
+    omega = [-1e200, 0.1, 1e200]
+    states = attach_norms(semi_model, discrete_states(semi_model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sg = decompose(semi_model, omega, states)
+        parts = [resonance_component(semi_model, s, omega) for s in states
+                 if s.state_class is StateClass.RESONANCE]
+    assert len(parts) == 3
+    for f in [*sg.resonance_f.values(), *sg.resonance_fs.values(), *sg.resonance_fa.values(),
+              *(f for part in parts for f in part)]:
+        assert f[0] == f[2] == 0.0 and f[1] != 0.0
+    assert sg.total[[0, 2]].tolist() == sg.continuum_residual[[0, 2]].tolist() == [0.0, 0.0]
+
+
+def test_decompose_default_grid_is_a_fresh_copy(semi_model):
+    states = attach_norms(semi_model, discrete_states(semi_model))
+    first = decompose(semi_model, states=states)
+    assert np.array_equal(first.omega, default_grid())
+    first.omega[:] = 0.0  # a caller may write to its grid
+    second = decompose(semi_model, states=states)
+    assert second.omega.flags.writeable and not np.shares_memory(first.omega, second.omega)
+    assert np.array_equal(second.omega, default_grid())
+    assert np.array_equal(second.total, decompose(semi_model, default_grid(), states).total)
 
 
 def test_decompose_g_zero_single_line():
