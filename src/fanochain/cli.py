@@ -10,12 +10,16 @@ the spectrum's wrapper object, but written a column at a time: each
 column becomes cell text once, and one %-template per row lays the
 cells out.  (json.dumps with an indent runs its pure-Python encoder
 cell by cell, the slowest part of a 20001-point spectrum.)
+
+A subcommand imports the sweep, spectrum and states layers only where it
+uses them, so start-up pays for no layer the command does not run.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import re
@@ -24,13 +28,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dispersion import ROOT_TOL, bic_energies, discrete_states, polish_seeds
+from .dispersion import EP_TOL, ROOT_TOL, bic_energies, discrete_states, polish_seeds
 from .errors import FanochainError, ModelError
 from .model import INFINITE, SEMI_INFINITE, ChainModel
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
-from .spectrum import decompose
-from .states import attach_norms
-from .sweep import EP_TOL, scan_for_ep_seeds, trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -291,6 +292,8 @@ def _linspace(args, start: str, stop: str, num: int) -> np.ndarray:
 
 
 def _cmd_roots(model: ChainModel, args) -> None:
+    from .states import attach_norms
+
     if args.seeds:
         states = polish_seeds(model, _read_seeds(args.seeds), args.root_tol)
     else:
@@ -316,6 +319,8 @@ def _cmd_bic(model: ChainModel, args) -> None:
 
 
 def _cmd_spectrum(model: ChainModel, args) -> None:
+    from .spectrum import decompose
+
     sg = decompose(model, _linspace(args, "omega_min", "omega_max", args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0
@@ -347,6 +352,8 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
 
 
 def _cmd_trajectory(model: ChainModel, args) -> None:
+    from .sweep import trace
+
     parameter = "e_d" if args.parameter == "ed" else "g"
     tr = trace(model, parameter, _linspace(args, "start", "stop", args.steps))
     points = [(br.label, pt) for br in tr.branches for pt in br.points]
@@ -362,6 +369,11 @@ def _cmd_trajectory(model: ChainModel, args) -> None:
 
 
 def _cmd_ep(model: ChainModel, args) -> None:
+    from .sweep import scan_for_ep_seeds
+
+    for option, (lo, hi) in (("--g-range", args.g_range), ("--ed-range", args.ed_range)):
+        if lo > hi:
+            raise ModelError(f"{option} {lo:g} {hi:g} is reversed: LO is above HI")
     g_range, ed_range = tuple(args.g_range), tuple(args.ed_range)
     results = [ep for ep in scan_for_ep_seeds(model, g_range, ed_range)
                if ep.residual_eta < args.ep_tol and ep.residual_eta_prime < args.ep_tol]
@@ -419,6 +431,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # The import-time heap lives until exit: frozen, the collector never rescans it,
+    # neither during the run nor at shutdown.
+    gc.freeze()
     sys.exit(run())
 
 

@@ -45,6 +45,9 @@ from .selfenergy import Sheet, SheetedEnergy, _sheeted_s, _sigma, self_energy, s
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
 
+#: Residual bound on |eta| and |eta'| at a reported exceptional point.
+EP_TOL = 1e-10
+
 #: Two roots of one class closer than this are flagged near-degenerate.
 NEAR_DEGENERATE_TOL = 1e-6
 

@@ -34,15 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, ROOT_TOL, roman_label
+from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, ROOT_TOL, roman_label
 from .dispersion import _Census, _block_rows, _census, _derivative, _halves, _horner, _rate_terms
 from .dispersion import _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
-
-#: Residual bound on |eta| and |eta'| at a reported exceptional point.
-EP_TOL = 1e-10
 
 #: Two corrected branches closer than this are flagged as colliding.
 COLLISION_TOL = 1e-6

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,7 +8,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
+import fanochain
 from fanochain import ChainModel
+
+#: The source tree of the package under test, first on a child interpreter's path.
+_SRC = str(Path(fanochain.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -18,3 +24,16 @@ def semi_model():
 @pytest.fixture
 def infinite_model():
     return ChainModel.infinite(-0.6, 0.2)
+
+
+@pytest.fixture
+def python_child():
+    """Run a fresh interpreter on the package under test: python_child(*args) is
+    the CompletedProcess of ``python *args``, with stdout and stderr as bytes."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+
+    def child(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+    return child

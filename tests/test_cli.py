@@ -544,6 +544,18 @@ def test_negative_exponent_values_parse_as_numbers(capsys, argv):
     assert outputs[0][0] in (0, 2) and "argument" not in outputs[0][2]
 
 
+@pytest.mark.parametrize(
+    "ranges, option",
+    [(["--g-range", "0.25", "0.1", "--ed-range", "-0.8", "0"], "--g-range 0.25 0.1"),
+     (["--g-range", "0.1", "0.25", "--ed-range", "0", "-0.8"], "--ed-range 0 -0.8")],
+    ids=["--g-range", "--ed-range"],
+)
+def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
+    # as a reversed trajectory sweep is, not a header with no rows
+    assert run([*_EP, *ranges]) == 2
+    assert capsys.readouterr() == ("", f"error: {option} is reversed: LO is above HI\n")
+
+
 # ---------------------------------------------------------------- output bytes
 # Reference text built from the library results cell by cell: a float gets
 # f"{x:.17g}" in CSV, every other cell str(); JSON is json.dumps of one
@@ -776,3 +788,63 @@ def test_json_spectrum_matches_json_dumps(record, meta, lines, axis):
         "rows": _rows(record),
     }
     assert _json_spectrum(axis, record, meta, lines) == sorted_json(payload)
+
+
+# ---------------------------------------------------------------- start-up
+# A command imports only the layers it uses: fanochain.cli itself loads the
+# model, self-energy and dispersion layers, and each command adds its own.
+
+_CLI_LAYERS = {"fanochain.dispersion", "fanochain.errors", "fanochain.model", "fanochain.selfenergy"}
+_COMMAND_LAYERS = {
+    "roots": (ROOTS, {"fanochain.states"}),
+    "bic": (["bic", *SEMI], set()),
+    "selfenergy": ([*PROBE, "--re", "2"], set()),
+    "spectrum": (SPECTRUM, {"fanochain.spectrum", "fanochain.states"}),
+    "trajectory": ([*SWEEP, "--start", "-0.9", "--stop", "0.9", "--steps", "5"], {"fanochain.sweep"}),
+    "ep": (EP_BOX, {"fanochain.sweep"}),
+}
+# python -m fanochain.cli ARGS, then the exit code and the fanochain modules loaded
+_RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("fanochain.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fanochain."))]))
+"""
+
+
+def test_importing_the_cli_loads_no_command_layer(python_child):
+    child = python_child("-c", "import json, sys, fanochain.cli; print(json.dumps(sorted(sys.modules)))")
+    assert child.returncode == 0, child.stderr
+    loaded = {m for m in json.loads(child.stdout) if m.startswith("fanochain.")}
+    assert loaded == _CLI_LAYERS | {"fanochain.cli"}
+
+
+@pytest.mark.parametrize("command", _COMMAND_LAYERS)
+def test_a_command_loads_only_the_layers_it_uses(tmp_path, python_child, command):
+    argv, layers = _COMMAND_LAYERS[command]
+    child = python_child("-c", _RUN_AS_MAIN, *argv, "--out", str(tmp_path / "out"))
+    assert child.returncode == 0, child.stderr
+    code, loaded = json.loads(child.stdout)
+    assert code == 0, child.stderr
+    assert set(loaded) == _CLI_LAYERS | layers
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(ROOTS, 0),
+     ([*ROOTS, "--no-such-flag"], 2),
+     (["roots", "--chain", "semi", "--nd", "0", "--g", "0.2", "--ed", "-0.5"], 2),
+     (["spectrum", *SEMI, "--omega-min", "-1", "--omega-max", "1", "--points", "5"], 3)],
+    ids=["success", "argparse", "model", "numerical"],
+)
+def test_main_keeps_the_exit_code_and_stdout_of_run(capsys, python_child, argv, code):
+    # python -m fanochain.cli goes through main(), with stdout a pipe
+    child = python_child("-m", "fanochain.cli", *argv)
+    assert child.returncode == code
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert child.stdout == out.encode()
+    # argparse wraps its usage text to the terminal's width: compare the error line only
+    assert child.stderr.splitlines()[-1:] == err.encode().splitlines()[-1:]
