@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def model_from_args(args) -> ChainModel:
     if args.model:
-        return ChainModel.from_json(args.model)
+        return ChainModel.from_dict(_read_json(args.model))
     if args.chain is None or args.ed is None or args.g is None:
         raise ModelError("need --model or all of --chain/--ed/--g")
     variant = SEMI_INFINITE if args.chain == "semi" else INFINITE
@@ -246,11 +246,19 @@ def _emit(args, record: dict) -> None:
     _write(args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n")
 
 
+def _read_json(path: str):
+    """The JSON document in a file, which must be UTF-8 text (else a ModelError naming it)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_seeds(path: str) -> list[tuple]:
     """(z, sheet, w) seeds from a JSON roots file, or (z, sheet) where a record has
     no re_w and im_w; a malformed record is a ModelError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = _read_json(path)
     if not isinstance(records, list):
         raise ModelError(f"seeds file {path} must hold a JSON list of roots records")
     seeds = []
@@ -421,7 +429,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _COMMANDS[args.command](model_from_args(args), args)
-    except (ModelError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:  # stdout closed by its reader: not a usage error, so it propagates
+        raise
+    except (ModelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FanochainError as exc:

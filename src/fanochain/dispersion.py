@@ -375,38 +375,33 @@ def _sweep_blocks(n: int, deg: int) -> list[slice]:
     return [slice(first, min(first + links, n - 1) + 1) for first in range(0, n - 1, links)]
 
 
-def _sweep_roots(model: ChainModel, parameter: str, index, coeffs, top, e_d, g) -> np.ndarray:
-    """Roots of the rows of coeffs (top as for _w_roots): the values ``index``
-    (increasing) of a sweep over ``parameter`` whose impurity levels and
-    couplings, by value, are e_d and g; value 0 is an anchor (_sweep_blocks).
+def _sweep_roots(model: ChainModel, parameter: str, coeffs, top, e_d, g) -> np.ndarray:
+    """Roots of the rows of coeffs (top as for _w_roots): the values of a
+    sweep over ``parameter`` whose impurity levels and couplings, by row,
+    are e_d and g.  Every _STRIDE-th row, from row 0, is an anchor.
 
-    A row whose index is a multiple of _STRIDE (an anchor), or whose anchor
-    is not among the rows, is solved by _w_roots.  Each other row starts
-    from its anchor's roots moved by their second-order Taylor step
+    An anchor is solved by _w_roots.  Each other row starts from its
+    anchor's roots moved by their second-order Taylor step
     w + w' dq + w'' dq^2 / 2, with w' and w'' from _rate_terms at the
     anchor (a start that is not finite, at a double root of the anchor,
     stays at the anchor's root), and keeps the roots of _certified_roots if
     they are certified, else it too is solved by _w_roots.  So a row's roots
     depend only on its own coefficients and its anchor's.
     """
-    anchor = index - index % _STRIDE
-    at = np.searchsorted(index, anchor)  # the anchor's row, where it is a row
-    eig = (index == anchor) | (index[np.minimum(at, len(index) - 1)] != anchor)
-    w = np.zeros((len(index), coeffs.shape[1] - 1), dtype=complex)
-    w[eig] = _w_roots(coeffs[eig], top[eig])
-    warm = np.flatnonzero(~eig)
+    w = np.zeros((len(coeffs), coeffs.shape[1] - 1), dtype=complex)
+    w[::_STRIDE] = _w_roots(coeffs[::_STRIDE], top[::_STRIDE])
+    warm = np.flatnonzero(np.arange(len(coeffs)) % _STRIDE)
     if warm.size:
-        rate, curve = np.zeros((2,) + w.shape, dtype=complex)
         q = e_d if parameter == "e_d" else g
         with np.errstate(all="ignore"):
             minus_dp, slope, minus_d2p = _rate_terms(
-                model, parameter, w[eig], e_d[index[eig]], g[index[eig]], order=2
+                model, parameter, w[::_STRIDE], e_d[::_STRIDE], g[::_STRIDE], order=2
             )
-            rate[eig], curve[eig] = minus_dp / slope, minus_d2p / slope
-            a = at[warm]
-            h = (q[index[warm]] - q[index[a]])[:, None]
-            start = w[a] + (rate[a] + 0.5 * curve[a] * h) * h
-            start = np.where(np.isfinite(start), start, w[a])
+            a, anchor = warm // _STRIDE, warm - warm % _STRIDE  # the anchor's place and row
+            rate, curve = (minus_dp / slope)[a], (minus_d2p / slope)[a]
+            h = (q[warm] - q[anchor])[:, None]
+            start = w[anchor] + (rate + 0.5 * curve * h) * h
+            start = np.where(np.isfinite(start), start, w[anchor])
         w[warm], certified = _certified_roots(coeffs[warm], start)
         redo = warm[~certified]
         if redo.size:
@@ -423,17 +418,15 @@ _BOUND_I, _BOUND_II, _RESONANCE, _ANTIRESONANCE, _BIC = range(len(_CLASSES))
 class _Census:
     """Classified roots of p(w) for a stack of (e_d, g) rows of one chain.
 
-    Only the rows listed in ``rows`` are solved: those with g > 0 whose
-    leading coefficient survives.  All other arrays have one row per
-    solved row, and the root arrays one column per root of p.  Every kept
-    root is one state by construction: each conjugate pair is one
-    resonance and one anti-resonance, and a BIC is one member of its pair.
+    Every row is solved: each array has one row per input row, and the
+    root arrays one column per root of p.  Every kept root is one state by
+    construction: each conjugate pair is one resonance and one
+    anti-resonance, and a BIC is one member of its pair.
     The roots are not gated: _audit does that where a caller needs it.
     """
 
-    rows: np.ndarray      # indices into the (e_d, g) input
-    e_d: np.ndarray       # (rows, 1) impurity level of each solved row
-    g2: np.ndarray        # (rows, 1) g^2 of each solved row
+    e_d: np.ndarray       # (rows, 1) impurity level of each row
+    g2: np.ndarray        # (rows, 1) g^2 of each row
     w: np.ndarray         # the root of p (a real array if every root is real)
     z: np.ndarray         # complex energy of each root
     sheet_ii: np.ndarray  # root lies on sheet II
@@ -448,46 +441,38 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
     _w_roots, on p built with g^2 = g * g, the IEEE product every g^2 of
     the package is: the norms and rates _rate_terms reads off the roots
     are on the very p they solve.  A sweep parameter ('e_d' or 'g') marks
-    the rows as the values of one sweep over it, the first an anchor:
-    every _STRIDE-th value is solved by _w_roots, and the values between
-    from their anchor's roots moved by a second-order Taylor step,
-    certified (_sweep_roots).  Each root maps to z = (w + 1/w)/2 on the
-    sheet read from |w|.  Of a complex conjugate
-    pair (exact, as p is real) the resonance is the member with Im w < 0
-    and the other is its anti-resonance.  Both lie on sheet II, where Im z
-    has the sign of Im w; where rounding (|w| near 1) gives Im z the other
-    sign, z is pinned to the real axis.  At an exact BIC e_d the |w| = 1
-    pair collapses to that one zero-width state, its Im w < 0 member, and
-    the other member is not kept (the collapse runs only when some row's
-    e_d hits a BIC energy).
+    the rows as the values of one sweep over it, solved by _sweep_roots.
+    Each root maps to z = (w + 1/w)/2 on the sheet read from |w|.  Of a
+    complex conjugate pair (exact, as p is real) the resonance is the
+    member with Im w < 0 and the other is its anti-resonance.  Both lie on
+    sheet II, where Im z has the sign of Im w; where rounding (|w| near 1)
+    gives Im z the other sign, z is pinned to the real axis.  At an exact
+    BIC e_d the |w| = 1 pair collapses to that one zero-width state, its
+    Im w < 0 member, and the other member is not kept (the collapse runs
+    only when some row's e_d hits a BIC energy).
     Nothing here gates the roots; see _audit.
 
-    Rows with g = 0 (one decoupled state, handled by discrete_states) and
-    rows whose leading coefficient cancels (n_d = 1 at 4 g^2 v^2 = 1, when
-    other rows keep the full degree) are not solved.
+    It solves exactly the rows it is handed, which callers give g > 0.
+    Powers of w that vanish in every row go, as np.roots strips them: a
+    lone n_d = 1 row at 4 g^2 v^2 = 1 is a polynomial of lower degree.
 
     Raises
     ------
     FanochainError
-        If a solved row's companion matrix is not finite: its coefficients
-        (e_d against g^2 v^2) span more than the double range.  The message
+        If a row's companion matrix is not finite: its coefficients (e_d
+        against g^2 v^2) span more than the double range.  The message
         names the first such row's e_d and g.
     """
-    e_d = np.asarray(e_d, dtype=float)
-    g = np.asarray(g, dtype=float)
-    rows = np.flatnonzero(g > 0)
-    g2 = g[rows] * g[rows]
+    e_d = np.array(e_d, dtype=float)  # own copies, not views of a sweep's values
+    g = np.array(g, dtype=float)
+    g2 = g * g
     with np.errstate(over="ignore", invalid="ignore"):  # the top-row check below reports it
-        coeffs = _w_coefficients(_w_rows(model), e_d[rows], g2)
-        # Powers of w that vanish in every row go, as np.roots strips them; a
-        # row that still loses its leading term is left out.
+        coeffs = _w_coefficients(_w_rows(model), e_d, g2)
         coeffs = coeffs[:, : np.flatnonzero(coeffs.any(axis=0)).max(initial=0) + 1]
-        full = coeffs[:, -1] != 0
-        rows, g2, coeffs = rows[full], g2[full], coeffs[full]
         top = -coeffs[:, -2::-1] / coeffs[:, -1:]
     finite = np.isfinite(top).all(axis=1)
     if not finite.all():
-        i = rows[finite.argmin()]
+        i = finite.argmin()
         raise FanochainError(
             f"the companion matrix of p(w) is not finite at e_d = {float(e_d[i])!r}, "
             f"g = {float(g[i])!r}: its coefficients span more than the double range"
@@ -495,9 +480,8 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
     if sweep is None:
         w = _w_roots(coeffs, top)
     else:
-        w = _sweep_roots(model, sweep, rows, coeffs, top, e_d, g)
-    e_d = e_d[rows][:, None]
-    g2 = g2[:, None]
+        w = _sweep_roots(model, sweep, coeffs, top, e_d, g)
+    e_d, g2 = e_d[:, None], g2[:, None]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (0.5 * (w + 1.0 / w)).astype(complex)
@@ -524,7 +508,7 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
         sheet_ii &= ~bic
         cls = np.where(bic, _BIC, cls)
         kept = ~(bic & (w.imag > 0))
-    return _Census(rows, e_d, g2, w, z, sheet_ii, cls, kept)
+    return _Census(e_d, g2, w, z, sheet_ii, cls, kept)
 
 
 def _residual(model: ChainModel, z, sheet_ii, e_d, g2) -> np.ndarray:

@@ -91,9 +91,9 @@ _DEFAULT_GRID = default_grid()
 def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     """Exact absorption curve from the impurity Green's function.
 
-    Points outside the open band return 0 (that weight lives in the
-    discrete lines), and so does a BIC pole inside it, where the curve is
-    0/0 (its weight is a line too); points exactly at +-1 are refused.
+    Points outside the open band, +-inf included, return 0 (that weight
+    lives in the discrete lines), and so does a BIC pole inside it, where the
+    curve is 0/0 (its weight is a line too); a point at +-1 or nan is refused.
     The curve is computed on the whole grid, and one np.where zeroes both
     kinds of point.
 
@@ -106,6 +106,8 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     abs_omega = np.abs(omega)
     if (abs_omega == 1.0).any():
         raise BranchPointError("grid point exactly at a band edge")
+    if np.isnan(abs_omega).any():
+        raise FanochainError("the absorption curve is not finite at Omega = nan")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sig = _band_sigma(omega, model.n_d, model.v)
         g2 = model.g * model.g
@@ -193,9 +195,9 @@ def decompose(
 
     Near-degenerate resonance pairs (an exceptional point nearby) are
     decomposed all the same -- their components are individually huge and
-    cancel -- and carry the near_degenerate flag in the metadata.  A
-    continuum residual that is not finite (a nan Omega or norm) raises
-    FanochainError.
+    cancel -- and carry the near_degenerate flag in the metadata.  A nan
+    Omega (see green_spectrum), or a continuum residual that is not finite
+    (a nan norm), raises FanochainError.
     """
     omega = _DEFAULT_GRID.copy() if omega is None else np.atleast_1d(np.asarray(omega, dtype=float))
     if states is None:

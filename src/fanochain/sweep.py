@@ -98,6 +98,9 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     anchor's, and the blocks do not change the result.  Branches are the
     resonances of its first row, classed as discrete_states classes them
     and labelled (i), (ii), ... by ascending Re z (then ascending width).
+    A sweep from g = 0 solves nothing and has no branches; one where a root
+    of p passes w = infinity solves its first value alone, and has no
+    branches unless that value holds a resonance (then ConvergenceError).
     Each branch is linked in w to the root nearest its Euler prediction
     w + (dw/dq) dq at the next value, sheet-I roots aside, read off the
     block's index maps (_link_maps): among the Im w <= 0 member of each
@@ -128,7 +131,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     ConvergenceError
         If a root a branch visits misses |eta| < root_tol (the message
         names the first such value and, there, the lowest branch), or if a
-        root passes through w = infinity (at n_d = 1, where 4 g^2 v^2 = 1).
+        root passes w = infinity (n_d = 1, 4 g^2 v^2 = 1) and the start has a resonance.
     """
     if parameter not in ("e_d", "g"):
         raise ModelError(f"parameter must be 'e_d' or 'g', got {parameter!r}")
@@ -142,27 +145,27 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     n = len(values)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
+    if g[0] == 0.0:  # a decoupled level: no resonance to follow
+        return Trajectory(parameter=parameter, values=values)
     # The leading coefficient of p changes sign where a root passes w = infinity.  e_d
     # does not enter it, so an e_d past the double range overflows nothing here.
     rows = _w_rows(model)
     lead = _w_coefficients(rows[:, -1:], e_d, g * g)[:, 0]
     through = np.flatnonzero(np.sign(lead[:-1]) * np.sign(lead[1:]) <= 0)
+    if through.size:
+        if (_census(model, e_d[:1], g[:1]).cls[0] == _RESONANCE).any():
+            a, b = values[through[0] : through[0] + 2]
+            raise ConvergenceError(f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]")
+        return Trajectory(parameter=parameter, values=values)
     points = []  # (z, bic, collision, crossed_axis) of each branch at each value, by block
     for block in _sweep_blocks(n, rows.shape[1] - 1):
         census = _census(model, e_d[block], g[block], sweep=parameter)
         if block.start == 0:
-            if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
-                return Trajectory(parameter=parameter, values=values)
             current = np.flatnonzero(census.cls[0] == _RESONANCE)
             z0 = census.z[0, current]
             current = current[np.lexsort((-z0.imag, z0.real))].tolist()
             if not current:
                 return Trajectory(parameter=parameter, values=values)
-            if through.size:
-                a, b = values[through[0] : through[0] + 2]
-                raise ConvergenceError(
-                    f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
-                )
             points.append((census.z[:1, current], *np.zeros((3, 1, len(current)), dtype=bool)))  # no flags
         # maps[:, k, j]: the root of row k + 1 a branch at root j of row k goes on to, the
         # one nearest its prediction folded below the axis, and whether the link crossed

@@ -561,28 +561,28 @@ def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = R
     n = len(values)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
+    if g[0] == 0.0:
+        return Trajectory(parameter=parameter, values=values)
     # The leading coefficient of p changes sign where a root passes w = infinity.
     rows = _w_rows(model)
     lead = _w_coefficients(rows, e_d, g * g)[:, -1]
-    through = np.flatnonzero(lead[:-1] * lead[1:] <= 0)
+    through = np.flatnonzero(np.sign(lead[:-1]) * np.sign(lead[1:]) <= 0)
+    if through.size:
+        if (sweep._census(model, e_d[:1], g[:1]).cls[0] == _RESONANCE).any():
+            a, b = values[through[0] : through[0] + 2]
+            raise ConvergenceError(f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]")
+        return Trajectory(parameter=parameter, values=values)
     deg = rows.shape[1] - 1
     # Blocks overlap by one value, so each block links its own values.
     for block in dispersion._sweep_blocks(n, deg):
         first, rows = block.start, np.arange(n)[block]
         census = sweep._census(model, e_d[block], g[block], sweep=parameter)
         if first == 0:
-            if census.rows[:1].tolist() != [0]:  # a first value the census leaves out
-                return Trajectory(parameter=parameter, values=values)
             current = np.flatnonzero(census.cls[0] == _RESONANCE)
             z0 = census.z[0, current]
             current = current[np.lexsort((-z0.imag, z0.real))].tolist()
             if not current:
                 return Trajectory(parameter=parameter, values=values)
-            if through.size:
-                a, b = values[through[0] : through[0] + 2]
-                raise ConvergenceError(
-                    f"a root of p(w) passes w = infinity for {parameter} in [{a}, {b}]"
-                )
             linked, crossed = [census.z[0, current].tolist()], [[False] * len(current)]
         minus_dp, slope = _rate_terms(model, parameter, census.w, e_d[rows], g[rows])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -484,6 +485,40 @@ def test_range_whose_span_overflows_is_usage_error(capsys, argv, options):
     assert capsys.readouterr() == (
         "", f"error: {options[0]} -1e+308 to {options[1]} 1e+308 spans more than the double range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["roots", "--model", "DIR"], "DIR"),
+        (["roots", "--model", "LATIN1"], "LATIN1"),
+        ([*ROOTS, "--seeds", "DIR"], "DIR"),
+        ([*ROOTS, "--seeds", "LATIN1"], "LATIN1"),
+        ([*ROOTS, "--out", "DIR"], "DIR"),
+        ([*SPECTRUM, "--out", "CSV", "--lines-out", "DIR"], "DIR"),
+    ],
+    ids=["model-dir", "model-latin1", "seeds-dir", "seeds-latin1", "out-dir", "lines-out-dir"],
+)
+def test_file_that_cannot_be_read_or_written_is_usage_error(tmp_path, capsys, argv, named):
+    # a directory, or a file that is not UTF-8, is refused as a missing file is: exit 2,
+    # with an error line that names the path
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"variant": "semi_infinite", "n_d": 4, "e_d": -0.5, "g": 0.2, "note": "caf\xe9"}')
+    paths = {"DIR": str(tmp_path), "LATIN1": str(latin1), "CSV": str(tmp_path / "spectrum.csv")}
+    assert run([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths[named] in err and err.count("\n") == 1
+
+
+def test_closed_stdout_is_not_a_usage_error(monkeypatch):
+    # a reader that closes the pipe early gets the BrokenPipeError, not an exit 2
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        run(ROOTS)
 
 
 def test_spectrum_far_outside_the_band_is_zero_without_warnings(capsys):

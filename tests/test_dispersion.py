@@ -379,7 +379,7 @@ def test_audited_census_rows_agree_with_discrete_states():
         census = _census(model, e_d, g)
         residual, near, failed = _audit(model, census, ROOT_TOL)
         kept = census.kept
-        assert census.rows.tolist() == list(range(24))
+        assert len(census.z) == 24
         bics += int((~kept).any(axis=1).sum())
         flagged += int(near.sum())
         for i in range(24):
@@ -429,7 +429,7 @@ def test_census_rows_keep_every_root_and_agree_with_the_rule_by_z():
             offsets = rng.choice([0.0, 5e-13, -5e-13, 1e-9, -1e-9], 24)
             e_d[:24] = rng.choice(energies, 24) + offsets
         census = _census(model, e_d, g)
-        assert census.rows.tolist() == list(range(48))
+        assert len(census.z) == 48
         at_bic = (np.abs(census.e_d - energies) < 1e-12).any(axis=1)
         kept, cls, z = census.kept, census.cls, census.z
         # one sign decides each pair, and z never has the other one

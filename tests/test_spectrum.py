@@ -99,6 +99,27 @@ def test_green_band_edge_rejected(semi_model):
         green_spectrum(semi_model, np.array([1.0]))
 
 
+def test_green_refuses_nan_and_zeroes_infinite_omega(semi_model):
+    # +-inf lies outside the band, where the curve is 0; nan is no energy at all
+    with pytest.raises(FanochainError, match=r"not finite at Omega = nan"):
+        green_spectrum(semi_model, [0.2, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert green_spectrum(semi_model, [-np.inf, 0.2, np.inf]).tolist()[::2] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ChainModel.semi_infinite(1, 1.5, 0.3), ChainModel.semi_infinite(2, 0.0, 0.2)],
+    ids=["no_resonance", "exact_bic"],
+)
+def test_decompose_refuses_nan_omega_without_a_resonance(model):
+    # no resonance component carries the nan into the continuum: the curve itself refuses it
+    assert all(s.state_class is not StateClass.RESONANCE for s in discrete_states(model))
+    with pytest.raises(FanochainError, match=r"not finite at Omega = nan"):
+        decompose(model, omega=[np.nan, 0.2])
+
+
 def test_green_zero_at_bic_energy(semi_model):
     # Im Sigma vanishes at the decoupling energies while the real
     # denominator stays finite for e_d away from them

@@ -746,7 +746,7 @@ def test_trace_whose_end_overflows_p_fails_cleanly():
     [
         # the first value decouples the level, or puts the one root of
         # n_d = 1 at w = infinity (4 g^2 v^2 = 1) and the other at z = -1:
-        # the census leaves that row out, and neither has a resonance
+        # neither has a resonance
         (ChainModel.semi_infinite(4, -0.5, 0.2), np.linspace(0.0, 0.3, 31)),
         (ChainModel.semi_infinite(1, -0.5, 0.2), np.linspace(0.5, 0.8, 31)),
         # no resonance at the start, so the later passage through w = infinity is not followed
@@ -755,6 +755,32 @@ def test_trace_whose_end_overflows_p_fails_cleanly():
 )
 def test_trace_without_start_resonance_has_no_branches(model, values):
     assert trace(model, "g", values).branches == []
+
+
+@pytest.mark.parametrize(
+    "model, values, counts, error",
+    [
+        # a start at g = 0 solves nothing, at any n_d
+        pytest.param(ChainModel.semi_infinite(4, -0.5, 0.2), np.linspace(0.0, 0.3, 31),
+                     [0, 0, 0], None, id="n_d=4:from_g=0"),
+        pytest.param(ChainModel.semi_infinite(64, 0.0, 0.2), np.linspace(0.0, 0.3, 401),
+                     [0, 0, 0], None, id="n_d=64:from_g=0"),
+        # a root through w = infinity: the first value alone decides, by its resonances
+        pytest.param(ChainModel.semi_infinite(1, -0.5, 0.2), np.linspace(0.5, 0.8, 31),
+                     [1, 0, 0], None, id="n_d=1:from_infinity"),
+        pytest.param(ChainModel.semi_infinite(1, 0.95, 0.2), np.linspace(0.2, 0.8, 31),
+                     [1, 0, 0], None, id="n_d=1:through_infinity"),
+        pytest.param(ChainModel.semi_infinite(1, -0.5, 0.2, v=1.3), np.linspace(0.15, 0.4, 126),
+                     [1, 0, 0], r"infinity for g in \[0\.384, 0\.386\]", id="n_d=1:resonant_start"),
+    ],
+)
+def test_trace_settles_its_start_before_solving_the_sweep(model, values, counts, error):
+    assert solve_counts((model, "g", values)) == counts
+    if error is None:
+        assert trace(model, "g", values).branches == []
+    else:
+        with pytest.raises(ConvergenceError, match=error):
+            trace(model, "g", values)
 
 
 def test_trace_gates_linked_roots():
