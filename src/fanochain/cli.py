@@ -22,6 +22,7 @@ import cmath
 import gc
 import json
 import math
+import os
 import re
 import sys
 
@@ -180,12 +181,28 @@ def _csv(record: dict) -> str:
     return ",".join(cols) + "\n" + "".join(line % row + "\n" for row in zip(*cols.values()))
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text), a None path to stdout.  Every path is first opened to
+    append, which changes no file, and where one cannot be, the files that this made
+    are removed: a command refused for one of its paths leaves no output behind."""
+    made = []
+    try:
+        for path in filter(None, (path for path, _ in outputs)):
+            new = not os.path.lexists(path)
+            with open(path, "a"):
+                pass
+            if new:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+    for path, text in outputs:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
 
 
 def _json_column(column: list) -> tuple[str, list]:
@@ -243,16 +260,18 @@ def _json_spectrum(axis: str, record: dict, meta: dict, lines: dict) -> str:
 
 
 def _emit(args, record: dict) -> None:
-    _write(args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n")
+    _write((args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n"))
 
 
 def _read_json(path: str):
-    """The JSON document in a file, which must be UTF-8 text (else a ModelError naming it)."""
+    """The JSON document in a file, which must be UTF-8 text and JSON (else a ModelError naming it)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path} is not JSON: {exc}") from None
 
 
 def _read_seeds(path: str) -> list[tuple]:
@@ -342,10 +361,11 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
     lines = {"energy": bound[:, 0] - shift, "weight": bound[:, 1]}
 
     if args.format == "csv":
-        _write(args.out, _csv(record))
         lines_path = args.lines_out or ((args.out + ".lines.csv") if args.out else None)
+        outputs = [(args.out, _csv(record))]
         if lines_path:
-            _write(lines_path, _csv(lines))
+            outputs.append((lines_path, _csv(lines)))
+        _write(*outputs)
         return
     meta = sg.per_state_meta
     meta_record = {
@@ -356,7 +376,7 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
         "q": [m.q for m in meta],
         "near_degenerate": [m.near_degenerate for m in meta],
     }
-    _write(args.out, _json_spectrum(axis, record, meta_record, lines))
+    _write((args.out, _json_spectrum(axis, record, meta_record, lines)))
 
 
 def _cmd_trajectory(model: ChainModel, args) -> None:
@@ -431,7 +451,7 @@ def run(argv=None) -> int:
         _COMMANDS[args.command](model_from_args(args), args)
     except BrokenPipeError:  # stdout closed by its reader: not a usage error, so it propagates
         raise
-    except (ModelError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FanochainError as exc:

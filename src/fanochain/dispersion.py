@@ -138,11 +138,26 @@ def _w_coefficients(rows: np.ndarray, e_d: np.ndarray, g2: np.ndarray) -> np.nda
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner's rule from zero: row i of desc (descending), or its one row, at every x[i, :]."""
+    """Horner's rule from zero: row i of desc (descending), or its one row, at every x[i, :].
+
+    Bit for bit numpy's polyval.  Adding a coefficient column broadcast over
+    the points takes numpy's broadcast-and-cast path, about twice the cost of
+    adding two contiguous arrays of one shape.  So the columns are first laid
+    out as planes of x's shape and of the result's dtype, a real coefficient
+    beside complex x as c + 0j, which is what adding the real does anyway,
+    and each step is two same-shape ufunc calls.  The planes are built a
+    chunk of max(1, SCAN_BLOCK // x.size) columns at a time, so they hold at
+    most SCAN_BLOCK elements, or one plane of x.size, whatever the degree.
+    """
     y = np.zeros_like(x)
-    for c in desc.T[:, :, None]:
-        y *= x
-        y += c
+    step = max(1, SCAN_BLOCK // max(1, x.size))
+    planes = np.empty((min(step, desc.shape[1]),) + x.shape, dtype=y.dtype)
+    for first in range(0, desc.shape[1], step):
+        chunk = planes[: desc.shape[1] - first]
+        chunk[...] = desc.T[first : first + step, :, None]
+        for c in chunk:
+            y *= x
+            y += c
     return y
 
 
@@ -356,6 +371,7 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
 #: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
 #: the sweep, lines and n_d; a default scan from g = 0 is one block up to n_d = 48.
 #: A trace block is at least one anchor interval (_STRIDE + 1 values), more than the cap above n_d = 100.
+#: It also caps the coefficient planes of one _horner chunk at SCAN_BLOCK elements.
 SCAN_BLOCK = 2**19
 
 #: A sweep census solves every _STRIDE-th value of the sweep by _w_roots (see _census).

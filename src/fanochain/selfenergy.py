@@ -132,8 +132,15 @@ def _sigma(z, sheet, n_d: int | None, v: float, order: int = 0) -> list:
     return out
 
 
-def _band_sigma(omega: np.ndarray, n_d: int | None, v: float) -> np.ndarray:
-    """Sigma at the real Omega + i0 on sheet I, for Omega inside the band.
+def _band_point(omega: np.ndarray):
+    """(1/r, w) at the real Omega: r = sqrt(1 - Omega) sqrt(1 + Omega) and w = Omega - i r,
+    both nan outside the band.  They depend on the grid alone, so a fixed grid keeps them."""
+    r = np.sqrt(1.0 - omega) * np.sqrt(1.0 + omega)
+    return 1.0 / r, omega - 1j * r
+
+
+def _band_sigma(inv_r: np.ndarray, w: np.ndarray, n_d: int | None, v: float) -> np.ndarray:
+    """Sigma at the real Omega + i0 on sheet I, for Omega inside the band, from _band_point.
 
     There s = i r with r = sqrt(1 - Omega) sqrt(1 + Omega) and w = Omega - i r,
     so Sigma = -i (v^2/r) [1 - w^(2 n_d)], with w^(2 n_d) = 0 on the infinite
@@ -143,9 +150,8 @@ def _band_sigma(omega: np.ndarray, n_d: int | None, v: float) -> np.ndarray:
     and its division v^2/(i r) forms -i v^2 (1/r), not -i v^2/r.  Outside
     the band r is nan.
     """
-    r = np.sqrt(1.0 - omega) * np.sqrt(1.0 + omega)
-    w2n = 0.0 if n_d is None else (omega - 1j * r) ** (2 * n_d)
-    return (-1j * ((v * v) * (1.0 / r))) * (1.0 - w2n)
+    w2n = 0.0 if n_d is None else w ** (2 * n_d)
+    return (-1j * ((v * v) * inv_r)) * (1.0 - w2n)
 
 
 def _sigma_at(model: ChainModel, z: SheetedEnergy, order: int = 0) -> list[complex]:

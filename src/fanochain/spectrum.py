@@ -33,7 +33,7 @@ import numpy as np
 from .dispersion import DiscreteState, StateClass, discrete_states
 from .errors import BranchPointError, FanochainError
 from .model import ChainModel
-from .selfenergy import _band_sigma
+from .selfenergy import _band_point, _band_sigma
 from .states import _norms, bic_line_weight, bound_weight, normalization
 
 #: Default Omega grid: resolves widths down to ~1e-3 across the open band.
@@ -84,8 +84,24 @@ def default_grid(
     return np.linspace(-span, span, points)
 
 
-#: decompose's grid when it is given none; each call gets a copy.
+def _band_grid(omega: np.ndarray):
+    """(inside, 1/r, w) of a grid: what green_spectrum needs of the grid alone, with
+    inside marking |Omega| < 1 and 1/r, w from selfenergy._band_point.  A point at
+    +-1 or nan is refused."""
+    abs_omega = np.abs(omega)
+    if (abs_omega == 1.0).any():
+        raise BranchPointError("grid point exactly at a band edge")
+    if np.isnan(abs_omega).any():
+        raise FanochainError("the absorption curve is not finite at Omega = nan")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (abs_omega < 1.0, *_band_point(omega))
+
+
+#: decompose's grid when it is given none (read-only; each call returns a copy), and its
+#: _band_grid, computed once: green_spectrum reads it for this very array.
 _DEFAULT_GRID = default_grid()
+_DEFAULT_GRID.flags.writeable = False
+_DEFAULT_BAND = _band_grid(_DEFAULT_GRID)
 
 
 def green_spectrum(model: ChainModel, omega) -> np.ndarray:
@@ -103,18 +119,14 @@ def green_spectrum(model: ChainModel, omega) -> np.ndarray:
     the complex Sigma of selfenergy._sigma at Omega + 0j.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    abs_omega = np.abs(omega)
-    if (abs_omega == 1.0).any():
-        raise BranchPointError("grid point exactly at a band edge")
-    if np.isnan(abs_omega).any():
-        raise FanochainError("the absorption curve is not finite at Omega = nan")
+    inside, inv_r, w = _DEFAULT_BAND if omega is _DEFAULT_GRID else _band_grid(omega)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sig = _band_sigma(omega, model.n_d, model.v)
+        sig = _band_sigma(inv_r, w, model.n_d, model.v)
         g2 = model.g * model.g
         im_shift = g2 * sig.imag  # = g^2 Im Sigma <= 0
         den = (omega - model.e_d - g2 * sig.real) ** 2 + im_shift**2
         vals = (-model.transition_weight / np.pi) * im_shift / den
-    return np.where((abs_omega < 1.0) & (den > 0.0), vals, 0.0)
+    return np.where(inside & (den > 0.0), vals, 0.0)
 
 
 def _component(omega: np.ndarray, eps: float, gam: float, n: complex, weight: float):
@@ -199,7 +211,7 @@ def decompose(
     Omega (see green_spectrum), or a continuum residual that is not finite
     (a nan norm), raises FanochainError.
     """
-    omega = _DEFAULT_GRID.copy() if omega is None else np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = _DEFAULT_GRID if omega is None else np.atleast_1d(np.asarray(omega, dtype=float))
     if states is None:
         states = discrete_states(model)
 
@@ -243,7 +255,7 @@ def decompose(
     lines.sort()
 
     return SpectrumGrid(
-        omega=omega,
+        omega=omega.copy() if omega is _DEFAULT_GRID else omega,
         total=total,
         resonance_f=f_by,
         resonance_fs=fs_by,

@@ -16,6 +16,9 @@ out from its definition rather than taken from dispersion._w_rows.
 green_by_complex_sigma is spectrum.green_spectrum as it was before its
 self-energy became the band form: the complex closed form of
 selfenergy._sigma at Omega + 0j, which the band form must match bit for bit.
+broadcast_horner is dispersion._horner as it was before it laid its
+coefficients out as planes: each step adds a coefficient column broadcast
+over the points.
 """
 
 from __future__ import annotations
@@ -491,6 +494,16 @@ def census_by_z(census, at_bic: np.ndarray):
         for k, b, r, a in zip(count, at_bic.tolist(), res, anti)
     ]
     return cls, kept, fault
+
+
+def broadcast_horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner's rule from zero, as numpy's polyval: row i of desc (descending), or its one
+    row, at every x[i, :], each step adding a (rows, 1) coefficient column to the points."""
+    y = np.zeros_like(x)
+    for c in desc.T[:, :, None]:
+        y *= x
+        y += c
+    return y
 
 
 def _full_newton(coeffs: np.ndarray, w: np.ndarray, rounds: int):

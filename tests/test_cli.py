@@ -496,18 +496,37 @@ def test_range_whose_span_overflows_is_usage_error(capsys, argv, options):
         ([*ROOTS, "--seeds", "LATIN1"], "LATIN1"),
         ([*ROOTS, "--out", "DIR"], "DIR"),
         ([*SPECTRUM, "--out", "CSV", "--lines-out", "DIR"], "DIR"),
+        (["roots", "--model", "TRUNC"], "TRUNC"),
+        ([*ROOTS, "--seeds", "TRUNC"], "TRUNC"),
     ],
-    ids=["model-dir", "model-latin1", "seeds-dir", "seeds-latin1", "out-dir", "lines-out-dir"],
+    ids=["model-dir", "model-latin1", "seeds-dir", "seeds-latin1", "out-dir", "lines-out-dir",
+         "model-not-json", "seeds-not-json"],
 )
 def test_file_that_cannot_be_read_or_written_is_usage_error(tmp_path, capsys, argv, named):
-    # a directory, or a file that is not UTF-8, is refused as a missing file is: exit 2,
-    # with an error line that names the path
+    # a directory, a file that is not UTF-8 or one that is not JSON is refused as a missing
+    # file is: exit 2, with an error line that names the path
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"variant": "semi_infinite", "n_d": 4, "e_d": -0.5, "g": 0.2, "note": "caf\xe9"}')
-    paths = {"DIR": str(tmp_path), "LATIN1": str(latin1), "CSV": str(tmp_path / "spectrum.csv")}
+    trunc = tmp_path / "trunc.json"
+    trunc.write_text('{"variant": ')
+    paths = {"DIR": str(tmp_path), "LATIN1": str(latin1), "TRUNC": str(trunc),
+             "CSV": str(tmp_path / "spectrum.csv")}
     assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and paths[named] in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out, lines", [("NEW", "DIR"), ("DIR", "NEW"), ("OLD", "DIR"), ("DIR", "OLD")])
+def test_spectrum_refused_for_one_path_writes_neither(tmp_path, capsys, out, lines):
+    # both paths are opened before either is written: a directory at one leaves no new
+    # file at the other, and a file that was there keeps its bytes
+    old = tmp_path / "old.csv"
+    old.write_text("old\n")
+    paths = {"DIR": str(tmp_path), "NEW": str(tmp_path / "new.csv"), "OLD": str(old)}
+    assert run([*SPECTRUM, "--out", paths[out], "--lines-out", paths[lines]]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+    assert old.read_text() == "old\n"
 
 
 def test_closed_stdout_is_not_a_usage_error(monkeypatch):

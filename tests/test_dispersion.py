@@ -1,12 +1,14 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fanochain import (
     BranchPointError,
@@ -23,13 +25,15 @@ from fanochain import (
     eta,
     self_energy,
 )
+from fanochain import dispersion
 from fanochain.dispersion import _ANTIRESONANCE, _CLASSES, _RESONANCE, ROOT_TOL, DiscreteState
 from fanochain.dispersion import _audit, _census, _raise_fault, _states, _w_coefficients, _w_rows
-from fanochain.dispersion import _certified_roots, _newton, _w_roots
+from fanochain.dispersion import _certified_roots, _horner, _newton, _w_roots
 from fanochain.dispersion import polish_seeds
 from fanochain.spectrum import decompose
 from fanochain.states import attach_norms
-from oracles import census_by_z, newton_polish, sigma_quadrature, sort_and_label, winding_number
+from oracles import broadcast_horner, census_by_z, newton_polish, sigma_quadrature, sort_and_label
+from oracles import winding_number
 
 I, II = Sheet.I, Sheet.II
 
@@ -641,6 +645,65 @@ def test_polish_seeds_refuses_a_root_on_the_other_sheet():
         polish_seeds(model, [(-1.3 + 0j, II)])
     assert info.value.trace[-1] == pytest.approx(bound.z, abs=1e-12)
     assert bound.z == pytest.approx(-0.5 * (0.2847 + 1 / 0.2847), abs=1e-3)
+
+
+# ------------------------------------------------------------- Horner kernel
+
+
+#: Every double, with the special values drawn often: signed zeros, infinities, nan,
+#: subnormals and values whose products overflow.
+HORNER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300, -1.5]),
+    st.floats(width=64),
+)
+
+
+def same_bits_but_nan_sign(got, want):
+    """got and want agree bit for bit in every component that is not a NaN, and are NaN
+    in the same components."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    got, want = (np.ascontiguousarray(a).view(np.float64) for a in (got, want))
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (got.view(np.uint64)[~nan] == want.view(np.uint64)[~nan]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_horner_is_the_broadcast_horner(data):
+    # one row of coefficients for all points or one per row of points, real or complex
+    # points, no points at all, and caps that split the planes into several chunks
+    rows, points, deg = (data.draw(st.integers(0, hi)) for hi in (3, 4, 12))
+    desc_rows = 1 if data.draw(st.booleans()) else rows
+    desc = data.draw(hnp.arrays(np.float64, (desc_rows, deg + 1), elements=HORNER_VALUES))
+    x = data.draw(hnp.arrays(np.float64, (rows, points), elements=HORNER_VALUES))
+    if data.draw(st.booleans()):
+        x = x.astype(complex)
+        x.imag = data.draw(hnp.arrays(np.float64, (rows, points), elements=HORNER_VALUES))
+    block = data.draw(st.sampled_from([dispersion.SCAN_BLOCK, 1, 2, 3, 5, 16]))
+    with np.errstate(all="ignore"):
+        want = broadcast_horner(desc, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dispersion, "SCAN_BLOCK", block)
+            got = _horner(desc, x)
+    same_bits_but_nan_sign(got, want)
+
+
+def test_horner_planes_stay_within_the_block_cap():
+    # degree 2048 at 4096 complex points: all planes at once would take 2049 x 4096
+    # elements (134 MB), the chunks at most SCAN_BLOCK elements and the result x.size
+    rng = np.random.default_rng(7)
+    desc = rng.standard_normal((2, 2049))
+    x = np.exp(2j * np.pi * rng.random((2, 2048)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _horner(desc, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2049 * x.size > dispersion.SCAN_BLOCK
+    assert peak <= dispersion.SCAN_BLOCK * x.itemsize + 4 * x.nbytes
 
 
 # ----------------------------------------------------------- root certificate

@@ -17,7 +17,7 @@ from fanochain import (
     self_energy_deriv,
     sqrt_branch,
 )
-from fanochain.selfenergy import _band_sigma, _sigma
+from fanochain.selfenergy import _band_point, _band_sigma, _sigma
 from oracles import (
     continue_sqrt_through_cut,
     sigma_boundary_quadrature,
@@ -269,7 +269,7 @@ def test_band_kernel_is_the_complex_kernel_at_plus_i0(v):
     bic = [-math.cos(math.pi * k / n) for n in range(1, 65) for k in range(1, n)]
     omega = np.concatenate([np.linspace(-0.9999, 0.9999, 4001), bic, [-0.0, 0.0, -1e-300, 1e-300]])
     for n_d in [None, *range(1, 65)]:
-        got = _band_sigma(omega, n_d, v)
+        got = _band_sigma(*_band_point(omega), n_d, v)
         (want,) = _sigma(omega.astype(complex), Sheet.I, n_d, v)
         assert got.tobytes() == want.tobytes(), n_d
 

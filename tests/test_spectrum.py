@@ -27,6 +27,7 @@ from fanochain import (
     resonance_component,
     self_energy,
 )
+from fanochain import spectrum
 from fanochain.states import _norms
 from oracles import green_by_complex_sigma, sigma_boundary_quadrature
 
@@ -146,9 +147,10 @@ WIDE_GRID = np.linspace(-1.3, 1.3, 20001)
 
 
 @pytest.mark.parametrize("v", [0.7, 1.0, 1.3])
-@pytest.mark.parametrize("grid", ["default", "wide"])
+@pytest.mark.parametrize("grid", ["default", "cached", "wide"])
 def test_green_band_form_matches_the_complex_sigma_bit_for_bit(v, grid):
-    omega = default_grid() if grid == "default" else WIDE_GRID
+    # "cached" is decompose's own default grid, whose band terms are computed once at import
+    omega = {"default": default_grid(), "cached": spectrum._DEFAULT_GRID, "wide": WIDE_GRID}[grid]
     outside = np.abs(omega) > 1.0
     models = [ChainModel.infinite(0.3, 0.2, v=v),
               ChainModel.infinite(-0.6, 0.35, v=v, transition_weight=0.37)]
@@ -300,8 +302,6 @@ def test_decompose_refuses_non_finite_continuum(semi_model):
 
 
 def test_decompose_computes_each_resonance_norm_once(semi_model, monkeypatch):
-    from fanochain import spectrum
-
     calls = []
 
     def counted(model, states):
@@ -371,7 +371,7 @@ def test_decompose_default_grid_is_a_fresh_copy(semi_model):
     second = decompose(semi_model, states=states)
     assert second.omega.flags.writeable and not np.shares_memory(first.omega, second.omega)
     assert np.array_equal(second.omega, default_grid())
-    assert np.array_equal(second.total, decompose(semi_model, default_grid(), states).total)
+    assert second.total.tobytes() == decompose(semi_model, default_grid(), states).total.tobytes()
 
 
 def test_decompose_g_zero_single_line():
