@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .dispersion import EP_TOL, ROOT_TOL, bic_energies, discrete_states, polish_seeds
 from .errors import FanochainError, ModelError
-from .model import INFINITE, SEMI_INFINITE, ChainModel
+from .model import INFINITE, SEMI_INFINITE, ChainModel, _read_json
 from .selfenergy import Sheet, SheetedEnergy, self_energy, self_energy_deriv
 
 EXIT_OK = 0
@@ -61,11 +61,9 @@ def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
     p.add_argument("--nd", type=int, help="impurity site index (semi-infinite)")
     p.add_argument("--ed", type=float, help="bare impurity level")
     p.add_argument("--g", type=float, help="coupling constant")
-    p.add_argument("--v", type=float, default=1.0, help="potential amplitude")
-    p.add_argument(
-        "--weight", type=float, default=1.0, help="transition weight mu^2 T_dc^2"
-    )
-    p.add_argument("--ec", type=float, default=0.0, help="core level (axis shift only)")
+    p.add_argument("--v", type=float, help="potential amplitude")
+    p.add_argument("--weight", type=float, help="transition weight mu^2 T_dc^2")
+    p.add_argument("--ec", type=float, help="core level (axis shift only)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     return p
@@ -139,14 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def model_from_args(args) -> ChainModel:
+    """The model of the --model file (ChainModel.from_json), which takes no inline model
+    option (a ModelError names those given), or of those options, with ChainModel's defaults."""
+    given = [f"--{dest}" for dest in ("chain", "nd", "ed", "g", "v", "weight", "ec")
+             if getattr(args, dest) is not None]
+    if args.model and given:
+        raise ModelError(f"--model takes no inline model option, got {' '.join(given)}")
     if args.model:
-        return ChainModel.from_dict(_read_json(args.model))
+        return ChainModel.from_json(args.model)
     if args.chain is None or args.ed is None or args.g is None:
         raise ModelError("need --model or all of --chain/--ed/--g")
-    variant = SEMI_INFINITE if args.chain == "semi" else INFINITE
-    return ChainModel(
-        variant, args.ed, args.g, n_d=args.nd, v=args.v, transition_weight=args.weight, e_c=args.ec
-    )
+    optional = {"n_d": args.nd, "v": args.v, "transition_weight": args.weight, "e_c": args.ec}
+    return ChainModel(SEMI_INFINITE if args.chain == "semi" else INFINITE, args.ed, args.g,
+                      **{k: x for k, x in optional.items() if x is not None})
 
 
 class _JsonOnly(list):
@@ -263,17 +266,6 @@ def _emit(args, record: dict) -> None:
     _write((args.out, _csv(record) if args.format == "csv" else _json_rows(record) + "\n"))
 
 
-def _read_json(path: str):
-    """The JSON document in a file, which must be UTF-8 text and JSON (else a ModelError naming it)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path} is not JSON: {exc}") from None
-
-
 def _read_seeds(path: str) -> list[tuple]:
     """(z, sheet, w) seeds from a JSON roots file, or (z, sheet) where a record has
     no re_w and im_w; a malformed record is a ModelError."""
@@ -366,6 +358,9 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
         if lines_path:
             outputs.append((lines_path, _csv(lines)))
         _write(*outputs)
+        if not lines_path and len(bound):  # the curve alone went to stdout
+            print(f"note: {len(bound)} discrete line(s) not written; --lines-out FILE writes them",
+                  file=sys.stderr)
         return
     meta = sg.per_state_meta
     meta_record = {
@@ -399,11 +394,7 @@ def _cmd_trajectory(model: ChainModel, args) -> None:
 def _cmd_ep(model: ChainModel, args) -> None:
     from .sweep import scan_for_ep_seeds
 
-    for option, (lo, hi) in (("--g-range", args.g_range), ("--ed-range", args.ed_range)):
-        if lo > hi:
-            raise ModelError(f"{option} {lo:g} {hi:g} is reversed: LO is above HI")
-    g_range, ed_range = tuple(args.g_range), tuple(args.ed_range)
-    results = [ep for ep in scan_for_ep_seeds(model, g_range, ed_range)
+    results = [ep for ep in scan_for_ep_seeds(model, args.g_range, args.ed_range)
                if ep.residual_eta < args.ep_tol and ep.residual_eta_prime < args.ep_tol]
     record = {
         "g": [r.g for r in results],

@@ -52,6 +52,12 @@ EP_TOL = 1e-10
 NEAR_DEGENERATE_TOL = 1e-6
 
 
+def _check_tol(name: str, tol: float) -> None:
+    """Refuse a tolerance that is not a positive finite number, with a ModelError naming it."""
+    if not 0 < tol < math.inf:
+        raise ModelError(f"{name} must be a positive finite number, got {tol!r}")
+
+
 class StateClass(enum.Enum):
     """Classification of a discrete eigenvalue."""
 
@@ -582,12 +588,15 @@ def discrete_states(
 
     Raises
     ------
+    ModelError
+        If root_tol is not a positive finite number.
     RootCountError
         If a root misses the |eta| gate (typically a real root so close to
         a band edge that no double z resolves it).
     FanochainError
         If p(w) spans more than the double range (see _census).
     """
+    _check_tol("root_tol", root_tol)
     if include_antiresonances is None:
         include_antiresonances = not model.is_semi_infinite
 
@@ -687,6 +696,8 @@ def polish_seeds(
 
     Raises
     ------
+    ModelError
+        If root_tol is not a positive finite number (from discrete_states).
     BranchPointError
         For a seed at z = +-1 without a w.
     ConvergenceError

@@ -109,8 +109,19 @@ class ChainModel:
 
     @staticmethod
     def from_json(path) -> "ChainModel":
+        """from_dict of a JSON file; one that is not UTF-8 text or not JSON is a ModelError naming it."""
+        return ChainModel.from_dict(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON document in a file, which must be UTF-8 text and JSON (else a ModelError naming it)."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return ChainModel.from_dict(json.load(fh))
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path} is not JSON: {exc}") from None
 
 
 def validate(model: ChainModel) -> ChainModel:

@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, ROOT_TOL, roman_label
-from .dispersion import _Census, _block_rows, _census, _derivative, _halves, _horner, _rate_terms
-from .dispersion import _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
+from .dispersion import _Census, _block_rows, _census, _check_tol, _derivative, _halves, _horner
+from .dispersion import _rate_terms, _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
@@ -126,8 +126,9 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     ------
     ModelError
         If the parameter is not 'e_d' or 'g', if there are fewer than two
-        values or they are not strictly increasing, or if the model at the
-        first or last value is invalid.
+        values or they are not strictly increasing, if the model at the
+        first or last value is invalid, or if root_tol is not a positive
+        finite number.
     ConvergenceError
         If a root a branch visits misses |eta| < root_tol (the message
         names the first such value and, there, the lowest branch), or if a
@@ -142,6 +143,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         raise ModelError("parameter values must be strictly increasing")
     model.with_params(**{parameter: float(values[0])})
     model.with_params(**{parameter: float(values[-1])})
+    _check_tol("root_tol", root_tol)
     n = len(values)
     fixed = np.full(n, float(getattr(model, "g" if parameter == "e_d" else "e_d")))
     e_d, g = (values, fixed) if parameter == "e_d" else (fixed, values)
@@ -267,11 +269,14 @@ def find_ep(
 
     Raises
     ------
+    ModelError
+        If ep_tol is not a positive finite number.
     ConvergenceError
         If Newton does not settle within max_iter steps or meets a singular
         system, or settles at g^2 <= 0 or with a residual not below ep_tol.
         The trace holds (z, g^2(w), e_d(w)) at each iterate.
     """
+    _check_tol("ep_tol", ep_tol)
     z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
     # base, d_ed, d_g2 (rows) and their first two derivatives (layers), against w^k
@@ -354,15 +359,16 @@ def scan_for_ep_seeds(
     Raises
     ------
     ModelError
-        If n_g < 2, or if the model at either box corner, (g_range[0],
-        ed_range[0]) or (g_range[1], ed_range[1]), is invalid.
+        If n_g < 2, if the model at either box corner, (g_range[0], ed_range[0])
+        or (g_range[1], ed_range[1]), is invalid, or then if either range is reversed.
     """
     if n_g < 2:
         raise ModelError(f"need at least two g lines, got n_g = {n_g}")
     model.with_params(g=g_range[0], e_d=ed_range[0])
     model.with_params(g=g_range[1], e_d=ed_range[1])
-    if g_range[0] > g_range[1] or ed_range[0] > ed_range[1]:
-        return []
+    for name, (lo, hi) in (("g_range", g_range), ("ed_range", ed_range)):
+        if lo > hi:
+            raise ModelError(f"{name} ({lo:g}, {hi:g}) is reversed: its low end is above its high end")
     base, d_ed, d_g2 = rows = _w_rows(model)
     base1, d_ed1, d_g21 = _derivative(rows)
     # E_g = E_0 + g^2 E_1, up to the highest power of w either holds

@@ -22,7 +22,7 @@ from fanochain import (
     self_energy_deriv,
     trace,
 )
-from fanochain.cli import _json_rows, _json_spectrum, run
+from fanochain.cli import _json_rows, _json_spectrum, build_parser, model_from_args, run
 from fanochain.dispersion import polish_seeds
 
 
@@ -446,6 +446,21 @@ def test_bad_count_is_usage_error(capsys, argv, option):
     assert f"argument {option}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [(["--chain", "semi"], "--chain"), (["--nd", "4"], "--nd"), (["--ed", "-0.5"], "--ed"),
+     (["--g", "0.3"], "--g"), (["--v", "1"], "--v"), (["--weight", "1"], "--weight"),
+     (["--ec", "0"], "--ec"), (["--g", "0.3", "--nd", "2"], "--nd --g")],
+    ids=["--chain", "--nd", "--ed", "--g", "--v", "--weight", "--ec", "--g--nd"],
+)
+def test_model_file_with_an_inline_model_option_is_usage_error(tmp_path, capsys, options, named):
+    # the file is the whole model: an option beside it is refused, not silently outvoted
+    descriptor = tmp_path / "model.json"
+    descriptor.write_text(json.dumps(ChainModel.semi_infinite(4, -0.5, 0.2).to_dict()))
+    assert run(["roots", "--model", str(descriptor), *options]) == 2
+    assert capsys.readouterr() == ("", f"error: --model takes no inline model option, got {named}\n")
+
+
 ROOTS = ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
 EP_BOX = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
           "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
@@ -485,6 +500,49 @@ def test_range_whose_span_overflows_is_usage_error(capsys, argv, options):
     assert capsys.readouterr() == (
         "", f"error: {options[0]} -1e+308 to {options[1]} 1e+308 spans more than the double range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [ROOTS,
+     ["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--points", "5",
+      "--photon-axis", "--format", "json"]],
+    ids=["roots", "spectrum"],
+)
+def test_model_defaults_are_chain_models(capsys, argv):
+    # --v, --weight and --ec left out take ChainModel's defaults, so giving those
+    # values changes no byte of the output
+    args = build_parser().parse_args(argv)
+    assert (args.v, args.weight, args.ec) == (None, None, None)
+    assert model_from_args(args) == ChainModel(
+        "semi-infinite" if args.chain == "semi" else "infinite", args.ed, args.g, n_d=args.nd
+    )
+    outputs = []
+    for extra in ([], ["--v", "1", "--weight", "1", "--ec", "0"]):
+        assert run([*argv, *extra]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_spectrum_on_stdout_names_the_lines_it_leaves_out(tmp_path, capsys):
+    # stdout holds the curve alone, byte for byte the --out file; one stderr line
+    # says how many discrete lines that leaves out, here the bound state that
+    # carries most of the weight
+    model = ["spectrum", "--chain", "semi", "--nd", "4", "--g", "0.2", "--points", "3"]
+    out = tmp_path / "spectrum.csv"
+    assert run([*model, "--ed", "-1.6"]) == 0
+    stdout = capsys.readouterr()
+    assert run([*model, "--ed", "-1.6", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    note = "note: 1 discrete line(s) not written; --lines-out FILE writes them\n"
+    assert stdout == (out.read_text(), note)
+    lines = (tmp_path / "spectrum.csv.lines.csv").read_text()
+    assert lines == "energy,weight\n-1.631037491431611,0.97044579540741716\n"
+    assert run([*model, "--ed", "-1.6", "--lines-out", str(tmp_path / "lines.csv")]) == 0
+    assert capsys.readouterr() == (out.read_text(), "")
+    # a spectrum without discrete lines leaves nothing out
+    assert run([*model, "--ed", "-0.5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -600,14 +658,14 @@ def test_negative_exponent_values_parse_as_numbers(capsys, argv):
 
 @pytest.mark.parametrize(
     "ranges, option",
-    [(["--g-range", "0.25", "0.1", "--ed-range", "-0.8", "0"], "--g-range 0.25 0.1"),
-     (["--g-range", "0.1", "0.25", "--ed-range", "0", "-0.8"], "--ed-range 0 -0.8")],
+    [(["--g-range", "0.25", "0.1", "--ed-range", "-0.8", "0"], "g_range (0.25, 0.1)"),
+     (["--g-range", "0.1", "0.25", "--ed-range", "0", "-0.8"], "ed_range (0, -0.8)")],
     ids=["--g-range", "--ed-range"],
 )
 def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
     # as a reversed trajectory sweep is, not a header with no rows
     assert run([*_EP, *ranges]) == 2
-    assert capsys.readouterr() == ("", f"error: {option} is reversed: LO is above HI\n")
+    assert capsys.readouterr() == ("", f"error: {option} is reversed: its low end is above its high end\n")
 
 
 # ---------------------------------------------------------------- output bytes

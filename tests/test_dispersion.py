@@ -816,3 +816,15 @@ def test_roots_match_argument_principle(n_d, g, e_d):
     assert len(found) == len(inside)
     for z in found:
         assert min(abs(z - w) for w in inside) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")], ids=str)
+@pytest.mark.parametrize("solve", [
+    lambda m, tol: discrete_states(m, root_tol=tol),
+    lambda m, tol: polish_seeds(m, [], root_tol=tol),
+], ids=["discrete_states", "polish_seeds"])
+def test_root_tol_that_is_not_a_positive_finite_number_is_refused(solve, tol):
+    # refused by name and value, not blamed on roots whose |eta| is at rounding level
+    with pytest.raises(ModelError, match=f"^root_tol must be a positive finite number, got {tol!r}$"):
+        solve(ChainModel.semi_infinite(4, -0.5, 0.2), tol)
+

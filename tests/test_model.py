@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 
 import pytest
@@ -79,6 +80,24 @@ def test_from_json(tmp_path):
     p = tmp_path / "model.json"
     p.write_text(json.dumps(m.to_dict()))
     assert ChainModel.from_json(p) == m
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b'{"variant": ', "is not JSON"),
+     (b'{"variant": "infinite", "e_d": -0.9, "g": 0.2, "note": "caf\xe9"}', "is not UTF-8 text")],
+    ids=["truncated", "latin1"],
+)
+def test_from_json_names_a_file_it_cannot_read(tmp_path, content, reason):
+    p = tmp_path / "model.json"
+    p.write_bytes(content)
+    with pytest.raises(ModelError, match=f"^{re.escape(str(p))} {reason}: "):
+        ChainModel.from_json(p)
+
+
+def test_from_json_lets_a_missing_file_raise_as_open_does(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        ChainModel.from_json(tmp_path / "missing.json")
 
 
 def test_unknown_field_rejected():

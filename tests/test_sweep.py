@@ -955,10 +955,25 @@ def test_scan_rejects_invalid_range(g_range, ed_range):
 
 def test_scan_empty_ranges():
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
-    assert scan_for_ep_seeds(m, (0.3, 0.1), (-0.8, 0.0)) == []
+    # a box of zero width in g or in e_d holds no EP
+    assert scan_for_ep_seeds(m, (0.1, 0.1), (-0.8, 0.0)) == []
+    assert scan_for_ep_seeds(m, (0.1, 0.25), (-0.5, -0.5)) == []
     for n_g in (0, 1):  # one line brackets nothing
         with pytest.raises(ModelError):
             scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
+
+
+@pytest.mark.parametrize(
+    "g_range, ed_range, message",
+    [((0.25, 0.1), (-0.8, 0.0), "g_range (0.25, 0.1) is reversed"),
+     ((0.1, 0.25), (0.0, -0.8), "ed_range (0, -0.8) is reversed"),
+     ((0.25, -0.1), (-0.8, 0.0), "g must be >= 0, got -0.1")],  # the corners are checked first
+    ids=["g_range", "ed_range", "invalid-corner"],
+)
+def test_scan_refuses_a_reversed_box(g_range, ed_range, message):
+    # as trace refuses a sweep that is not increasing, not an empty list
+    with pytest.raises(ModelError, match=re.escape(message)):
+        scan_for_ep_seeds(ChainModel.semi_infinite(4, -0.5, 0.2), g_range, ed_range)
 
 
 def test_scan_seeds_are_exceptional_points():
@@ -1146,3 +1161,14 @@ def test_scan_boxes_exercise_their_edge_cases():
     assert SCAN_BOXES["g-from-zero"][1][0] == 0.0
     assert reference("n_d=12")
     assert min(ep.g for ep in reference("n_d=24:g-from-zero")) < 0.5 / 15
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")], ids=str)
+@pytest.mark.parametrize("name, solve", [
+    ("root_tol", lambda m, tol: trace(m, "e_d", [-0.5, -0.4], root_tol=tol)),
+    ("ep_tol", lambda m, tol: find_ep(m, (0.17, -0.4, -0.41 - 0.15j), ep_tol=tol)),
+], ids=["trace", "find_ep"])
+def test_tolerance_that_is_not_a_positive_finite_number_is_refused(name, solve, tol):
+    with pytest.raises(ModelError, match=f"^{name} must be a positive finite number, got {tol!r}$"):
+        solve(ChainModel.semi_infinite(4, -0.5, 0.2), tol)
+
