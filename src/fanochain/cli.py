@@ -340,6 +340,8 @@ def _cmd_bic(model: ChainModel, args) -> None:
 def _cmd_spectrum(model: ChainModel, args) -> None:
     from .spectrum import decompose
 
+    if args.omega_min > args.omega_max:
+        raise ModelError(f"--omega-min {args.omega_min} is above --omega-max {args.omega_max}")
     sg = decompose(model, _linspace(args, "omega_min", "omega_max", args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0

@@ -128,7 +128,7 @@ def eta_deriv(model: ChainModel, z: SheetedEnergy, order: int = 1) -> complex:
 def _w_rows(model: ChainModel) -> np.ndarray:
     """Ascending rows base, d_ed, d_g2 of p(w) = base + e_d * d_ed + g^2 * d_g2: the one
     place that knows each chain's polynomial (module docstring) and so its degree."""
-    c = -4.0 * model.v**2
+    c = -4.0 * (model.v * model.v)
     if model.is_semi_infinite:
         rows = np.zeros((3, 2 * model.n_d + 1))
         rows[:2, :3] = [[1.0, 0.0, 1.0], [0.0, -2.0, 0.0]]

@@ -136,7 +136,7 @@ def _component(omega: np.ndarray, eps: float, gam: float, n: complex, weight: fl
     caller silences that overflow, once per grid rather than per resonance.
     """
     d = omega - eps
-    denom = d**2 + gam**2
+    denom = d**2 + gam * gam
     fs = (weight / np.pi) * gam / denom * n.real
     fa = (weight / np.pi) * d / denom * (-n.imag)
     return fs + fa, fs, fa

@@ -20,6 +20,8 @@ root, and crosses the axis exactly where the prediction lies above it
 and the root is complex.  The links of a block are one precomputed
 index map from each root of a value to the root of the next value that a
 branch there goes on to, so following a branch is a lookup per value.
+Every point of a branch, its first included, is pinned to the real axis
+and flagged (bic, collision) by one rule.
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone.
@@ -112,15 +114,18 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     goes on from its conjugate, and the point is marked crossed_axis.  A
     real prediction never crosses.  Past a real-axis EP a branch follows,
     of the real roots nearer it than any other root was, the one with the
-    larger |w|.  A point within 1e-12 of the axis is pinned to it, and
-    marked bic if it lies inside the band (|Re z| < 1); branches closer
-    than COLLISION_TOL are marked collision.
+    larger |w|.  Every point, a branch's first included, is made by one
+    rule: within 1e-12 of the axis it is pinned to it, and marked bic if
+    it lies inside the band (|Re z| < 1); branches closer than
+    COLLISION_TOL are marked collision; and crossed_axis is False where
+    no link leads in.
 
     The census of the sweep is not audited as discrete_states audits a
     model: the |eta| < root_tol gate reads only the roots the branches
     visit, the start roots and each one they go on to, the same roots
     their points come from, once each block is linked, and no other root
-    is gated.
+    is gated.  Each value is emitted, gated and flagged once: a later
+    block's first row, the last of the block before, is left to that block.
 
     Raises
     ------
@@ -168,7 +173,6 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             current = current[np.lexsort((-z0.imag, z0.real))].tolist()
             if not current:
                 return Trajectory(parameter=parameter, values=values)
-            points.append((census.z[:1, current], *np.zeros((3, 1, len(current)), dtype=bool)))  # no flags
         # maps[:, k, j]: the root of row k + 1 a branch at root j of row k goes on to, the
         # one nearest its prediction folded below the axis, and whether the link crossed
         # the axis (a prediction above it and a complex root)
@@ -178,23 +182,27 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
             current = [row[j] for j in current]
             path.append(current)
         path = np.array(path)
-        # the gate reads the roots the branches visit; a later block's first row, the last
-        # of the block before, is gated again and passes again
         k = np.arange(len(path))[:, None]
-        residual = _residual(model, census.z[k, path], census.sheet_ii[k, path], census.e_d, census.g2)
+        crossed = np.zeros(path.shape, dtype=bool)  # no link leads into the first value
+        crossed[1:] = maps[1][k[:-1], path[:-1]]
+        # a later block's first row is the last of the block before, emitted there
+        first = int(block.start > 0)
+        k, path, crossed = k[first:], path[first:], crossed[first:]
+        # the gate reads the roots the branches visit
+        zs = census.z[k, path]
+        residual = _residual(model, zs, census.sheet_ii[k, path], census.e_d[first:], census.g2[first:])
         failed = np.argwhere(~(residual < root_tol))
         if failed.size:
             f, i = failed[0]
             raise ConvergenceError(
-                f"branch {roman_label(i)} at {parameter} = {values[block][f]}: |eta| = "
-                f"{residual[f, i]:.3e} >= root_tol at z = {complex(census.z[f, path[f, i]])}"
+                f"branch {roman_label(i)} at {parameter} = {values[block][first + f]}: |eta| = "
+                f"{residual[f, i]:.3e} >= root_tol at z = {complex(zs[f, i])}"
             )
-        zs = census.z[k[1:], path[1:]]
         pinned = np.abs(zs.imag) <= 1e-12
         zs = np.where(pinned, zs.real, zs)
         bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
         collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
-        points.append((zs, bic, collision, maps[1][k[:-1], path[:-1]].astype(bool)))
+        points.append((zs, bic, collision, crossed))
 
     columns = zip(*(np.concatenate(x).T.tolist() for x in zip(*points)))
     # each point as its fields' tuple, built as TrajectoryPoint._make builds it
@@ -279,17 +287,15 @@ def find_ep(
     _check_tol("ep_tol", ep_tol)
     z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
-    # base, d_ed, d_g2 (rows) and their first two derivatives (layers), against w^k
+    # base, d_ed, d_g2 and their first two derivatives, descending, one row each
     rows = _w_rows(model)
     slope = _derivative(rows)
-    stack = np.array([rows, slope, _derivative(slope)])
+    desc = np.concatenate([rows, slope, _derivative(slope)])[:, ::-1]
 
     trace_pts = []
     settled = False
     for _ in range(max_iter):
-        powers = np.full(rows.shape[1], w)
-        powers[0] = 1.0
-        (b, e, c), (b1, e1, c1), (b2, e2, c2) = (stack @ powers.cumprod()).tolist()
+        (b, e, c), (b1, e1, c1), (b2, e2, c2) = _horner(desc, np.full((9, 1), w)).reshape(3, 3).tolist()
         det = e * c1 - c * e1
         if det == 0:
             raise ConvergenceError(f"singular double-root system at w = {w}", trace=trace_pts)

@@ -640,11 +640,9 @@ def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = R
 
     zs = np.array(linked)
     pinned = np.abs(zs.imag) <= 1e-12
-    pinned[0] = False  # the start states carry no flags
     zs = np.where(pinned, zs.real, zs)
     bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
     collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
-    collision[0] = False
     columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
     point = TrajectoryPoint._make
     branches = [

@@ -397,6 +397,14 @@ def test_near_bic_models_export_pairs_with_one_z():
     assert len(NEAR_BIC_MODELS) == 78 and shared >= 60
 
 
+def test_seeds_file_that_is_not_a_list_is_usage_error(tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"re_z": -0.4, "im_z": -0.1}))
+    assert run(["roots", *SEMI, "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seeds file {seeds} must hold a JSON list of roots records\n"
+
+
 def test_seed_at_branch_point_is_numerical_failure(tmp_path, capsys):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps([{"re_z": 1.0, "im_z": 0.0, "sheet": 2}]))
@@ -666,6 +674,12 @@ def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
     # as a reversed trajectory sweep is, not a header with no rows
     assert run([*_EP, *ranges]) == 2
     assert capsys.readouterr() == ("", f"error: {option} is reversed: its low end is above its high end\n")
+
+
+def test_reversed_spectrum_range_is_usage_error(capsys):
+    # as a reversed ep box is, not rows in descending Omega
+    assert run([*SPECTRUM, "--omega-min", "0.5", "--omega-max", "-0.5"]) == 2
+    assert capsys.readouterr() == ("", "error: --omega-min 0.5 is above --omega-max -0.5\n")
 
 
 # ---------------------------------------------------------------- output bytes

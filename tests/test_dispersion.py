@@ -23,6 +23,7 @@ from fanochain import (
     bic_energies,
     discrete_states,
     eta,
+    eta_deriv,
     self_energy,
 )
 from fanochain import dispersion
@@ -80,6 +81,15 @@ def test_eta_at_root_is_zero(semi_model):
 def test_eta_g_zero():
     m = ChainModel.semi_infinite(4, -0.5, 0.0)
     assert eta(m, SheetedEnergy(-0.5 + 0j, I)) == 0.0
+
+
+def test_eta_deriv_second_order_is_the_slope_of_the_first(semi_model):
+    z, h = 2.0 + 0.3j, 1e-5
+    up, down = (eta_deriv(semi_model, SheetedEnergy(z + s * h, I)) for s in (1, -1))
+    slope = (up - down) / (2 * h)
+    assert eta_deriv(semi_model, SheetedEnergy(z, I), 2) == pytest.approx(slope, rel=1e-8)
+    with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+        eta_deriv(semi_model, SheetedEnergy(z, I), 3)
 
 
 def test_eta_against_quadrature(semi_model):
@@ -328,19 +338,20 @@ def test_single_model_solve_matches_np_roots(model):
         assert abs(s.residual - abs(eta(model, s.sheeted()))) <= 4 * degree * eps * scale
 
 
-@pytest.mark.parametrize("v", [1.0, 0.7, 1e-5])
+@pytest.mark.parametrize("v", [1.0, 0.7, 1e-5, 2.1580496259502864])
 @pytest.mark.parametrize("n_d", [1, 2, 5, None], ids=["n_d=1", "n_d=2", "n_d=5", "infinite"])
 def test_w_rows_are_the_expanded_polynomial(n_d, v):
     # the g^2 row is -4 v^2 itself, not (1 - 4 v^2) - 1, which loses digits at small v,
-    # and each stack is p(w) expanded
+    # with v^2 the IEEE product v * v (libm's pow can round a square an ulp off it, as
+    # it does the last v's), and each stack is p(w) expanded
     model = ChainModel.semi_infinite(n_d, 0.0, 0.0, v=v) if n_d else ChainModel.infinite(0.0, 0.0, v=v)
     rows = _w_rows(model)
     assert rows.shape == (3, 2 * n_d + 1 if n_d else 5)
-    assert rows[2][rows[2] != 0].tolist() == [-4.0 * v**2] * (n_d or 1)
+    assert rows[2][rows[2] != 0].tolist() == [-4.0 * (v * v)] * (n_d or 1)
     e_d, g = np.array([-0.5, 0.3, 1.7]), np.array([0.2, 3.0, 1e-3]) / v
     P = np.polynomial.polynomial
     for coeffs, e, g2 in zip(_w_coefficients(rows, e_d, g * g), e_d, g * g):
-        level, coupling = [1.0, -2.0 * e, 1.0], 4.0 * g2 * v**2 * np.array([0.0, 0.0, 1.0])
+        level, coupling = [1.0, -2.0 * e, 1.0], 4.0 * g2 * (v * v) * np.array([0.0, 0.0, 1.0])
         if n_d:  # (w^2 - 2 e_d w + 1) - 4 g^2 v^2 w^2 sum_{k<n_d} w^(2k)
             want = P.polysub(level, P.polymul(coupling, [1.0, 0.0] * (n_d - 1) + [1.0]))
         else:  # (w^2 - 2 e_d w + 1)(1 - w^2) - 4 g^2 v^2 w^2

@@ -105,6 +105,21 @@ def test_unknown_field_rejected():
         ChainModel.from_dict({"variant": INFINITE, "e_d": 0.0, "g": 0.1, "bandwidth": 3})
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"variant": INFINITE, "g": 0.1}, "missing model field: e_d"),
+        ({"variant": "ring", "e_d": 0.0, "g": 0.1}, "variant must be 'semi-infinite' or 'infinite'"),
+        ({"variant": SEMI_INFINITE, "n_d": 4.0, "e_d": 0.0, "g": 0.1}, "n_d must be an integer, got 4.0"),
+        ({"variant": INFINITE, "e_d": "0.3", "g": 0.1}, "e_d must be a real number, got '0.3'"),
+    ],
+    ids=["missing-field", "variant", "n_d-float", "e_d-string"],
+)
+def test_malformed_descriptor_is_refused_by_name(fields, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        ChainModel.from_dict(fields)
+
+
 def test_with_params_revalidates():
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     assert m.with_params(g=0.3).g == 0.3

@@ -111,6 +111,9 @@ def test_coupling_bic_wavenumber(semi_model):
     assert coupling(semi_model, 0.3) == pytest.approx(
         math.sqrt(2 / math.pi) * math.sin(4 * 0.3)
     )
+    for k in (-0.1, math.pi + 0.1):
+        with pytest.raises(ValueError, match=r"k must lie in \[0, pi\]"):
+            coupling(semi_model, k)
 
 
 def test_coupling_infinite_flat(infinite_model):

@@ -264,6 +264,9 @@ def test_fano_q_limits():
     assert abs(fano_q(1e12, +1.0)) == pytest.approx(1.0, abs=1e-6)
     assert abs(fano_q(-1e12, -1.0)) == pytest.approx(1.0, abs=1e-6)
     assert math.isinf(fano_q(0.0, +1.0))
+    # an infinite DA is |q| = 1 exactly, its sign following DA and d(gamma)
+    q = [fano_q(da, s) for da in (math.inf, -math.inf) for s in (1.0, -1.0)]
+    assert q == [1.0, -1.0, -1.0, 1.0]
 
 
 def test_fano_q_branch_identity():

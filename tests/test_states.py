@@ -154,6 +154,9 @@ def test_bic_norm_convention():
     expected = 1.0 / (1.0 + 2 * n_d * m.g**2 * v**2 / (1 - bic.z.real**2))
     assert w == pytest.approx(expected, rel=1e-10)
     assert 0.0 < w < 1.0
+    resonance = next(s for s in discrete_states(m) if s.state_class is StateClass.RESONANCE)
+    with pytest.raises(FanochainError, match="expected a BIC state, got resonance"):
+        bic_line_weight(m, resonance)
 
 
 def test_attach_norms_fills_everything(semi_model):

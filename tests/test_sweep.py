@@ -751,6 +751,8 @@ def test_trace_whose_end_overflows_p_fails_cleanly():
         (ChainModel.semi_infinite(1, -0.5, 0.2), np.linspace(0.5, 0.8, 31)),
         # no resonance at the start, so the later passage through w = infinity is not followed
         (ChainModel.semi_infinite(1, 0.95, 0.2), np.linspace(0.2, 0.8, 31)),
+        # a first value that is solved and holds a bound state and a virtual state alone
+        (ChainModel.semi_infinite(1, 0.9, 0.2), np.linspace(0.45, 0.48, 31)),
     ],
 )
 def test_trace_without_start_resonance_has_no_branches(model, values):
@@ -788,6 +790,39 @@ def test_trace_gates_linked_roots():
     model = ChainModel.semi_infinite(4, -0.5, 0.16)
     with pytest.raises(ConvergenceError, match=r"branch i at e_d = -0\.9: \|eta\| = "):
         trace(model, "e_d", [-0.9, -0.8], root_tol=1e-30)
+
+
+def test_trace_pins_and_flags_its_first_point_as_every_other():
+    # 1e-7 above a BIC e_d branch (i) lies within 1e-12 of the axis: its first point is
+    # pinned and marked bic, as its second is
+    e = -0.7071067811865476
+    values = np.linspace(e + 1e-7, e + 3e-7, 5)
+    branches = trace(ChainModel.semi_infinite(4, -0.5, 0.2), "e_d", values).branches
+    for p in branches[0].points[:2]:
+        assert p.z.imag == 0.0 and p.bic and abs(p.z.real) < 1, p
+    # the README EP: branches (i) and (ii) start 7e-9 from its z, and both are marked
+    g, e_d = 0.17284479822974866, -0.39819697427829687
+    model = ChainModel.semi_infinite(4, e_d, g)
+    ep = find_ep(model, (g, e_d, -0.41 - 0.15j))
+    first = [b.points[0] for b in trace(model, "e_d", np.linspace(e_d, e_d + 1e-9, 5)).branches]
+    assert [abs(p.z - ep.z) < 1e-8 for p in first] == [True, True, False]
+    assert [p.collision for p in first] == [True, True, False]
+    assert not any(p.crossed_axis for p in first)
+
+
+def test_trace_gates_each_value_once(monkeypatch):
+    # 401 values in 17 blocks at n_d = 64: each block's first row after the first is
+    # the last of the block before, and is gated there alone
+    gated, residual = [], sweep._residual
+
+    def counted(model, z, *args):
+        gated.append(z.size)
+        return residual(model, z, *args)
+
+    monkeypatch.setattr(sweep, "_residual", counted)
+    values = np.linspace(-0.999, 0.999, 401)
+    branches = trace(ChainModel.semi_infinite(64, 0.0, 0.2), "e_d", values).branches
+    assert len(gated) == 17 and sum(gated) == len(values) * len(branches)
 
 
 def test_trace_starts_past_band_edge_roots_no_branch_links():
@@ -919,6 +954,9 @@ def test_find_ep_bad_seed_raises():
     m = ChainModel.semi_infinite(4, -0.4, 0.17)
     with pytest.raises(ConvergenceError):
         find_ep(m, (0.17, -0.4, -0.41 - 0.15j), ep_tol=1e-30, max_iter=8)
+    # z = 0 of the infinite chain is w = i, where p = p' = 0 has no single (e_d, g^2)
+    with pytest.raises(ConvergenceError, match=re.escape("singular double-root system at w = 1j")):
+        find_ep(ChainModel.infinite(-0.5, 0.2), (0.2, -0.5, 0j))
 
 
 # ------------------------------------------------------------------- EP scan
@@ -958,6 +996,7 @@ def test_scan_empty_ranges():
     # a box of zero width in g or in e_d holds no EP
     assert scan_for_ep_seeds(m, (0.1, 0.1), (-0.8, 0.0)) == []
     assert scan_for_ep_seeds(m, (0.1, 0.25), (-0.5, -0.5)) == []
+    assert scan_for_ep_seeds(m, (0.0, 0.0), (-0.8, 0.0)) == []  # no line at g = 0 is solved
     for n_g in (0, 1):  # one line brackets nothing
         with pytest.raises(ModelError):
             scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
