@@ -342,6 +342,9 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
 
     if args.omega_min > args.omega_max:
         raise ModelError(f"--omega-min {args.omega_min} is above --omega-max {args.omega_max}")
+    if args.omega_min == args.omega_max and args.points > 1:
+        raise ModelError(f"--omega-min {args.omega_min} equals --omega-max {args.omega_max}, "
+                         f"so --points {args.points} would repeat one Omega")
     sg = decompose(model, _linspace(args, "omega_min", "omega_max", args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0

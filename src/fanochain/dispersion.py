@@ -337,7 +337,9 @@ def _certified_roots(coeffs: np.ndarray, start: np.ndarray):
 
 def _derivative(a: np.ndarray) -> np.ndarray:
     """The derivative of each row of ascending coefficients a, ascending, with a zero top coefficient."""
-    return np.append(a[:, 1:] * np.arange(1, a.shape[1]), np.zeros((len(a), 1)), axis=1)
+    out = np.zeros(a.shape)
+    np.multiply(a[:, 1:], np.arange(1, a.shape[1]), out=out[:, :-1])
+    return out
 
 
 def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarray, g: np.ndarray,

@@ -24,7 +24,8 @@ Every point of a branch, its first included, is pinned to the real axis
 and flagged (bic, collision) by one rule.
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
-both come out real: Newton in w alone.
+both come out real: Newton in w alone, one point at a time, so it evaluates
+its rows by Horner's rule on Python complex numbers, not numpy arrays.
 """
 
 from __future__ import annotations
@@ -268,10 +269,13 @@ def find_ep(
     w-derivatives from p''.  The seed is an EpResult, as scan_for_ep_seeds
     returns it, or a (g, e_d, z) sequence.  Newton in w alone, from the
     seed's z on sheet II (its g and e_d are not used), drives
-    Im e_d(w) = Im g^2(w) = 0 until the step is below 1e-12 |w|.  p is
-    real, so where Newton settles at Im w > 0, on the double root of an
-    anti-resonance pair, its conjugate is the resonance pair's EP at the
-    same g and e_d, and that is the one reported: the EP's z has Im z < 0.
+    Im e_d(w) = Im g^2(w) = 0 until the step is below 1e-12 |w|.  Each step
+    evaluates the nine rows of _ep_rows at w by Horner's rule on Python
+    complex numbers, whose IEEE products and sums no SIMD build of numpy
+    changes.  p is real, so where Newton settles at Im w > 0, on the double
+    root of an anti-resonance pair, its conjugate is the resonance pair's EP
+    at the same g and e_d, and that is the one reported: the EP's z has
+    Im z < 0.
     The residuals |eta| and |eta'| of the EP (sqrt(g^2), e_d,
     (w + 1/w)/2) are taken on sheet II.
 
@@ -287,15 +291,30 @@ def find_ep(
     _check_tol("ep_tol", ep_tol)
     z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
-    # base, d_ed, d_g2 and their first two derivatives, descending, one row each
+    return _ep_newton(model, _ep_rows(model)[:, ::-1].tolist(), w, ep_tol, max_iter)
+
+
+def _ep_rows(model: ChainModel) -> np.ndarray:
+    """The nine ascending rows of the EP Newton: base, d_ed and d_g2 of _w_rows, then
+    their first w-derivatives, then their second."""
     rows = _w_rows(model)
     slope = _derivative(rows)
-    desc = np.concatenate([rows, slope, _derivative(slope)])[:, ::-1]
+    return np.concatenate([rows, slope, _derivative(slope)])
 
+
+def _ep_newton(model: ChainModel, desc: list, w: complex, ep_tol: float, max_iter: int) -> EpResult:
+    """find_ep's Newton from w, on the nine rows of _ep_rows as descending lists of
+    floats, each evaluated by Horner's rule on Python complex numbers."""
     trace_pts = []
     settled = False
     for _ in range(max_iter):
-        (b, e, c), (b1, e1, c1), (b2, e2, c2) = _horner(desc, np.full((9, 1), w)).reshape(3, 3).tolist()
+        y = []
+        for row in desc:
+            p = 0j
+            for a in row:
+                p = p * w + a
+            y.append(p)
+        b, e, c, b1, e1, c1, b2, e2, c2 = y
         det = e * c1 - c * e1
         if det == 0:
             raise ConvergenceError(f"singular double-root system at w = {w}", trace=trace_pts)
@@ -346,11 +365,13 @@ def scan_for_ep_seeds(
     _w_roots on n_g evenly spaced lines, in blocks of at most
     dispersion.SCAN_BLOCK / deg^2.  Each root with Im w < 0 is linked to
     the nearest root of the next line (of a conjugate pair, the one with
-    Im w <= 0), and find_ep polishes each sign change of Im e_d along a
-    link, from the w where its linear interpolation vanishes.  A polish
-    that fails or lands outside the box is dropped.  Lines at g = 0 (no coupling) and lines where E_g
-    loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and
-    their neighbours are linked across them.  Where E_g loses its leading
+    Im w <= 0), and find_ep's Newton polishes each sign change of Im e_d
+    along a link, from the w on sheet II of the z where its linear
+    interpolation vanishes, on the nine rows of _ep_rows built once for
+    the scan.  A polish that fails or lands outside the box is dropped.
+    Lines at g = 0 (no coupling) and lines where E_g loses its leading
+    term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and their neighbours
+    are linked across them.  Where E_g loses its leading
     term at g = 0 (the semi-infinite chain at n_d >= 2), its complex roots
     come in from w = infinity as a power of g, so the first interval is
     split further at g_1 / 2, g_1 / 4, ..., g_1 / 2^20 (g_1 the second
@@ -358,7 +379,7 @@ def scan_for_ep_seeds(
     last is sought (further down, at n_d = 40 below g ~ 1e-11, the roots
     of E_g lose their accuracy).  The infinite chain has no EP.
 
-    Returns the EpResult of each EP in the box, as find_ep polished it: its
+    Returns the EpResult of each EP in the box, as that Newton polished it: its
     g, e_d and z with its residuals |eta| and |eta'|, sorted by g, then
     e_d.  n_ed is not used; callers still pass it.
 
@@ -375,8 +396,8 @@ def scan_for_ep_seeds(
     for name, (lo, hi) in (("g_range", g_range), ("ed_range", ed_range)):
         if lo > hi:
             raise ModelError(f"{name} ({lo:g}, {hi:g}) is reversed: its low end is above its high end")
-    base, d_ed, d_g2 = rows = _w_rows(model)
-    base1, d_ed1, d_g21 = _derivative(rows)
+    rows = _ep_rows(model)
+    base, d_ed, d_g2, base1, d_ed1, d_g21 = rows[:6]
     # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
     e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
                        np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
@@ -407,10 +428,10 @@ def scan_for_ep_seeds(
         k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))
         w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
         z0 = 0.5 * (w0 + 1.0 / w0)
-    eps = []
-    for seed in zip(g[k].tolist(), e_d[k, j].real.tolist(), z0.tolist()):
+    eps, desc = [], rows[:, ::-1].tolist()
+    for z in z0.tolist():
         try:
-            ep = find_ep(model, seed)
+            ep = _ep_newton(model, desc, z - sqrt_branch(SheetedEnergy(z, Sheet.II)), EP_TOL, 200)
         except FanochainError:
             continue
         if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]:

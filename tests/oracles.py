@@ -18,12 +18,16 @@ self-energy became the band form: the complex closed form of
 selfenergy._sigma at Omega + 0j, which the band form must match bit for bit.
 broadcast_horner is dispersion._horner as it was before it laid its
 coefficients out as planes: each step adds a coefficient column broadcast
-over the points.
+over the points.  find_ep_by_horner is sweep.find_ep as it was before its
+Newton ran on Python complex numbers: the same steps, each evaluating the
+nine rows of p, p' and p'' by one dispersion._horner pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+
+import math
 
 import mpmath
 import numpy as np
@@ -32,11 +36,12 @@ from scipy.integrate import quad
 from fanochain import dispersion, sweep
 from fanochain.dispersion import _ANTIRESONANCE, _BACKWARD_ERROR, _BOUND_I, _BOUND_II, _HORNER_ROUNDING
 from fanochain.dispersion import _RESONANCE, _WARM_ROUNDS, ROOT_TOL, DiscreteState, StateClass, _horner
-from fanochain.dispersion import _rate_terms, _residual, _w_coefficients, _w_rows
+from fanochain.dispersion import _derivative, _rate_terms, _residual, _w_coefficients, _w_rows
 from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from fanochain.model import ChainModel
-from fanochain.selfenergy import Sheet, SheetedEnergy, _sigma, self_energy, self_energy_deriv
+from fanochain.selfenergy import Sheet, SheetedEnergy, _sigma, _sigma_at, self_energy, self_energy_deriv
+from fanochain.selfenergy import sqrt_branch
 from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
 from fanochain.sweep import TrajectoryPoint, find_ep
 
@@ -278,6 +283,53 @@ def find_ep_in_z(
         f"(final |eta| = {abs(f1):.3e}, |eta'| = {abs(f2):.3e})",
         trace=trace_pts,
     )
+
+
+def find_ep_by_horner(
+    model: ChainModel, seed: EpResult | tuple, ep_tol: float = EP_TOL, max_iter: int = 200
+) -> EpResult:
+    """sweep.find_ep as it was before its Newton evaluated its nine rows on Python complex
+    numbers: one dispersion._horner pass of the descending (9, deg + 1) stack at each step."""
+    z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
+    w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
+    rows = _w_rows(model)
+    slope = _derivative(rows)
+    desc = np.concatenate([rows, slope, _derivative(slope)])[:, ::-1]
+
+    trace_pts = []
+    settled = False
+    for _ in range(max_iter):
+        (b, e, c), (b1, e1, c1), (b2, e2, c2) = _horner(desc, np.full((9, 1), w)).reshape(3, 3).tolist()
+        det = e * c1 - c * e1
+        if det == 0:
+            raise ConvergenceError(f"singular double-root system at w = {w}", trace=trace_pts)
+        e_d, g2 = (c * b1 - b * c1) / det, (b * e1 - e * b1) / det
+        trace_pts.append((0.5 * (w + 1.0 / w), g2, e_d))
+        if settled:
+            break
+        p2 = b2 + e_d * e2 + g2 * c2
+        de, dg2 = c * p2 / det, -e * p2 / det
+        den = (de * dg2.conjugate()).imag
+        if den == 0:
+            raise ConvergenceError(f"singular EP Newton step at w = {w}", trace=trace_pts)
+        step = (g2.imag * de.conjugate() - e_d.imag * dg2.conjugate()) / den
+        w += step
+        settled = abs(step) <= 1e-12 * abs(w)
+    else:
+        raise ConvergenceError(f"EP Newton unsettled after {max_iter} steps", trace=trace_pts)
+
+    if not g2.real > 0:
+        raise ConvergenceError(f"EP Newton settled at g^2 = {g2.real} <= 0", trace=trace_pts)
+    w = w.conjugate() if w.imag > 0 else w
+    g, e_d, z = math.sqrt(g2.real), e_d.real, 0.5 * (w + 1.0 / w)
+    sig, sig1 = _sigma_at(model, SheetedEnergy(z, Sheet.II), 1)
+    res_eta, res_eta_prime = abs(z - e_d - g * g * sig), abs(1.0 - g * g * sig1)
+    if not (res_eta < ep_tol and res_eta_prime < ep_tol):
+        raise ConvergenceError(
+            f"EP Newton settled at z = {z}, g = {g}, e_d = {e_d} with |eta| = {res_eta:.3e}, "
+            f"|eta'| = {res_eta_prime:.3e}, not below {ep_tol}", trace=trace_pts
+        )
+    return EpResult(g=g, e_d=e_d, z=z, residual_eta=res_eta, residual_eta_prime=res_eta_prime)
 
 
 def reference_eps(model: ChainModel, g_range, ed_range, cells: int = 12) -> list[EpResult]:

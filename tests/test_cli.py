@@ -682,6 +682,16 @@ def test_reversed_spectrum_range_is_usage_error(capsys):
     assert capsys.readouterr() == ("", "error: --omega-min 0.5 is above --omega-max -0.5\n")
 
 
+def test_spectrum_range_of_one_point_takes_one_point(capsys):
+    # as a trajectory from --start to an equal --stop is refused, not rows repeating one Omega
+    one = [*SPECTRUM, "--omega-min", "0.3", "--omega-max", "0.3"]
+    assert run([*one, "--points", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --omega-min 0.3 equals --omega-max 0.3, so --points 3 would repeat one Omega\n")
+    assert run([*one, "--points", "1", "--format", "json"]) == 0
+    assert [row[0] for row in json.loads(capsys.readouterr().out)["rows"]] == [0.3]
+
+
 # ---------------------------------------------------------------- output bytes
 # Reference text built from the library results cell by cell: a float gets
 # f"{x:.17g}" in CSV, every other cell str(); JSON is json.dumps of one

@@ -3,9 +3,12 @@ import functools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanochain import (
     ChainModel,
@@ -30,7 +33,7 @@ from fanochain.dispersion import _w_coefficients, _w_rows
 from fanochain.states import attach_norms
 from fanochain.sweep import EP_TOL, EpResult, TrajectoryPoint
 
-from oracles import ep_by_mpmath, find_ep_in_z, full_certified_roots, reference_eps
+from oracles import ep_by_mpmath, find_ep_by_horner, find_ep_in_z, full_certified_roots, reference_eps
 from oracles import trace_by_continuation, trace_by_loop
 
 EP_G = 0.1728
@@ -950,6 +953,53 @@ def test_readme_ep_is_the_scan_ep():
         assert abs(ep.z - seed.z) < 1e-12 and ep.z.imag < 0
 
 
+def test_find_ep_digits_are_ieee_complex_arithmetic():
+    # the README seed: Python complex arithmetic gives these digits on every SIMD build,
+    # where numpy's AVX2 and AVX-512 kernels gave ...487 and ...2968, and no SIMD ...488
+    # and ...297
+    ep = find_ep(ChainModel.semi_infinite(4, -0.5, 0.2), (0.17, -0.4, -0.41 - 0.15j))
+    assert ep.g == 0.1728447982297488 and ep.e_d == -0.398196974278297
+
+
+@functools.cache
+def ep_seed_zs(n_d, v):
+    """A chain (n_d None: the infinite one) and the z of every w its wide-box scan hands
+    the EP Newton, or z = 0, where the Newton meets a singular system, for a chain whose
+    scan hands it none (the infinite chain, n_d 1 and 2: no EP of a resonance pair)."""
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v) if n_d else ChainModel.infinite(-0.5, 0.2, v=v)
+    ws, newton = [], sweep._ep_newton
+
+    def spy(model, desc, w, *args):
+        ws.append(w)
+        return newton(model, desc, w, *args)
+
+    with mock.patch.object(sweep, "_ep_newton", spy):
+        scan_for_ep_seeds(model, (0.01, 0.5 / v), (-1.5, 1.5))
+    return model, [0.5 * (w + 1.0 / w) for w in ws] or [0j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_d=st.one_of(st.none(), st.integers(1, 40)), v=st.sampled_from([1.0, 0.7, 1.3]),
+       pick=st.integers(0, 10**6), nudge=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e-3)))
+def test_find_ep_matches_the_horner_newton(n_d, v, pick, nudge):
+    # from the scan's seeds, moved by up to 1e-3 relative, the Newton on Python complex
+    # numbers and the one on _horner's arrays take the same steps up to rounding: the
+    # same error class, or the same EP within 4e-14 relative
+    model, seeds = ep_seed_zs(n_d, v)
+    seed = (model.g, model.e_d, seeds[pick % len(seeds)] * (1.0 + nudge))
+    try:
+        want = find_ep_by_horner(model, seed)
+    except FanochainError as exc:
+        with pytest.raises(type(exc)):
+            find_ep(model, seed)
+        return
+    ep = find_ep(model, seed)
+    assert abs(ep.g - want.g) <= 4e-14 * want.g
+    assert abs(ep.e_d - want.e_d) <= 4e-14 * (abs(want.e_d) if abs(want.e_d) > 1e-10 else 1.0)
+    assert abs(ep.z - want.z) <= 4e-14 * abs(want.z)
+    assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+
+
 def test_find_ep_bad_seed_raises():
     m = ChainModel.semi_infinite(4, -0.4, 0.17)
     with pytest.raises(ConvergenceError):
@@ -1143,16 +1193,16 @@ def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
     # the line enumeration finds exactly the EPs that find_ep finds from every resonance
     # of a per-cell census, each once, and every bracket it polishes holds an EP
     model, g_range, ed_range = EP_BOXES[box]
-    failed = []
+    failed, newton = [], sweep._ep_newton
 
-    def polish(*args, **kwargs):
+    def polish(*args):
         try:
-            return find_ep(*args, **kwargs)
+            return newton(*args)
         except FanochainError as exc:
             failed.append(exc)
             raise
 
-    monkeypatch.setattr(sweep, "find_ep", polish)
+    monkeypatch.setattr(sweep, "_ep_newton", polish)
     got = scan_for_ep_seeds(model, g_range, ed_range, n_g)
     assert not failed
     assert got == sorted(got, key=lambda s: (s.g, s.e_d))
