@@ -1,7 +1,7 @@
 """Independent numerical oracles used to pin expected values.
 
-Everything here goes back to a defining integral, a finite difference, a
-path-following construction, or a solve in z through the self-energy, and
+Everything here goes back to a defining integral, a path-following
+construction, or a solve in z through the self-energy, and
 never calls the closed forms in w that it is used to check.  Two
 exceptions: reference_eps, which checks the line enumeration of
 scan_for_ep_seeds, polishes with find_ep, but from a census, not from
@@ -169,10 +169,6 @@ def winding_number(f, corners, samples_per_edge: int = 4000) -> int:
     vals = np.array([f(z) for z in path])
     phases = np.unwrap(np.angle(vals))
     return int(np.round((phases[-1] - phases[0]) / (2.0 * np.pi)))
-
-
-def central_difference(fun, x: float, h: float = 1e-6):
-    return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
 
 def newton_polish(

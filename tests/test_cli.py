@@ -676,6 +676,17 @@ def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
     assert capsys.readouterr() == ("", f"error: {option} is reversed: its low end is above its high end\n")
 
 
+def test_ep_box_of_equal_g_ends_is_usage_error(capsys):
+    # as equal trajectory and spectrum ends are, not a header with no rows, even at the
+    # README EP's own g; equal --ed-range ends stay valid
+    g = "0.1728447982297488"
+    assert run([*_EP, "--g-range", g, g, "--ed-range", "-0.8", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: g_range (0.172845, 0.172845) has equal ends, so its 16 lines would repeat one g\n")
+    assert run([*_EP, "--g-range", "0.1", "0.25", "--ed-range", "-0.398196974278297", "-0.398196974278297"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_reversed_spectrum_range_is_usage_error(capsys):
     # as a reversed ep box is, not rows in descending Omega
     assert run([*SPECTRUM, "--omega-min", "0.5", "--omega-max", "-0.5"]) == 2
