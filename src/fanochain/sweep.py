@@ -25,9 +25,8 @@ and flagged (bic, collision) by one rule.
 Exceptional points are double roots of p.  Since p is linear in (e_d, g^2),
 p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone, one point at a time, so it evaluates
-its rows by Horner's rule on Python complex numbers, not numpy arrays.  Those
-rows, and the scan's E_g rows, depend on the chain family (variant, n_d, v)
-alone, so each family's table of them is built once (_ep_table).
+its rows by Horner's rule on Python complex numbers, not numpy arrays, each
+from its first nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -274,9 +273,8 @@ def find_ep(
     Im e_d(w) = Im g^2(w) = 0 until the step is below 1e-12 |w|.  Each step
     evaluates the nine rows of _ep_rows at w by Horner's rule on Python
     complex numbers, whose IEEE products and sums no SIMD build of numpy
-    changes, from each row's first nonzero coefficient; the rows come from
-    the chain family's table (_ep_table), built once per family.  p is
-    real, so where Newton settles at Im w > 0, on the double root of an
+    changes, from each row's first nonzero coefficient.  p is real, so
+    where Newton settles at Im w > 0, on the double root of an
     anti-resonance pair, its conjugate is the resonance pair's EP at the
     same g and e_d, and that is the one reported: the EP's z has Im z < 0.
     The residuals |eta| and |eta'| of the EP (sqrt(g^2), e_d,
@@ -294,7 +292,7 @@ def find_ep(
     _check_tol("ep_tol", ep_tol)
     z = complex(seed.z if isinstance(seed, EpResult) else seed[2])
     w = z - sqrt_branch(SheetedEnergy(z, Sheet.II))
-    return _ep_newton(model, _ep_table(model.variant, model.n_d, model.v).desc, w, ep_tol, max_iter)
+    return _ep_newton(model, _descending(_ep_rows(model)), w, ep_tol, max_iter)
 
 
 def _ep_rows(model: ChainModel) -> np.ndarray:
@@ -305,39 +303,16 @@ def _ep_rows(model: ChainModel) -> np.ndarray:
     return np.concatenate([rows, slope, _derivative(slope)])
 
 
-class _EpTable(NamedTuple):
-    """What the EP code reads of one chain family, built once by _ep_table."""
-
-    rows: np.ndarray  # _ep_rows, read-only
-    desc: tuple  # its nine rows descending, as tuples of floats cut at their first nonzero
-    e_rows: np.ndarray  # E_0 and E_1 of E_g = E_0 + g^2 E_1, ascending, trimmed; read-only
-
-
-@functools.lru_cache(maxsize=16)
-def _ep_table(variant: str, n_d: int | None, v: float) -> _EpTable:
-    """The EP table of the chain family (variant, n_d, v): the rows of _ep_rows depend
-    on nothing else, so models that differ in e_d, g, transition_weight or e_c share it.
-
-    A descending row's leading zeros only multiply a zero, so its Horner value is
-    the same from its first nonzero coefficient; an all-zero row is empty, whose
-    value is 0.  A table holds about 0.4 MB at n_d = 1000, 3 to 13 KB at n_d 4 to 24.
-    """
-    rows = _ep_rows(ChainModel(variant, 0.0, 0.0, n_d=n_d, v=v))
-    base, d_ed, d_g2, base1, d_ed1, d_g21 = rows[:6]
-    # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
-    e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
-                       np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
-    e_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1]
-    desc = tuple(tuple(row[next((i for i, a in enumerate(row) if a), len(row)):])
-                 for row in rows[:, ::-1].tolist())
-    rows.flags.writeable = e_rows.flags.writeable = False
-    return _EpTable(rows, desc, e_rows)
+def _descending(rows: np.ndarray) -> list:
+    """The rows of _ep_rows descending, as lists of floats from their first nonzero
+    coefficient: a leading zero only multiplies a zero, so Horner's value is the same
+    from there (an all-zero row is empty, whose value is 0)."""
+    return [row[next((i for i, a in enumerate(row) if a), len(row)):] for row in rows[:, ::-1].tolist()]
 
 
-def _ep_newton(model: ChainModel, desc: tuple, w: complex, ep_tol: float, max_iter: int) -> EpResult:
-    """find_ep's Newton from w, on the nine rows of the EP table as descending tuples
-    of floats from their first nonzero coefficient, each evaluated by Horner's rule
-    on Python complex numbers."""
+def _ep_newton(model: ChainModel, desc: list, w: complex, ep_tol: float, max_iter: int) -> EpResult:
+    """find_ep's Newton from w, on the nine rows of _ep_rows as _descending gives them,
+    each evaluated by Horner's rule on Python complex numbers."""
     trace_pts = []
     settled = False
     for _ in range(max_iter):
@@ -394,15 +369,14 @@ def scan_for_ep_seeds(
     _w_rows), so on a line of fixed g the double roots of p are the roots
     w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
     and an EP is one with complex w and real e_d.  g^2 is g * g, as in
-    _census, and P and D are evaluated in one _horner pass.  E_g is solved by
+    _census, and P and D are evaluated by _horner.  E_g is solved by
     _w_roots on n_g evenly spaced lines, in blocks of at most
     dispersion.SCAN_BLOCK / deg^2.  Each root with Im w < 0 is linked to
     the nearest root of the next line (of a conjugate pair, the one with
     Im w <= 0), and find_ep's Newton polishes each sign change of Im e_d
     along a link, from the w on sheet II of the z where its linear
-    interpolation vanishes.  The E_g rows and the Newton's rows come from
-    the chain family's table (_ep_table), built once per family, not per
-    scan.  A polish that fails or lands outside the box is dropped.
+    interpolation vanishes, on the nine rows of _ep_rows built once for
+    the scan.  A polish that fails or lands outside the box is dropped.
     Lines at g = 0 (no coupling) and lines where E_g loses its leading
     term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and their neighbours
     are linked across them.  Where E_g loses its leading
@@ -435,9 +409,12 @@ def scan_for_ep_seeds(
     if g_range[0] == g_range[1]:
         raise ModelError(f"g_range ({g_range[0]:g}, {g_range[1]:g}) has equal ends, "
                          f"so its {n_g} lines would repeat one g")
-    table = _ep_table(model.variant, model.n_d, model.v)
-    base, d_ed, d_g2 = table.rows[:3]
-    e_rows = table.e_rows
+    rows = _ep_rows(model)
+    base, d_ed, d_g2, base1, d_ed1, d_g21 = rows[:6]
+    # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
+    e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
+                       np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
+    e_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1]
     g = np.linspace(g_range[0], g_range[1], n_g)
     if e_rows[0, -1] == 0:
         split = g[1] * 0.5 ** np.arange(20, 0, -1)
@@ -458,20 +435,17 @@ def scan_for_ep_seeds(
     nearest = np.concatenate([np.abs(w[1:][i : i + block, None] - w[:-1][i : i + block, :, None])
                               .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
     with np.errstate(all="ignore"):
-        # P's row of each line over D's row, in one pass
-        pd = _horner(np.concatenate(np.broadcast_arrays(base + g2[:, None] * d_g2, d_ed))[:, ::-1],
-                     np.concatenate([w, w]))
-        e_d = -pd[: len(w)] / pd[len(w) :]
+        e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / _horner(d_ed[None, ::-1], w)
         line = np.arange(len(w) - 1)[:, None]
         w1, e1 = w[1:][line, nearest], e_d[1:][line, nearest]
         a, b = e_d[:-1].imag, e1.imag
         k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))
         w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
         z0 = 0.5 * (w0 + 1.0 / w0)
-    eps = []
+    eps, desc = [], _descending(rows)
     for z in z0.tolist():
         try:
-            ep = _ep_newton(model, table.desc, z - sqrt_branch(SheetedEnergy(z, Sheet.II)), EP_TOL, 200)
+            ep = _ep_newton(model, desc, z - sqrt_branch(SheetedEnergy(z, Sheet.II)), EP_TOL, 200)
         except FanochainError:
             continue
         if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]:

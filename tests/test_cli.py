@@ -678,13 +678,17 @@ def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
 
 def test_ep_box_of_equal_g_ends_is_usage_error(capsys):
     # as equal trajectory and spectrum ends are, not a header with no rows, even at the
-    # README EP's own g; equal --ed-range ends stay valid
-    g = "0.1728447982297488"
+    # README EP's own g; equal --ed-range ends stay valid, and at the EP's own e_d, on the
+    # same g lines, they keep its row
+    box = [*_EP, "--g-range", "0.1", "0.25"]
+    assert run([*box, "--ed-range", "-0.8", "0"]) == 0
+    readme = capsys.readouterr().out
+    g, e_d = readme.splitlines()[1].split(",")[:2]
     assert run([*_EP, "--g-range", g, g, "--ed-range", "-0.8", "0"]) == 2
     assert capsys.readouterr() == (
         "", "error: g_range (0.172845, 0.172845) has equal ends, so its 16 lines would repeat one g\n")
-    assert run([*_EP, "--g-range", "0.1", "0.25", "--ed-range", "-0.398196974278297", "-0.398196974278297"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert run([*box, "--ed-range", e_d, e_d]) == 0
+    assert capsys.readouterr().out == readme
 
 
 def test_reversed_spectrum_range_is_usage_error(capsys):

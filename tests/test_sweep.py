@@ -1053,23 +1053,21 @@ def test_scan_empty_ranges():
             scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
 
 
-README_EP = ("EpResult(g=0.1728447982297488, e_d=-0.398196974278297, z=(-0.412751820558699-"
-             "0.15068433377044876j), residual_eta=6.639709341020816e-17, "
-             "residual_eta_prime=4.4286337281535306e-16)")
-
-
 def test_scan_refuses_equal_g_ends_even_at_an_ep():
     # its n_g lines would all be the one g and bracket nothing, so an empty result would
     # hide the README EP even at its own g, which a box around it finds; equal e_d ends
     # stay valid
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
-    g, e_d = 0.1728447982297488, -0.398196974278297
+    [ep] = scan_for_ep_seeds(m, (0.1, 0.25), (-0.8, 0.0))
+    assert ep.g == pytest.approx(0.1728447982297488, rel=1e-14)
+    assert ep.e_d == pytest.approx(-0.398196974278297, rel=1e-14)
     with pytest.raises(ModelError, match=re.escape(
             "g_range (0.172845, 0.172845) has equal ends, so its 16 lines would repeat one g")):
-        scan_for_ep_seeds(m, (g, g), (-0.8, 0.0))
-    assert repr(scan_for_ep_seeds(m, (0.1, 0.25), (-0.8, 0.0))) == f"[{README_EP}]"
-    assert repr(scan_for_ep_seeds(m, (0.17, 0.175), (-0.8, 0.0))) == f"[{README_EP}]"
-    assert repr(scan_for_ep_seeds(m, (0.1, 0.25), (e_d, e_d))) == f"[{README_EP}]"
+        scan_for_ep_seeds(m, (ep.g, ep.g), (-0.8, 0.0))
+    [near] = scan_for_ep_seeds(m, (0.17, 0.175), (-0.8, 0.0))
+    assert near.g == pytest.approx(ep.g, rel=1e-14) and near.e_d == pytest.approx(ep.e_d, rel=1e-14)
+    # the e_d box only filters the EPs of the same g lines, so it keeps this one exactly
+    assert scan_for_ep_seeds(m, (0.1, 0.25), (ep.e_d, ep.e_d)) == [ep]
 
 
 @pytest.mark.parametrize(
@@ -1085,68 +1083,29 @@ def test_scan_refuses_a_reversed_box(g_range, ed_range, message):
         scan_for_ep_seeds(ChainModel.semi_infinite(4, -0.5, 0.2), g_range, ed_range)
 
 
-# ------------------------------------------------------------------- EP table
-
-
-def table_models(n_d, v):
-    """Two models of the chain family (n_d None: the infinite chain; v) that differ in
-    every other field."""
-    make = (lambda **kw: ChainModel.semi_infinite(n_d, **kw)) if n_d else ChainModel.infinite
-    return (make(e_d=-0.5, g=0.2, v=v),
-            make(e_d=0.3, g=0.1, v=v, transition_weight=2.0, e_c=-1.0))
-
-
 @settings(max_examples=60, deadline=None)
 @given(n_d=st.one_of(st.none(), st.integers(1, 40)),
        v=st.one_of(st.sampled_from([1.0, 0.7, 1.3]), st.floats(1e-3, 1e3)))
-def test_ep_table_holds_the_families_rows(n_d, v):
-    # _ep_rows, read-only; its rows descending from their first nonzero coefficient, as
-    # tuples of Python floats; and the trimmed E_g rows, read-only
-    for model in table_models(n_d, v):
-        table = sweep._ep_table(model.variant, model.n_d, model.v)
-        rows = sweep._ep_rows(model)
-        assert np.array_equal(table.rows, rows)
-        assert len(table.desc) == 9
-        for got, row in zip(table.desc, rows[:, ::-1].tolist()):
-            assert type(got) is tuple and all(type(a) is float for a in got)
-            # the row's tail, after nothing but zeros, from a nonzero (an all-zero row is empty)
-            assert got == tuple(row[len(row) - len(got):]) and not any(row[: len(row) - len(got)])
-            assert not got or got[0] != 0.0
-        e_rows = table.e_rows
-        assert e_rows.shape[0] == 2 and e_rows[:, -1].any()
-        for array in (table.rows, e_rows):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+def test_ep_newton_rows_start_at_their_first_nonzero(n_d, v):
+    # the rows of _ep_rows descending, as lists of Python floats from their first nonzero
+    # coefficient (an all-zero row is empty); the Newton's steps on them are those on the
+    # full rows, bit for bit
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v) if n_d else ChainModel.infinite(-0.5, 0.2, v=v)
+    rows = sweep._ep_rows(model)
+    desc, full = sweep._descending(rows), rows[:, ::-1].tolist()
+    assert len(desc) == 9
+    for got, row in zip(desc, full):
+        assert all(type(a) is float for a in got)
+        assert got == row[len(row) - len(got):] and not any(row[: len(row) - len(got)])
+        assert not got or got[0] != 0.0
 
+    def newton(rows):  # from about the README seed's w on sheet II
+        try:
+            return repr(sweep._ep_newton(model, rows, -0.48 - 1.08j, EP_TOL, 200))
+        except FanochainError as exc:
+            return repr(exc) + repr(getattr(exc, "trace", None))
 
-def test_ep_table_is_built_once_per_chain_family(monkeypatch):
-    # e_d and g (and weight and e_c) do not enter the rows: two scans and two find_ep
-    # calls of one family build them once; another n_d or v builds them again
-    built, ep_rows = [], sweep._ep_rows
-
-    def counted(model):
-        built.append((model.variant, model.n_d, model.v))
-        return ep_rows(model)
-
-    def calls(n_d, v):
-        results = []
-        for model in table_models(n_d, v):
-            scan = scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))
-            results += [scan, find_ep(model, (0.17, -0.4, -0.41 - 0.15j))]
-        return repr(results)
-
-    sweep._ep_table.cache_clear()
-    monkeypatch.setattr(sweep, "_ep_rows", counted)
-    first = calls(4, 1.0)
-    assert built == [("semi-infinite", 4, 1.0)]
-    calls(5, 1.0)
-    calls(4, 1.3)
-    assert len(built) == 3
-    # a table built anew gives the same results
-    sweep._ep_table.cache_clear()
-    assert calls(4, 1.0) == first and len(built) == 4
-    assert first.startswith(f"[[{README_EP}], ")
+    assert newton(desc) == newton(full)
 
 
 def test_scan_seeds_are_exceptional_points():
