@@ -345,6 +345,11 @@ def _cmd_spectrum(model: ChainModel, args) -> None:
     if args.omega_min == args.omega_max and args.points > 1:
         raise ModelError(f"--omega-min {args.omega_min} equals --omega-max {args.omega_max}, "
                          f"so --points {args.points} would repeat one Omega")
+    if args.lines_out and args.format == "json":
+        raise ModelError("--lines-out takes no --format json, whose output holds the lines itself")
+    if args.lines_out and args.out and os.path.realpath(args.lines_out) == os.path.realpath(args.out):
+        raise ModelError(f"--lines-out {args.lines_out} is the --out file {args.out}, "
+                         "so the lines would overwrite the curve")
     sg = decompose(model, _linspace(args, "omega_min", "omega_max", args.points))
     axis = "omega" if args.photon_axis else "Omega"
     shift = model.e_c if args.photon_axis else 0.0

@@ -28,12 +28,14 @@ def infinite_model():
 
 @pytest.fixture
 def python_child():
-    """Run a fresh interpreter on the package under test: python_child(*args) is
-    the CompletedProcess of ``python *args``, with stdout and stderr as bytes."""
+    """Run a fresh interpreter on the package under test: python_child(*args, env=None)
+    is the CompletedProcess of ``python *args``, with stdout and stderr as bytes, in this
+    process's environment with the variables of ``env`` set over it."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+    base = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
 
-    def child(*args):
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    def child(*args, env=None):
+        return subprocess.run([sys.executable, *args], env={**base, **(env or {})},
+                              capture_output=True, timeout=120)
 
     return child

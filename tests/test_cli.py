@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -64,22 +65,23 @@ def test_roots_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_roots_json_round_trip(tmp_path):
-    out = tmp_path / "roots.json"
-    argv = [
-        "roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
-        "--format", "json", "--out", str(out),
-    ]
-    assert run(argv) == 0
-    first = json.loads(out.read_text())
-    again = tmp_path / "again.json"
-    assert run(argv[:-1] + [str(again), "--seeds", str(out)]) == 0
-    second = json.loads(again.read_text())
-    assert len(first) == len(second)
-    by_branch = {r["branch"]: r for r in second}
-    for rec in first:
-        twin = by_branch[rec["branch"]]
-        assert abs(complex(rec["re_z"], rec["im_z"]) - complex(twin["re_z"], twin["im_z"])) < 1e-12
+@pytest.mark.parametrize(
+    "model",
+    [["--nd", "4", "--g", "0.2", "--ed", "-0.5"],
+     ["--nd", "7", "--g", "0.3", "--ed", "0.4", "--v", "1.3", "--antiresonances"],
+     ["--nd", "4", "--g", "0.2", "--ed", "-0.7071067811865476"],
+     ["--nd", "3", "--g", "0.2", "--ed", "0.499999999", "--antiresonances"]],
+    ids=["readme", "antiresonances", "at-bic", "near-bic"],
+)
+def test_roots_json_round_trip(tmp_path, model):
+    # a roots export fed back through --seeds reproduces itself byte for byte: the README
+    # model, one with anti-resonances, one at an exact BIC e_d and one 1e-9 from a BIC,
+    # whose pair shares one z and is told apart by w
+    roots, again = tmp_path / "roots.json", tmp_path / "again.json"
+    argv = ["roots", "--chain", "semi", *model, "--format", "json"]
+    assert run([*argv, "--out", str(roots)]) == 0
+    assert run([*argv, "--seeds", str(roots), "--out", str(again)]) == 0
+    assert again.read_bytes() == roots.read_bytes()
 
 
 def test_model_json_descriptor(tmp_path, capsys):
@@ -309,6 +311,25 @@ def test_extreme_sweep_fails_the_gate_without_warnings(capsys, argv):
     assert capsys.readouterr().err.startswith("numerical failure: branch i at ")
 
 
+_FAILED_SWEEPS = {
+    # a valid model whose p(w) spans more than the double range at the middle value
+    "e_d=1e308": (["--nd", "4", "--g", "0.2", "--ed", "-0.5", "--start", "0.1", "--stop", "1e308",
+                   "--steps", "3"],
+                  "the companion matrix of p(w) is not finite at e_d = 5e+307, g = 0.2: "
+                  "its coefficients span more than the double range"),
+    # n_d = 1 from a resonant start: past its real-axis EP the branch's root escapes to w = infinity
+    "n_d=1:w=infinity": (["--nd", "1", "--v", "1.3", "--g", "0.2", "--ed", "-0.5", "--parameter", "g",
+                          "--start", "0.15", "--stop", "0.4", "--steps", "126"],
+                         "a root of p(w) passes w = infinity for g in [0.384, 0.386]"),
+}
+
+
+@pytest.mark.parametrize("argv, cause", _FAILED_SWEEPS.values(), ids=_FAILED_SWEEPS)
+def test_sweep_that_cannot_be_solved_is_numerical_failure(capsys, argv, cause):
+    assert run(["trajectory", "--chain", "semi", *argv]) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {cause}\n")
+
+
 def test_selfenergy_that_is_not_finite_is_numerical_failure(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -470,6 +491,13 @@ def test_model_file_with_an_inline_model_option_is_usage_error(tmp_path, capsys,
 
 
 ROOTS = ["roots", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
+
+
+def last_option(argv):
+    """The last option of argv and its value, given as --opt VALUE or --opt=VALUE."""
+    return argv[-1].split("=", 1) if argv[-1].startswith("--") else argv[-2:]
+
+
 EP_BOX = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
           "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
 PROBE = ["selfenergy", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5"]
@@ -483,14 +511,15 @@ SPECTRUM = ["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6", "--
     + [EP_BOX + ["--ep-tol", x] for x in ("nan", "0", "-1", "inf")]
     + [PROBE + ["--re", "nan"], PROBE + ["--re", "inf"], PROBE + ["--re", "0.3", "--im", "nan"]]
     + [SPECTRUM + ["--omega-max", "inf"], SPECTRUM + ["--omega-min", "nan"]]
-    + [SWEEP + ["--stop", "0.5", "--start", "nan"], SWEEP + ["--start", "0.1", "--stop", "inf"]],
-    ids=lambda argv: " ".join([argv[0]] + argv[-2:]),
+    + [SWEEP + ["--stop", "0.5", "--start", "nan"], SWEEP + ["--start", "0.1", "--stop", "inf"],
+       SWEEP + ["--stop", "0.2", "--start=-inf"]],
+    ids=lambda argv: " ".join([argv[0], *last_option(argv)]),
 )
 def test_bad_number_is_usage_error(capsys, argv):
     # a tolerance must be positive and finite, and a coordinate finite: not an EP list
     # emptied by a nan tolerance, a failed |eta| gate, or a row of nan
     assert run(argv) == 2
-    assert f"argument {argv[-2]}: need a finite number" in capsys.readouterr().err
+    assert f"argument {last_option(argv)[0]}: need a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -593,6 +622,26 @@ def test_spectrum_refused_for_one_path_writes_neither(tmp_path, capsys, out, lin
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
     assert old.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "paths, error",
+    [(["--out", "a.csv", "--lines-out", "a.csv"],
+      "--lines-out a.csv is the --out file a.csv, so the lines would overwrite the curve"),
+     (["--out", "a.csv", "--lines-out", "./a.csv"],
+      "--lines-out ./a.csv is the --out file a.csv, so the lines would overwrite the curve"),
+     (["--format", "json", "--out", "a.json", "--lines-out", "a.csv"],
+      "--lines-out takes no --format json, whose output holds the lines itself")],
+    ids=["same-path", "same-file", "json"],
+)
+def test_spectrum_lines_out_that_would_lose_output_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                                   paths, error):
+    # the lines written over the curve, or a side file that JSON output never writes:
+    # refused, and neither path is written
+    monkeypatch.chdir(tmp_path)
+    assert run([*SPECTRUM, *paths]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_is_not_a_usage_error(monkeypatch):
@@ -839,16 +888,30 @@ def expect_trajectory(fmt, tmp_path):
     return argv, table(fmt, ["param", "branch", "re_z", "im_z"], rows, json_only)
 
 
-def expect_ep(fmt, tmp_path):
-    model = ChainModel.semi_infinite(4, -0.5, 0.2)
-    results = scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0))  # each EP as the scan polished it
+def expect_ep(fmt, tmp_path, n_d=4, g_range=("0.1", "0.25"), ed_range=("-0.8", "0")):
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
+    # each EP as the scan polished it
+    results = scan_for_ep_seeds(model, tuple(map(float, g_range)), tuple(map(float, ed_range)))
     assert results
     header = ["g", "ed", "re_z", "im_z", "res_eta", "res_etaprime"]
     rows = [
         [r.g, r.e_d, r.z.real, r.z.imag, r.residual_eta, r.residual_eta_prime] for r in results
     ]
-    argv = ["ep", *SEMI, "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"]
+    argv = ["ep", "--chain", "semi", "--nd", str(n_d), "--g", "0.2", "--ed", "-0.5",
+            "--g-range", *g_range, "--ed-range", *ed_range]
     return argv, table(fmt, header, rows)
+
+
+def expect_ep_wide(fmt, tmp_path):
+    # both EPs of n_d = 4, mirror images in e_d
+    return expect_ep(fmt, tmp_path, g_range=("0.01", "0.5"), ed_range=("-1.5", "1.5"))
+
+
+def expect_ep_axis(fmt, tmp_path):
+    # the one EP of n_d = 3 in this box, on the e_d = 0 line
+    (ep,) = scan_for_ep_seeds(ChainModel.semi_infinite(3, -0.5, 0.2), (0.02, 0.5), (-0.95, 0.95))
+    assert abs(ep.e_d) <= 1e-12
+    return expect_ep(fmt, tmp_path, n_d=3, g_range=("0.02", "0.5"), ed_range=("-0.95", "0.95"))
 
 
 def expect_selfenergy(fmt, tmp_path):
@@ -867,7 +930,7 @@ def expect_selfenergy(fmt, tmp_path):
 @pytest.mark.parametrize(
     "expect",
     [expect_roots, expect_roots_seeds, expect_bic, expect_spectrum, expect_spectrum_photon_axis,
-     expect_trajectory, expect_ep, expect_selfenergy],
+     expect_trajectory, expect_ep, expect_ep_wide, expect_ep_axis, expect_selfenergy],
 )
 def test_output_bytes_match_cell_by_cell_formatting(tmp_path, fmt, expect):
     argv, text, *side = expect(fmt, tmp_path)
@@ -895,6 +958,94 @@ def test_negative_zero_is_written_as_zero(tmp_path, sheet):
     assert "-0" not in row.values()
     assert run(argv + ["--format", "json", "--out", str(out)]) == 0
     assert "-0.0" not in out.read_text()
+
+
+# Runs at the edges of the model space, as --out FILE: each output, and a CSV spectrum's
+# FILE.lines.csv, holds no nan cell, and a JSON one is exactly json.dumps(indent=2,
+# sort_keys=True).  The expected number of data rows, where it is fixed, or one data line
+# the output must hold.
+_EDGE_RUNS = {
+    # a bound state 1.4e-6 above the band edge passes the census at 1e-9 and gets its norm from its w
+    "roots:loose-root-tol": (["roots", "--chain", "infinite", "--ed", "-0.5", "--g", "0.05",
+                              "--root-tol", "1e-9"], 4),
+    # an in-band pair whose width rounds to 0 in z: one resonance, one anti-resonance
+    "roots:narrow-pair": (["roots", "--chain", "semi", "--nd", "11", "--ed", "0.14237",
+                           "--g", "4.5e-6"], 12),
+    "roots:near-bic": (["roots", "--chain", "semi", "--nd", "3", "--g", "0.2", "--ed", "0.499999999",
+                        "--antiresonances", "--format", "json"], None),
+    # Omega = 0 is the exact BIC pole of n_d = 2 at e_d = 0: its weight is a line, and the curve
+    # there is 0, not the 0/0 of the Green's function
+    "spectrum:bic-pole": (["spectrum", "--chain", "semi", "--nd", "2", "--g", "0.2", "--ed", "0",
+                           "--points", "3"], "0,0,0"),
+    "spectrum:far": (["spectrum", *SEMI, "--omega-min=-1e200", "--omega-max", "1e200",
+                      "--points", "3"], 3),
+    "spectrum:bound": (["spectrum", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-1.6",
+                        "--points", "3"], 3),
+    # at bench size
+    "spectrum:20001-json": (["spectrum", "--chain", "infinite", "--g", "0.2", "--ed", "-0.6",
+                             "--points", "20001", "--format", "json"], 20001),
+    "trajectory:readme": ([*SWEEP, "--start", "-0.999", "--stop", "0.999", "--steps", "401"], 3 * 401),
+    "trajectory:readme-json": ([*SWEEP, "--start", "-0.999", "--stop", "0.999", "--steps", "401",
+                                "--format", "json"], 3 * 401),
+    # a branch that meets two real-axis EPs and must not jump to a distant root
+    "trajectory:two-eps": (["trajectory", "--chain", "semi", "--nd", "2", "--v", "0.7", "--g", "0.1",
+                            "--ed", "0.907", "--parameter", "g", "--start", "0.02", "--stop", "0.63",
+                            "--steps", "201"], 201),
+    # 1e-7 above a BIC e_d: branch (i) starts on the real axis, marked bic
+    "trajectory:bic-start": (["trajectory", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "0",
+                              "--start=-0.7071066811865476", "--stop=-0.7071064811865476",
+                              "--steps", "5", "--format", "json"], None),
+    # a trace starts from its own census: band-edge bound states no branch links to
+    "trajectory:band-edge-start": (["trajectory", "--chain", "infinite", "--g", "0.2", "--ed", "0.05",
+                                    "--parameter", "g", "--start", "0.02", "--stop", "0.4",
+                                    "--steps", "201"], 201),
+    # weak coupling at n_d = 24: the values between anchors start from their anchor's roots
+    "trajectory:weak-n_d=24": (["trajectory", "--chain", "semi", "--nd", "24", "--ed", "0.3",
+                                "--g", "0.2", "--parameter", "g", "--start", "1e-4", "--stop", "0.4",
+                                "--steps", "301"], None),
+    # the bench's heaviest trace shape: its warm starts divide by p'(w) at the anchor's roots
+    "trajectory:n_d=12": (["trajectory", "--chain", "semi", "--nd", "12", "--g", "0.2", "--ed", "0",
+                           "--start", "-0.999", "--stop", "0.999", "--steps", "401"], None),
+    # 17 blocks of whole anchor intervals, each solved and linked on its own
+    "trajectory:n_d=64": (["trajectory", "--chain", "semi", "--nd", "64", "--g", "0.2", "--ed", "0",
+                           "--start", "-0.999", "--stop", "0.999", "--steps", "401"], None),
+    # from g = 0 there is no resonance to follow: the header alone
+    "trajectory:from-g=0": (["trajectory", *SEMI, "--parameter", "g", "--start", "0",
+                             "--stop", "0.3", "--steps", "31"], 0),
+    # at v = 1e-5 the one EP of the v = 1 model, at the same g v
+    "ep:small-v": (["ep", "--chain", "semi", "--nd", "4", "--ed", "-0.5", "--g", "20000",
+                    "--v", "1e-5", "--g-range", "10000", "25000", "--ed-range", "-0.8", "0"], 1),
+    # every EP of a box, each once
+    "ep:wide": ([*_EP, "--g-range", "0.01", "0.5", "--ed-range", "-1.5", "1.5"], 2),
+    "ep:axis": (["ep", "--chain", "semi", "--nd", "3", "--g", "0.2", "--ed", "-0.5",
+                 "--g-range", "0.02", "0.5", "--ed-range", "-0.95", "0.95"], 1),
+}
+
+
+def data_rows(text, fmt):
+    """The data rows of a CSV or JSON output, as text lines or parsed rows."""
+    if fmt == "csv":
+        return text.splitlines()[1:]
+    payload = json.loads(text)
+    return payload["rows"] if isinstance(payload, dict) else payload
+
+
+@pytest.mark.parametrize("name", _EDGE_RUNS)
+def test_edge_run_writes_no_nan(tmp_path, name):
+    argv, expect = _EDGE_RUNS[name]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    text, fmt = out.read_text(), "json" if "json" in argv else "csv"
+    lines = tmp_path / "out.lines.csv"
+    for written in (text, lines.read_text() if lines.exists() else ""):
+        # as a word: "resonance" in the class column is no nan
+        assert not re.search(r"\bnan\b", written, re.IGNORECASE)
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if isinstance(expect, int):
+        assert len(data_rows(text, fmt)) == expect
+    elif expect is not None:
+        assert expect in data_rows(text, fmt)
 
 
 # ------------------------------------------------------------ JSON writer
@@ -999,3 +1150,31 @@ def test_main_keeps_the_exit_code_and_stdout_of_run(capsys, python_child, argv, 
     assert child.stdout == out.encode()
     # argparse wraps its usage text to the terminal's width: compare the error line only
     assert child.stderr.splitlines()[-1:] == err.encode().splitlines()[-1:]
+
+
+# ------------------------------------------------------------------ SIMD builds
+# An EP's Newton runs on Python complex numbers, not numpy's SIMD kernels: the ep CSVs are
+# the same bytes with every SIMD target numpy dispatches to (AVX2, AVX-512, ...) disabled.
+
+_SIMD_TARGETS_IN_USE = """
+from numpy._core import _multiarray_umath as m
+print(sorted(f for f in m.__cpu_dispatch__ if m.__cpu_features__[f]))
+"""
+
+
+def test_ep_bytes_do_not_depend_on_simd_kernels(capsys, python_child):
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("the SIMD dispatch list is read from numpy._core, which needs numpy >= 2")
+    from numpy._core import _multiarray_umath
+
+    scalar = {"NPY_DISABLE_CPU_FEATURES": " ".join(_multiarray_umath.__cpu_dispatch__)}
+    # the setting takes: numpy then reports none of those targets in use
+    check = python_child("-c", _SIMD_TARGETS_IN_USE, env=scalar)
+    assert (check.returncode, check.stdout) == (0, b"[]\n"), check.stderr
+    # the README box and the wide box
+    for box in (["--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"],
+                ["--g-range", "0.01", "0.5", "--ed-range", "-1.5", "1.5"]):
+        assert run([*_EP, *box]) == 0
+        child = python_child("-m", "fanochain.cli", *_EP, *box, env=scalar)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == capsys.readouterr().out.encode()
