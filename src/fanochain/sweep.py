@@ -27,6 +27,11 @@ p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone, one point at a time, so it evaluates
 its rows by Horner's rule on Python complex numbers, not numpy arrays, each
 from its first nonzero coefficient.
+The EP scan seeds that Newton from the double roots along lines of fixed g,
+the roots of the elimination polynomial E_g = P D' - P' D of p = P + e_d D.
+On both chains P is even in w and D odd, so E_g is even, E_g(w) = F_g(w^2):
+it is solved as F_g, at half its degree, and each root u of F_g is folded
+back to the roots +-sqrt(u) of E_g.
 """
 
 from __future__ import annotations
@@ -369,23 +374,34 @@ def scan_for_ep_seeds(
     _w_rows), so on a line of fixed g the double roots of p are the roots
     w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
     and an EP is one with complex w and real e_d.  g^2 is g * g, as in
-    _census, and P and D are evaluated by _horner.  E_g is solved by
-    _w_roots on n_g evenly spaced lines, in blocks of at most
-    dispersion.SCAN_BLOCK / deg^2.  Each root with Im w < 0 is linked to
-    the nearest root of the next line (of a conjugate pair, the one with
-    Im w <= 0), and find_ep's Newton polishes each sign change of Im e_d
-    along a link, from the w on sheet II of the z where its linear
-    interpolation vanishes, on the nine rows of _ep_rows built once for
-    the scan.  A polish that fails or lands outside the box is dropped.
-    Lines at g = 0 (no coupling) and lines where E_g loses its leading
-    term (n_d = 1 at 4 g^2 v^2 = 1) are not solved, and their neighbours
-    are linked across them.  Where E_g loses its leading
-    term at g = 0 (the semi-infinite chain at n_d >= 2), its complex roots
-    come in from w = infinity as a power of g, so the first interval is
-    split further at g_1 / 2, g_1 / 4, ..., g_1 / 2^20 (g_1 the second
-    line), which moves them by a bounded factor per step; no EP below the
-    last is sought (further down, at n_d = 40 below g ~ 1e-11, the roots
-    of E_g lose their accuracy).  The infinite chain has no EP.
+    _census, and P and D are evaluated by _horner.  On both chains base and
+    d_g2 hold only even powers of w and d_ed only odd ones, so P D' and
+    P' D are even and E_g(w) = F_g(w^2) exactly: F_g, whose coefficients
+    are the even ones of E_g, has half its degree (n_d, or 3 on the
+    infinite chain).  F_g is solved by _w_roots on n_g evenly spaced lines,
+    in blocks of at most dispersion.SCAN_BLOCK / deg^2, and each root u is
+    folded back to w: of +-sqrt(u), h is the one with Im w <= 0, and the
+    line's roots are each h and -conj(h), the roots of E_g with each one
+    above the axis replaced by its conjugate.  A conjugate pair u, conj(u)
+    gives the two roots of E_g below the axis, each twice; a u > 0 its two
+    real roots; a u < 0 the root on the negative imaginary axis, twice and
+    with a real part of exactly 0, where the mirror EPs +-e_d of a pair
+    meet at e_d = 0.  Each root h with Im w < 0 (not its copies) is linked
+    to the nearest of the next line's roots, and find_ep's Newton
+    polishes each sign change of Im e_d along a link, from the w on sheet
+    II of the z where its linear interpolation vanishes, on the nine rows
+    of _ep_rows built once for the scan.  A polish that fails or lands
+    outside the box is dropped.  Lines at g = 0 (no coupling) and lines
+    where F_g loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not
+    solved, and their neighbours are linked across them.  Where F_g loses
+    its leading term at g = 0 (the semi-infinite chain at n_d >= 2), its
+    complex roots come in from w = infinity as a power of g, so the first
+    interval is split further at g_1 / 2, g_1 / 4, ..., g_1 / 2^20 (g_1
+    the second line), which moves them by a bounded factor per step; no EP
+    below the last is sought (at n_d = 40 the roots w of F_g keep 2e-16
+    relative accuracy down to g = 1e-13 and lose it by 1e-14, where
+    those of E_g solved in w lose it between 1e-10 and 1e-11).  The
+    infinite chain has no EP.
 
     Returns the EpResult of each EP in the box, as that Newton polished it: its
     g, e_d and z with its residuals |eta| and |eta'|, sorted by g, then
@@ -414,13 +430,14 @@ def scan_for_ep_seeds(
     # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
     e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
                        np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
-    e_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1]
+    # E_g is even in w, so F_g(u) = E_g(w) at u = w^2 takes its even coefficients
+    f_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1 : 2]
     g = np.linspace(g_range[0], g_range[1], n_g)
-    if e_rows[0, -1] == 0:
+    if f_rows[0, -1] == 0:
         split = g[1] * 0.5 ** np.arange(20, 0, -1)
         g = np.concatenate([g[:1], split[split > g[0]], g[1:]])
     g2 = g * g
-    coeffs = e_rows[0] + g2[:, None] * e_rows[1]
+    coeffs = f_rows[0] + g2[:, None] * f_rows[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = -coeffs[:, -2::-1] / coeffs[:, -1:]
     solved = (g > 0) & np.isfinite(top).all(axis=1)
@@ -428,10 +445,15 @@ def scan_for_ep_seeds(
     if len(g) < 2:
         return []
     block = _block_rows(coeffs.shape[1] - 1)
-    w = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
+    u = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
                         for i in range(0, len(g), block)])
-    lower = w.imag < 0
-    w = np.where(lower, w, w.conjugate())
+    # the roots +-sqrt(u) of E_g, folded below the axis: each root with Im w < 0 twice
+    # (from u and conj(u)), each real root once; only the first half's may bracket
+    s = np.sqrt(u.astype(complex))
+    half = np.where(s.imag > 0, -s, s)
+    w = np.concatenate([half, -half.conj()], axis=1)
+    lower = np.concatenate([half.imag < 0, np.zeros(half.shape, dtype=bool)], axis=1)
+    block = _block_rows(w.shape[1])
     nearest = np.concatenate([np.abs(w[1:][i : i + block, None] - w[:-1][i : i + block, :, None])
                               .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
     with np.errstate(all="ignore"):

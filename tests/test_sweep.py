@@ -1144,15 +1144,28 @@ def split_slope(model, ep):
 
 @pytest.mark.parametrize("n_d, g_ep", [(3, 0.21886216), (5, 0.16779810)])
 def test_scan_finds_the_ep_at_e_d_zero(n_d, g_ep):
-    # the pair coalesces on the imaginary w axis, where the mirror EPs +-e_d meet
+    # the pair coalesces on the imaginary w axis, where the mirror EPs +-e_d meet: a
+    # negative root u = w^2 of F_g seeds it exactly on the axis, and it stays there
     model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
-    seeds = [s for s in scan_for_ep_seeds(model, (0.02, 0.5), (-0.95, 0.95)) if abs(s.e_d) < 1e-12]
+    seeds = [s for s in scan_for_ep_seeds(model, (0.02, 0.5), (-0.95, 0.95)) if s.e_d == 0.0]
     (seed,) = seeds
     assert seed.g == pytest.approx(g_ep, abs=1e-8)
-    assert abs(seed.z.real) < 1e-12 and seed.z.imag < 0
+    assert seed.z.real == 0.0 and seed.z.imag < 0
     ep = find_ep(model, seed)
     assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
     assert split_slope(model, ep) == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("v, g_ep", [(0.7, 0.23971157208454885), (1.3, 0.12907546189168012)])
+def test_scan_keeps_the_axis_ep_at_the_box_edge(v, g_ep):
+    # the README box ends at e_d = 0, where the n_d = 5 chain has an EP on the imaginary
+    # axis: polished from a seed off the axis it can land at an e_d of order +1e-56,
+    # outside the box, and be dropped; the scan seeds it on the axis, where the polish
+    # keeps e_d = 0 and Re z = 0 exactly
+    model = ChainModel.semi_infinite(5, -0.5, 0.2, v=v)
+    axis = [ep for ep in scan_for_ep_seeds(model, (0.1, 0.25), (-0.8, 0.0)) if ep.e_d == 0.0]
+    assert [(ep.g, ep.z) for ep in axis] == [(g_ep, -0.1304544989993373j)]
+    assert axis[0].z.real == 0.0
 
 
 def test_scan_finds_both_eps_of_the_wide_box():
@@ -1165,8 +1178,9 @@ def test_scan_finds_both_eps_of_the_wide_box():
 
 def test_scan_from_g_zero_at_large_n_d():
     # the n_d - 2 EPs of adjacent resonance pairs, the lowest at g = 0.0068, below the
-    # second line: the halving split of the first interval finds them, and stops before
-    # the roots of E_g lose their accuracy (near g = 1e-11) and give spurious brackets
+    # second line: the halving split of the first interval finds them, and stops at
+    # g = 6.8e-8, above where the roots of F_g lose their accuracy (below g = 1e-13; those
+    # of E_g solved in w, below 1e-10) and would give spurious brackets
     model = ChainModel.semi_infinite(40, -0.5, 0.2)
     seeds = scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5), n_g=8)
     assert len({(round(s.g, 9), round(s.e_d, 9)) for s in seeds}) == len(seeds) == 38
@@ -1263,11 +1277,60 @@ def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
 def test_scan_blocks_match_single_block(box, block, monkeypatch):
     model, g_range, ed_range = SCAN_BOXES[box]
     n_g = 9  # a line at g = 0.5 in the n_d = 1 box
-    deg = 2 * model.n_d if model.is_semi_infinite else 6  # the degree of E_g
-    assert (n_g + 20) * deg**2 <= dispersion.SCAN_BLOCK  # one block by default, split lines included
+    deg = model.n_d if model.is_semi_infinite else 3  # the degree of F_g, E_g in u = w^2
+    assert (n_g + 20) * (2 * deg)**2 <= dispersion.SCAN_BLOCK  # one block by default, of lines and links
     seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g)
     monkeypatch.setattr(dispersion, "SCAN_BLOCK", block)
     assert scan_for_ep_seeds(model, g_range, ed_range, n_g) == seeds
+
+
+def e_g_rows(model):
+    """The rows E_0, E_1 of E_g = E_0 + g^2 E_1 = P D' - P' D, as the scan builds them."""
+    base, d_ed, d_g2, base1, d_ed1, d_g21 = sweep._ep_rows(model)[:6]
+    return np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
+                     np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
+
+
+@pytest.mark.parametrize("v", [1e-5, 0.7, 1.0, 1.3])
+def test_e_g_is_even_in_w(v):
+    # base and d_g2 hold only even powers of w and d_ed only odd ones, on both chains, so
+    # E_g = F_g(w^2) exactly: the scan solves F_g, at half E_g's degree
+    for model in [ChainModel.infinite(-0.5, 0.2, v=v)] + [
+            ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v) for n_d in range(1, 65)]:
+        rows = e_g_rows(model)
+        assert not rows[:, 1::2].any()
+        assert rows[:, ::2].any(axis=1).all()
+
+
+def test_scan_solves_its_lines_at_half_degree(monkeypatch):
+    # every eigvals call of a scan is a stack of (n_d, n_d) companion matrices of F_g, or
+    # (3, 3) on the infinite chain, not the (2 n_d, 2 n_d) ones of E_g
+    shapes, eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for n_d in (None, 1, 2, 4, 5, 12, 40):
+        model = ChainModel.semi_infinite(n_d, -0.5, 0.2) if n_d else ChainModel.infinite(-0.5, 0.2)
+        shapes.clear()
+        scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5))
+        deg = n_d or 3
+        assert shapes and all(len(s) == 3 and s[1:] == (deg, deg) for s in shapes)
+
+
+@pytest.mark.parametrize("v", [1.0, 0.7, 1.3])
+@pytest.mark.parametrize("n_d", [2, 3, 4, 5, 6, 8, 12, 16, 24, 40])
+def test_scan_of_a_box_symmetric_in_e_d_is_mirror_symmetric(n_d, v):
+    # p(-w; -e_d) = p(w; e_d), so each EP (g, e_d, z) comes with (g, -e_d, -conj(z)), and
+    # the scan finds both bit for bit: the roots u of F_g come in exact conjugate pairs,
+    # whose square roots below the axis are w and -conj(w); the axis EPs are their own mirrors
+    model = ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v)
+    for g_range, ed_range in [((0.02, 0.5), (-0.95, 0.95)), ((0.01, 0.5 / v), (-1.5, 1.5)),
+                              ((0.0, 0.5 / v), (-1.5, 1.5))]:
+        eps = {(ep.g, ep.e_d, ep.z) for ep in scan_for_ep_seeds(model, g_range, ed_range)}
+        assert eps == {(g, -e_d, -z.conjugate()) for g, e_d, z in eps}
 
 
 def test_scan_boxes_exercise_their_edge_cases():
