@@ -45,10 +45,12 @@ from .selfenergy import Sheet, SheetedEnergy, _sheeted_s, _sigma, self_energy, s
 #: Default acceptance threshold on |eta| at a reported root.
 ROOT_TOL = 1e-12
 
-#: Residual bound on |eta| and |eta'| at a reported exceptional point.
+#: Bound on |eta| and |eta'| at a reported exceptional point, and on a state's
+#: |eta'| = 1 / |N| below which it sits on one and its norm is refused.
 EP_TOL = 1e-10
 
-#: Two roots of one class closer than this are flagged near-degenerate.
+#: |dz| under which two roots are not told apart: near-degenerate states of one
+#: class, colliding trace branches, and, at an exact BIC e_d, a root and the BIC z = e_d.
 NEAR_DEGENERATE_TOL = 1e-6
 
 
@@ -376,10 +378,10 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
 
 #: Cap on rows * deg^2 for one batched solve of a trace (rows of p(w), of degree
 #: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of F_g, E_g in u = w^2:
-#: n_d, or 3; their links, between 2 n_d or 6 roots a line, are blocked at that degree).
+#: n_d, or 3, and their links, between the n_d or 3 roots u of each line).
 #: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
 #: the sweep, lines and n_d; a default scan from g = 0 (35 lines) solves its lines
-#: in one block up to n_d = 122, and links them in one up to n_d = 62.
+#: in one block up to n_d = 122, and links them (34 links) in one up to n_d = 124.
 #: A trace block is at least one anchor interval (_STRIDE + 1 values), more than the cap above n_d = 100.
 #: It also caps the coefficient planes of one _horner chunk at SCAN_BLOCK elements.
 SCAN_BLOCK = 2**19
@@ -529,7 +531,7 @@ def _census(model: ChainModel, e_d, g, sweep: str | None = None) -> _Census:
         # Impurity level exactly on a BIC: Sigma vanishes there, so the
         # conjugate pair on |w| = 1 is the one zero-width state z = e_d,
         # kept as its Im w < 0 member, the w a hand-built BIC state gets.
-        bic = np.abs(z - e_bic) < 1e-6
+        bic = np.abs(z - e_bic) < NEAR_DEGENERATE_TOL
         z = np.where(bic, e_bic, z)
         sheet_ii &= ~bic
         cls = np.where(bic, _BIC, cls)

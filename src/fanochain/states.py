@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dispersion import DiscreteState, StateClass, _rate_terms
+from .dispersion import EP_TOL, DiscreteState, StateClass, _rate_terms
 from .errors import FanochainError, NearExceptionalPointError
 from .model import ChainModel
-
-#: |1 - g^2 Sigma'| = |de_d/dz| below this counts as sitting on an exceptional point.
-EP_GUARD = 1e-10
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # an infinite or nan norm meets the guards
@@ -39,12 +36,12 @@ def _norms(model: ChainModel, states: list[DiscreteState]) -> list[complex]:
         minus_dp, slope = _rate_terms(model, "e_d", w, np.array([model.e_d]), np.array([model.g]))
         norms = ((w * w - 1.0) / (2.0 * w * w) * minus_dp / slope)[0].tolist()
     for s, n in zip(states, norms):
-        if abs(n) > 1 / EP_GUARD:
+        if abs(n) > 1 / EP_TOL:
             raise NearExceptionalPointError(
                 f"|1 - g^2 Sigma'| = {1 / abs(n):.3e} at z = {s.z}: "
                 "normalization constant diverges at the exceptional point"
             )
-        if not abs(n) <= 1 / EP_GUARD:
+        if not abs(n) <= 1 / EP_TOL:
             raise FanochainError(f"normalization constant {n} at z = {s.z} is not a number")
     return norms
 
@@ -58,7 +55,7 @@ def normalization(model: ChainModel, state: DiscreteState) -> complex:
     Raises
     ------
     NearExceptionalPointError
-        If |de_d/dz| = |1 - g^2 Sigma'| is smaller than EP_GUARD: the
+        If |de_d/dz| = |1 - g^2 Sigma'| is smaller than EP_TOL: the
         normalization constant diverges at an exceptional point.
     FanochainError
         For BIC-classified states (their convention is fixed separately) or a nan norm.

@@ -1,12 +1,11 @@
 """Trajectory tracing and exceptional-point location.
 
-A trajectory solves its sweep as one stack of dispersion polynomials p(w)
-(the batched census of the EP scan in sweep mode): every 12th value by
-its companion matrix, and each value between from its anchor's roots,
-moved by their second-order Taylor step w + w' dq + w'' dq^2 / 2 and
-Newton-polished on p, wherever the result is certified (pairwise
-disjoint inclusion discs, one root in each), else by its companion
-matrix too.  It then links each branch from one value
+A trajectory solves its sweep as one stack of dispersion polynomials p(w):
+every 12th value by its companion matrix, and each value between from its
+anchor's roots, moved by their second-order Taylor step
+w + w' dq + w'' dq^2 / 2 and Newton-polished on p, wherever the result is
+certified (pairwise disjoint inclusion discs, one root in each), else by
+its companion matrix too.  It then links each branch from one value
 to the next in w, where both sheets form one plane and roots move
 continuously through the band: to the root nearest its Euler prediction,
 with dw/dq = -(dp/dq)/p'(w) read off p in closed form (in z this is the
@@ -30,8 +29,8 @@ from its first nonzero coefficient.
 The EP scan seeds that Newton from the double roots along lines of fixed g,
 the roots of the elimination polynomial E_g = P D' - P' D of p = P + e_d D.
 On both chains P is even in w and D odd, so E_g is even, E_g(w) = F_g(w^2):
-it is solved as F_g, at half its degree, and each root u of F_g is folded
-back to the roots +-sqrt(u) of E_g.
+it is solved and linked line to line as F_g, at half its degree, each root
+u standing for its root +-sqrt(u) of E_g with Im w <= 0.
 """
 
 from __future__ import annotations
@@ -43,15 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, ROOT_TOL, roman_label
+from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, NEAR_DEGENERATE_TOL, ROOT_TOL, roman_label
 from .dispersion import _Census, _block_rows, _census, _check_tol, _derivative, _halves, _horner
 from .dispersion import _rate_terms, _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
 from .errors import ConvergenceError, FanochainError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
-
-#: Two corrected branches closer than this are flagged as colliding.
-COLLISION_TOL = 1e-6
 
 class TrajectoryPoint(NamedTuple):
     """One sampled point of one branch (a named tuple: immutable, equal by fields)."""
@@ -124,7 +120,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
     larger |w|.  Every point, a branch's first included, is made by one
     rule: within 1e-12 of the axis it is pinned to it, and marked bic if
     it lies inside the band (|Re z| < 1); branches closer than
-    COLLISION_TOL are marked collision; and crossed_axis is False where
+    NEAR_DEGENERATE_TOL are marked collision; and crossed_axis is False where
     no link leads in.
 
     The census of the sweep is not audited as discrete_states audits a
@@ -208,7 +204,7 @@ def trace(model: ChainModel, parameter: str, values, root_tol: float = ROOT_TOL)
         pinned = np.abs(zs.imag) <= 1e-12
         zs = np.where(pinned, zs.real, zs)
         bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
-        collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
+        collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < NEAR_DEGENERATE_TOL).sum(axis=-1) > 1
         points.append((zs, bic, collision, crossed))
 
     columns = zip(*(np.concatenate(x).T.tolist() for x in zip(*points)))
@@ -291,7 +287,9 @@ def find_ep(
         If ep_tol is not a positive finite number.
     ConvergenceError
         If Newton does not settle within max_iter steps or meets a singular
-        system, or settles at g^2 <= 0 or with a residual not below ep_tol.
+        system, or settles at g^2 <= 0, with a residual not below ep_tol, or
+        on the real w axis (|Im w| <= 1e-12 |w|), where each w is a double
+        real root at some real (e_d, g^2).
         The trace holds (z, g^2(w), e_d(w)) at each iterate.
     """
     _check_tol("ep_tol", ep_tol)
@@ -318,6 +316,7 @@ def _descending(rows: np.ndarray) -> list:
 def _ep_newton(model: ChainModel, desc: list, w: complex, ep_tol: float, max_iter: int) -> EpResult:
     """find_ep's Newton from w, on the nine rows of _ep_rows as _descending gives them,
     each evaluated by Horner's rule on Python complex numbers."""
+    resolution = 1e-12  # relative to |w|: a step that settles, and an Im w on the real axis
     trace_pts = []
     settled = False
     for _ in range(max_iter):
@@ -343,10 +342,12 @@ def _ep_newton(model: ChainModel, desc: list, w: complex, ep_tol: float, max_ite
             raise ConvergenceError(f"singular EP Newton step at w = {w}", trace=trace_pts)
         step = (g2.imag * de.conjugate() - e_d.imag * dg2.conjugate()) / den
         w += step
-        settled = abs(step) <= 1e-12 * abs(w)
+        settled = abs(step) <= resolution * abs(w)
     else:
         raise ConvergenceError(f"EP Newton unsettled after {max_iter} steps", trace=trace_pts)
 
+    if abs(w.imag) <= resolution * abs(w):  # each real w is a double root at a real (e_d, g^2)
+        raise ConvergenceError(f"EP Newton settled on the real w axis at w = {w}", trace=trace_pts)
     if not g2.real > 0:
         raise ConvergenceError(f"EP Newton settled at g^2 = {g2.real} <= 0", trace=trace_pts)
     w = w.conjugate() if w.imag > 0 else w  # the resonance pair's EP, at the same g and e_d
@@ -380,17 +381,15 @@ def scan_for_ep_seeds(
     are the even ones of E_g, has half its degree (n_d, or 3 on the
     infinite chain).  F_g is solved by _w_roots on n_g evenly spaced lines,
     in blocks of at most dispersion.SCAN_BLOCK / deg^2, and each root u is
-    folded back to w: of +-sqrt(u), h is the one with Im w <= 0, and the
-    line's roots are each h and -conj(h), the roots of E_g with each one
-    above the axis replaced by its conjugate.  A conjugate pair u, conj(u)
-    gives the two roots of E_g below the axis, each twice; a u > 0 its two
-    real roots; a u < 0 the root on the negative imaginary axis, twice and
-    with a real part of exactly 0, where the mirror EPs +-e_d of a pair
-    meet at e_d = 0.  Each root h with Im w < 0 (not its copies) is linked
-    to the nearest of the next line's roots, and find_ep's Newton
+    linked to the nearest root u of the next line.  A u stands for its root
+    w = +-sqrt(u) of E_g with Im w <= 0: a conjugate pair u, conj(u) for
+    the mirror roots w, -conj(w), linked as mirrors since
+    |conj(u) - conj(u')| = |u - u'|; a u < 0 for a w on the negative
+    imaginary axis, where mirror EPs +-e_d meet at e_d = 0; a u > 0 for a
+    real w, whose e_d is real, so it brackets nothing.  find_ep's Newton
     polishes each sign change of Im e_d along a link, from the w on sheet
-    II of the z where its linear interpolation vanishes, on the nine rows
-    of _ep_rows built once for the scan.  A polish that fails or lands
+    II of the z where its linear interpolation in w vanishes, on the nine
+    rows of _ep_rows built once for the scan.  A polish that fails or lands
     outside the box is dropped.  Lines at g = 0 (no coupling) and lines
     where F_g loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not
     solved, and their neighbours are linked across them.  Where F_g loses
@@ -447,21 +446,17 @@ def scan_for_ep_seeds(
     block = _block_rows(coeffs.shape[1] - 1)
     u = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
                         for i in range(0, len(g), block)])
-    # the roots +-sqrt(u) of E_g, folded below the axis: each root with Im w < 0 twice
-    # (from u and conj(u)), each real root once; only the first half's may bracket
-    s = np.sqrt(u.astype(complex))
-    half = np.where(s.imag > 0, -s, s)
-    w = np.concatenate([half, -half.conj()], axis=1)
-    lower = np.concatenate([half.imag < 0, np.zeros(half.shape, dtype=bool)], axis=1)
-    block = _block_rows(w.shape[1])
-    nearest = np.concatenate([np.abs(w[1:][i : i + block, None] - w[:-1][i : i + block, :, None])
+    nearest = np.concatenate([np.abs(u[1:][i : i + block, None] - u[:-1][i : i + block, :, None])
                               .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
+    # of the roots +-sqrt(u) of E_g, the one with Im w <= 0
+    w = np.sqrt(u.astype(complex))
+    w = np.where(w.imag > 0, -w, w)
     with np.errstate(all="ignore"):
         e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / _horner(d_ed[None, ::-1], w)
         line = np.arange(len(w) - 1)[:, None]
         w1, e1 = w[1:][line, nearest], e_d[1:][line, nearest]
         a, b = e_d[:-1].imag, e1.imag
-        k, j = np.nonzero(lower[:-1] & (np.sign(a) * np.sign(b) < 0))
+        k, j = np.nonzero(np.sign(a) * np.sign(b) < 0)
         w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
         z0 = 0.5 * (w0 + 1.0 / w0)
     eps, desc = [], _descending(rows)

@@ -37,12 +37,12 @@ from fanochain import dispersion, sweep
 from fanochain.dispersion import _ANTIRESONANCE, _BACKWARD_ERROR, _BOUND_I, _BOUND_II, _HORNER_ROUNDING
 from fanochain.dispersion import _RESONANCE, _WARM_ROUNDS, ROOT_TOL, DiscreteState, StateClass, _horner
 from fanochain.dispersion import _derivative, _rate_terms, _residual, _w_coefficients, _w_rows
-from fanochain.dispersion import discrete_states, eta, eta_deriv, roman_label
+from fanochain.dispersion import NEAR_DEGENERATE_TOL, discrete_states, eta, eta_deriv, roman_label
 from fanochain.errors import BranchPointError, ConvergenceError, FanochainError, ModelError
 from fanochain.model import ChainModel
 from fanochain.selfenergy import Sheet, SheetedEnergy, _sigma, _sigma_at, self_energy, self_energy_deriv
 from fanochain.selfenergy import sqrt_branch
-from fanochain.sweep import COLLISION_TOL, EP_TOL, EpResult, Trajectory, TrajectoryBranch
+from fanochain.sweep import EP_TOL, EpResult, Trajectory, TrajectoryBranch
 from fanochain.sweep import TrajectoryPoint, find_ep
 
 
@@ -425,7 +425,7 @@ def trace_by_continuation(
         ]
         for i in range(len(new_points)):
             for j in range(i + 1, len(new_points)):
-                if abs(new_points[i].z - new_points[j].z) < COLLISION_TOL:
+                if abs(new_points[i].z - new_points[j].z) < NEAR_DEGENERATE_TOL:
                     new_points[i] = new_points[i]._replace(collision=True)
                     new_points[j] = new_points[j]._replace(collision=True)
         for br, pt in zip(branches, new_points):
@@ -690,7 +690,7 @@ def trace_by_loop(model: ChainModel, parameter: str, values, root_tol: float = R
     pinned = np.abs(zs.imag) <= 1e-12
     zs = np.where(pinned, zs.real, zs)
     bic = pinned & (np.abs(zs.real) < 1.0)  # a pinned point outside the band is a virtual state
-    collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < COLLISION_TOL).sum(axis=-1) > 1
+    collision = (np.abs(zs[:, :, None] - zs[:, None, :]) < NEAR_DEGENERATE_TOL).sum(axis=-1) > 1
     columns = zip(zs.T.tolist(), bic.T.tolist(), collision.T.tolist(), zip(*crossed))
     point = TrajectoryPoint._make
     branches = [

@@ -1009,6 +1009,20 @@ def test_find_ep_bad_seed_raises():
         find_ep(ChainModel.infinite(-0.5, 0.2), (0.2, -0.5, 0j))
 
 
+def test_find_ep_refuses_a_double_root_on_the_real_axis():
+    # on the real w axis e_d(w) and g^2(w) are real at every w, so Newton from this seed
+    # settles at an arbitrary double real root (w = 1.40275, g = 5.0e-05), not an EP
+    m = ChainModel.semi_infinite(20, -0.5, 0.2, v=1.3)
+    with pytest.raises(ConvergenceError, match="settled on the real w axis") as info:
+        find_ep(m, (0.2, -0.5, -0.8773 - 0.0127j))
+    assert info.value.trace
+    # the README EP, off the axis, still polishes
+    m = ChainModel.semi_infinite(4, -0.4, 0.17)
+    ep = find_ep(m, (0.17, -0.4, -0.41 - 0.15j))
+    assert ep.g == pytest.approx(EP_G, abs=1e-3) and ep.e_d == pytest.approx(-EP_ED, abs=1e-3)
+    assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+
+
 # ------------------------------------------------------------------- EP scan
 
 
@@ -1051,6 +1065,21 @@ def test_scan_empty_ranges():
     for n_g in (0, 1):  # one line brackets nothing
         with pytest.raises(ModelError):
             scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
+
+
+@pytest.mark.parametrize("model, g_range, ed_range", [
+    # the line at g = 0 (no coupling) is not solved, which leaves one
+    (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99)),
+    # nor is the line at g = 0.5, where F_g loses its leading term (4 g^2 v^2 = 1)
+    (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 0.5), (-1.2, 1.2)),
+], ids=["infinite", "n_d=1"])
+def test_scan_with_fewer_than_two_solvable_lines_is_empty(model, g_range, ed_range, monkeypatch):
+    # fewer than two lines leave no link to bracket an EP along, so none is solved
+    def unsolved(*args):
+        raise AssertionError("a line was solved")
+
+    monkeypatch.setattr(sweep, "_w_roots", unsolved)
+    assert scan_for_ep_seeds(model, g_range, ed_range, n_g=2) == []
 
 
 def test_scan_refuses_equal_g_ends_even_at_an_ep():
@@ -1272,13 +1301,32 @@ def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
         assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
+def test_scan_drops_an_ep_whose_polish_fails(monkeypatch):
+    model, g_range, ed_range = SCAN_BOXES["n_d=12"]
+    every = scan_for_ep_seeds(model, g_range, ed_range)
+    seeds, newton = [], sweep._ep_newton
+
+    def polish(*args):
+        seeds.append(args)
+        if len(seeds) == 1:
+            raise ConvergenceError("refused")
+        return newton(*args)
+
+    monkeypatch.setattr(sweep, "_ep_newton", polish)
+    got = scan_for_ep_seeds(model, g_range, ed_range)
+    assert len(seeds) == len(every) > 1
+    dropped = newton(*seeds[0])
+    assert dropped in every
+    assert got == [ep for ep in every if ep != dropped]
+
+
 @pytest.mark.parametrize("box", SCAN_BOXES)
 @pytest.mark.parametrize("block", [1, 100, 1000])
 def test_scan_blocks_match_single_block(box, block, monkeypatch):
     model, g_range, ed_range = SCAN_BOXES[box]
     n_g = 9  # a line at g = 0.5 in the n_d = 1 box
     deg = model.n_d if model.is_semi_infinite else 3  # the degree of F_g, E_g in u = w^2
-    assert (n_g + 20) * (2 * deg)**2 <= dispersion.SCAN_BLOCK  # one block by default, of lines and links
+    assert (n_g + 20) * deg**2 <= dispersion.SCAN_BLOCK  # one block by default, of lines and links
     seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g)
     monkeypatch.setattr(dispersion, "SCAN_BLOCK", block)
     assert scan_for_ep_seeds(model, g_range, ed_range, n_g) == seeds
