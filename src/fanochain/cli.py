@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ed-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument(
         "--ep-tol", type=_number(float, 0), default=EP_TOL,
-        help="bound on |eta| and |eta'| of an EP; only tightens, as the scan drops any past %(default)s",
+        help="bound on |eta| and |eta'| of an EP; only tightens, as every EP the scan returns is below "
+             "%(default)s",
     )
 
     p = _add_command(sub, "selfenergy", "pointwise self-energy probe")

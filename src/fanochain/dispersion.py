@@ -377,11 +377,9 @@ def _rate_terms(model: ChainModel, parameter: str, w: np.ndarray, e_d: np.ndarra
 
 
 #: Cap on rows * deg^2 for one batched solve of a trace (rows of p(w), of degree
-#: 2 n_d, or 4 for the infinite chain) or of an EP scan (lines of F_g, E_g in u = w^2:
-#: n_d, or 3, and their links, between the n_d or 3 roots u of each line).
+#: 2 n_d, or 4 for the infinite chain).
 #: Each holds several (rows, deg, deg) arrays, so this bounds the memory whatever
-#: the sweep, lines and n_d; a default scan from g = 0 (35 lines) solves its lines
-#: in one block up to n_d = 122, and links them (34 links) in one up to n_d = 124.
+#: the sweep and n_d.
 #: A trace block is at least one anchor interval (_STRIDE + 1 values), more than the cap above n_d = 100.
 #: It also caps the coefficient planes of one _horner chunk at SCAN_BLOCK elements.
 SCAN_BLOCK = 2**19

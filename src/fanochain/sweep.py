@@ -26,11 +26,10 @@ p = p' = 0 gives both in closed form at every w, and the EP is the w where
 both come out real: Newton in w alone, one point at a time, so it evaluates
 its rows by Horner's rule on Python complex numbers, not numpy arrays, each
 from its first nonzero coefficient.
-The EP scan seeds that Newton from the double roots along lines of fixed g,
-the roots of the elimination polynomial E_g = P D' - P' D of p = P + e_d D.
-On both chains P is even in w and D odd, so E_g is even, E_g(w) = F_g(w^2):
-it is solved and linked line to line as F_g, at half its degree, each root
-u standing for its root +-sqrt(u) of E_g with Im w <= 0.
+The EP census seeds that Newton in closed form, once in each gap between
+adjacent BIC energies, where each of the semi-infinite chain's n_d - 2 EPs
+lies (measured, and certified on every call); the EP scan of a box is
+that census, filtered by the box.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, NEAR_DEGENERATE_TOL, ROOT_TOL, roman_label
-from .dispersion import _Census, _block_rows, _census, _check_tol, _derivative, _halves, _horner
-from .dispersion import _rate_terms, _residual, _sweep_blocks, _w_coefficients, _w_roots, _w_rows
-from .errors import ConvergenceError, FanochainError, ModelError
+from .dispersion import _BOUND_I, _BOUND_II, _RESONANCE, EP_TOL, NEAR_DEGENERATE_TOL, ROOT_TOL
+from .dispersion import _Census, _census, _check_tol, _derivative, _halves, _rate_terms, _residual
+from .dispersion import _sweep_blocks, _w_coefficients, _w_rows, bic_energies, roman_label
+from .errors import ConvergenceError, ModelError
 from .model import ChainModel
 from .selfenergy import Sheet, SheetedEnergy, _sigma_at, sqrt_branch
 
@@ -268,9 +267,10 @@ def find_ep(
 
     p is linear in (e_d, g^2), so at a double root p = p' = 0 gives both in
     closed form, e_d(w) and g^2(w), and differentiating p' = 0 gives their
-    w-derivatives from p''.  The seed is an EpResult, as scan_for_ep_seeds
-    returns it, or a (g, e_d, z) sequence.  Newton in w alone, from the
-    seed's z on sheet II (its g and e_d are not used), drives
+    w-derivatives from p''.  The seed is an EpResult, a member of the EP
+    census as scan_for_ep_seeds returns it, or a (g, e_d, z) sequence.
+    Newton in w alone, from the seed's z on sheet II (its g and e_d are not
+    used), drives
     Im e_d(w) = Im g^2(w) = 0 until the step is below 1e-12 |w|.  Each step
     evaluates the nine rows of _ep_rows at w by Horner's rule on Python
     complex numbers, whose IEEE products and sums no SIMD build of numpy
@@ -371,100 +371,78 @@ def scan_for_ep_seeds(
 ) -> list[EpResult]:
     """Every exceptional point of a resonance pair in the box, each once.
 
-    p = P + e_d D with P = base + g^2 d_g2 and D = d_ed (the rows of
-    _w_rows), so on a line of fixed g the double roots of p are the roots
-    w of the real polynomial E_g = P D' - P' D, at e_d(w) = -P(w) / D(w),
-    and an EP is one with complex w and real e_d.  g^2 is g * g, as in
-    _census, and P and D are evaluated by _horner.  On both chains base and
-    d_g2 hold only even powers of w and d_ed only odd ones, so P D' and
-    P' D are even and E_g(w) = F_g(w^2) exactly: F_g, whose coefficients
-    are the even ones of E_g, has half its degree (n_d, or 3 on the
-    infinite chain).  F_g is solved by _w_roots on n_g evenly spaced lines,
-    in blocks of at most dispersion.SCAN_BLOCK / deg^2, and each root u is
-    linked to the nearest root u of the next line.  A u stands for its root
-    w = +-sqrt(u) of E_g with Im w <= 0: a conjugate pair u, conj(u) for
-    the mirror roots w, -conj(w), linked as mirrors since
-    |conj(u) - conj(u')| = |u - u'|; a u < 0 for a w on the negative
-    imaginary axis, where mirror EPs +-e_d meet at e_d = 0; a u > 0 for a
-    real w, whose e_d is real, so it brackets nothing.  find_ep's Newton
-    polishes each sign change of Im e_d along a link, from the w on sheet
-    II of the z where its linear interpolation in w vanishes, on the nine
-    rows of _ep_rows built once for the scan.  A polish that fails or lands
-    outside the box is dropped.  Lines at g = 0 (no coupling) and lines
-    where F_g loses its leading term (n_d = 1 at 4 g^2 v^2 = 1) are not
-    solved, and their neighbours are linked across them.  Where F_g loses
-    its leading term at g = 0 (the semi-infinite chain at n_d >= 2), its
-    complex roots come in from w = infinity as a power of g, so the first
-    interval is split further at g_1 / 2, g_1 / 4, ..., g_1 / 2^20 (g_1
-    the second line), which moves them by a bounded factor per step; no EP
-    below the last is sought (at n_d = 40 the roots w of F_g keep 2e-16
-    relative accuracy down to g = 1e-13 and lose it by 1e-14, where
-    those of E_g solved in w lose it between 1e-10 and 1e-11).  The
-    infinite chain has no EP.
+    The members of the chain's EP census (_ep_census) that lie in the box,
+    g_range[0] <= g <= g_range[1] and ed_range[0] <= e_d <= ed_range[1]:
+    the semi-infinite chain has n_d - 2 EPs, one in each gap between
+    adjacent BIC energies -cos(pi k / n_d), and the infinite chain and
+    n_d <= 2 have none.  That count is measured (n_d 3 to 256), not
+    derived: the census enforces it by its gap certificate, and raises
+    where it fails, so no EP is dropped silently.  n_g and n_ed are not
+    used; callers still pass them.
 
-    Returns the EpResult of each EP in the box, as that Newton polished it: its
-    g, e_d and z with its residuals |eta| and |eta'|, sorted by g, then
-    e_d.  n_ed is not used; callers still pass it.
+    Returns the EpResult of each EP in the box, as find_ep's Newton polished
+    it: its g, e_d and z with its residuals |eta| and |eta'|, sorted by g,
+    then e_d.
 
     Raises
     ------
     ModelError
-        If n_g < 2, if the model at either box corner, (g_range[0], ed_range[0])
-        or (g_range[1], ed_range[1]), is invalid, or then if either range is
-        reversed, or if g_range has equal ends (its lines would all be one g;
-        equal ed_range ends are valid).
+        If the model at either box corner, (g_range[0], ed_range[0]) or
+        (g_range[1], ed_range[1]), is invalid, or then if either range is
+        reversed, or if g_range has equal ends (equal ed_range ends are valid).
+    ConvergenceError
+        If the census fails its certificate (_ep_census).
     """
-    if n_g < 2:
-        raise ModelError(f"need at least two g lines, got n_g = {n_g}")
     model.with_params(g=g_range[0], e_d=ed_range[0])
     model.with_params(g=g_range[1], e_d=ed_range[1])
     for name, (lo, hi) in (("g_range", g_range), ("ed_range", ed_range)):
         if lo > hi:
             raise ModelError(f"{name} ({lo:g}, {hi:g}) is reversed: its low end is above its high end")
     if g_range[0] == g_range[1]:
-        raise ModelError(f"g_range ({g_range[0]:g}, {g_range[1]:g}) has equal ends, "
-                         f"so its {n_g} lines would repeat one g")
-    rows = _ep_rows(model)
-    base, d_ed, d_g2, base1, d_ed1, d_g21 = rows[:6]
-    # E_g = E_0 + g^2 E_1, up to the highest power of w either holds
-    e_rows = np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
-                       np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
-    # E_g is even in w, so F_g(u) = E_g(w) at u = w^2 takes its even coefficients
-    f_rows = e_rows[:, : np.flatnonzero(e_rows.any(axis=0)).max() + 1 : 2]
-    g = np.linspace(g_range[0], g_range[1], n_g)
-    if f_rows[0, -1] == 0:
-        split = g[1] * 0.5 ** np.arange(20, 0, -1)
-        g = np.concatenate([g[:1], split[split > g[0]], g[1:]])
-    g2 = g * g
-    coeffs = f_rows[0] + g2[:, None] * f_rows[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    solved = (g > 0) & np.isfinite(top).all(axis=1)
-    g, g2, coeffs, top = g[solved], g2[solved], coeffs[solved], top[solved]
-    if len(g) < 2:
+        raise ModelError(f"g_range ({g_range[0]:g}, {g_range[1]:g}) has equal ends")
+    eps = [ep for ep in _ep_census(model)
+           if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]]
+    return sorted(eps, key=lambda ep: (ep.g, ep.e_d))
+
+
+def _ep_census(model: ChainModel) -> list[EpResult]:
+    """The chain's EPs of resonance pairs, one in each gap between adjacent BIC energies.
+
+    Gap k = 1 .. n_d - 2 lies between -cos(pi k / n_d) and
+    -cos(pi (k + 1) / n_d) (bic_energies), and its EP is polished by
+    _ep_newton from the closed-form seed z_k = -cos t - 0.64i sin t / n_d,
+    t = pi (k + 1/2) / n_d, on sheet II, on the nine rows of _ep_rows built
+    once.  p(-w; -e_d) = p(w; e_d), so the seeds of the upper half are the
+    exact mirrors -conj(z_k) of the lower half's, and the middle seed of an
+    odd n_d has Re z = 0 exactly: the EPs come in exact mirror pairs, and
+    the middle one has e_d = 0 and Re z = 0.  The result is certified: one
+    EP in each gap, its e_d strictly inside it.  Returned in gap order.
+    The infinite chain and n_d <= 2 have no EP.
+
+    Raises
+    ------
+    ConvergenceError
+        If a seed's Newton fails, or settles with its e_d outside its gap;
+        the message names the gap.
+    """
+    if not model.is_semi_infinite or model.n_d <= 2:
         return []
-    block = _block_rows(coeffs.shape[1] - 1)
-    u = np.concatenate([_w_roots(coeffs[i : i + block], top[i : i + block])
-                        for i in range(0, len(g), block)])
-    nearest = np.concatenate([np.abs(u[1:][i : i + block, None] - u[:-1][i : i + block, :, None])
-                              .argmin(axis=-1) for i in range(0, len(g) - 1, block)])
-    # of the roots +-sqrt(u) of E_g, the one with Im w <= 0
-    w = np.sqrt(u.astype(complex))
-    w = np.where(w.imag > 0, -w, w)
-    with np.errstate(all="ignore"):
-        e_d = -_horner((base + g2[:, None] * d_g2)[:, ::-1], w) / _horner(d_ed[None, ::-1], w)
-        line = np.arange(len(w) - 1)[:, None]
-        w1, e1 = w[1:][line, nearest], e_d[1:][line, nearest]
-        a, b = e_d[:-1].imag, e1.imag
-        k, j = np.nonzero(np.sign(a) * np.sign(b) < 0)
-        w0 = w[k, j] + a[k, j] / (a[k, j] - b[k, j]) * (w1[k, j] - w[k, j])
-        z0 = 0.5 * (w0 + 1.0 / w0)
-    eps, desc = [], _descending(rows)
-    for z in z0.tolist():
+    n = model.n_d
+    lower = []
+    for k in range(1, n // 2):
+        t = math.pi * (k + 0.5) / n
+        lower.append(complex(-math.cos(t), -0.64 * math.sin(t) / n))
+    middle = [complex(0.0, -0.64 / n)] if n % 2 else []
+    seeds = lower + middle + [-z.conjugate() for z in reversed(lower)]
+    bics, desc = bic_energies(model), _descending(_ep_rows(model))
+    eps = []
+    for k, (z, lo, hi) in enumerate(zip(seeds, bics, bics[1:]), start=1):
+        gap = f"BIC gap {k} of {n - 2}, e_d in ({lo!r}, {hi!r})"
         try:
             ep = _ep_newton(model, desc, z - sqrt_branch(SheetedEnergy(z, Sheet.II)), EP_TOL, 200)
-        except FanochainError:
-            continue
-        if g_range[0] <= ep.g <= g_range[1] and ed_range[0] <= ep.e_d <= ed_range[1]:
-            eps.append(ep)
-    return sorted(eps, key=lambda ep: (ep.g, ep.e_d))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"no EP in {gap}: {exc}", trace=exc.trace) from exc
+        if not lo < ep.e_d < hi:
+            raise ConvergenceError(f"no EP in {gap}: its seed's Newton settled at e_d = {ep.e_d!r}")
+        eps.append(ep)
+    return eps

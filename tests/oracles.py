@@ -3,9 +3,9 @@
 Everything here goes back to a defining integral, a path-following
 construction, or a solve in z through the self-energy, and
 never calls the closed forms in w that it is used to check.  Two
-exceptions: reference_eps, which checks the line enumeration of
-scan_for_ep_seeds, polishes with find_ep, but from a census, not from
-lines; and full_certified_roots and trace_by_loop, which check that the
+exceptions: reference_eps, which checks the EP census of
+scan_for_ep_seeds, polishes with find_ep, but from the resonances of a
+per-cell census, not from closed-form seeds; and full_certified_roots and trace_by_loop, which check that the
 warm solve of a sweep computes one member of each conjugate pair and
 mirrors the other, and that trace links its branches by index maps, are
 the earlier Newton and certificate on every root and the earlier

@@ -671,7 +671,7 @@ def test_spectrum_far_outside_the_band_is_zero_without_warnings(capsys):
 @pytest.mark.parametrize("option", [["--grid", "16", "16"], ["--threshold", "0.2"]],
                          ids=["--grid", "--threshold"])
 def test_retired_ep_options_are_usage_errors(capsys, option):
-    # the scan enumerates the EPs of the box on g lines: no grid, no threshold
+    # the scan filters the EP census by the box: no grid, no threshold
     argv = ["ep", "--chain", "semi", "--nd", "4", "--g", "0.2", "--ed", "-0.5",
             "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0", *option]
     assert run(argv) == 2
@@ -727,15 +727,15 @@ def test_reversed_ep_box_is_usage_error(capsys, ranges, option):
 
 def test_ep_box_of_equal_g_ends_is_usage_error(capsys):
     # as equal trajectory and spectrum ends are, not a header with no rows, even at the
-    # README EP's own g; equal --ed-range ends stay valid, and at the EP's own e_d, on the
-    # same g lines, they keep its row
+    # README EP's own g; equal --ed-range ends stay valid, and at the EP's own e_d they
+    # keep its row
     box = [*_EP, "--g-range", "0.1", "0.25"]
     assert run([*box, "--ed-range", "-0.8", "0"]) == 0
     readme = capsys.readouterr().out
     g, e_d = readme.splitlines()[1].split(",")[:2]
     assert run([*_EP, "--g-range", g, g, "--ed-range", "-0.8", "0"]) == 2
     assert capsys.readouterr() == (
-        "", "error: g_range (0.172845, 0.172845) has equal ends, so its 16 lines would repeat one g\n")
+        "", "error: g_range (0.172845, 0.172845) has equal ends\n")
     assert run([*box, "--ed-range", e_d, e_d]) == 0
     assert capsys.readouterr().out == readme
 
@@ -1171,10 +1171,15 @@ def test_ep_bytes_do_not_depend_on_simd_kernels(capsys, python_child):
     # the setting takes: numpy then reports none of those targets in use
     check = python_child("-c", _SIMD_TARGETS_IN_USE, env=scalar)
     assert (check.returncode, check.stdout) == (0, b"[]\n"), check.stderr
-    # the README box and the wide box
-    for box in (["--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"],
-                ["--g-range", "0.01", "0.5", "--ed-range", "-1.5", "1.5"]):
-        assert run([*_EP, *box]) == 0
-        child = python_child("-m", "fanochain.cli", *_EP, *box, env=scalar)
+    # the README box, the wide box, and the from-zero box of n_d = 40, which holds all 38
+    # of its EPs
+    n_d40 = ["ep", "--chain", "semi", "--nd", "40", "--g", "0.2", "--ed", "-0.5"]
+    for argv, rows in (([*_EP, "--g-range", "0.1", "0.25", "--ed-range", "-0.8", "0"], 1),
+                       ([*_EP, "--g-range", "0.01", "0.5", "--ed-range", "-1.5", "1.5"], 2),
+                       ([*n_d40, "--g-range", "0", "0.5", "--ed-range", "-1.5", "1.5"], 38)):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 + rows
+        child = python_child("-m", "fanochain.cli", *argv, env=scalar)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == capsys.readouterr().out.encode()
+        assert child.stdout == out.encode()

@@ -19,6 +19,7 @@ from fanochain import (
     Sheet,
     SheetedEnergy,
     StateClass,
+    bic_energies,
     discrete_states,
     eta,
     eta_deriv,
@@ -1062,40 +1063,34 @@ def test_scan_empty_ranges():
     for g_range in ((0.1, 0.1), (0.0, 0.0)):
         with pytest.raises(ModelError, match="has equal ends"):
             scan_for_ep_seeds(m, g_range, (-0.8, 0.0))
-    for n_g in (0, 1):  # one line brackets nothing
-        with pytest.raises(ModelError):
-            scan_for_ep_seeds(m, (0.1, 0.3), (-0.8, 0.0), n_g=n_g)
 
 
 @pytest.mark.parametrize("model, g_range, ed_range", [
-    # the line at g = 0 (no coupling) is not solved, which leaves one
+    # boxes from g = 0, and in the n_d = 1 one p loses its leading term at g = 0.5
     (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99)),
-    # nor is the line at g = 0.5, where F_g loses its leading term (4 g^2 v^2 = 1)
     (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 0.5), (-1.2, 1.2)),
 ], ids=["infinite", "n_d=1"])
 def test_scan_with_fewer_than_two_solvable_lines_is_empty(model, g_range, ed_range, monkeypatch):
-    # fewer than two lines leave no link to bracket an EP along, so none is solved
+    # neither chain has an EP, so the scan polishes nothing and returns no EP
     def unsolved(*args):
-        raise AssertionError("a line was solved")
+        raise AssertionError("an EP was polished")
 
-    monkeypatch.setattr(sweep, "_w_roots", unsolved)
+    monkeypatch.setattr(sweep, "_ep_newton", unsolved)
     assert scan_for_ep_seeds(model, g_range, ed_range, n_g=2) == []
 
 
 def test_scan_refuses_equal_g_ends_even_at_an_ep():
-    # its n_g lines would all be the one g and bracket nothing, so an empty result would
-    # hide the README EP even at its own g, which a box around it finds; equal e_d ends
-    # stay valid
+    # as a trajectory refuses a sweep of one value, even at the README EP's own g, which a
+    # box around it finds; equal e_d ends stay valid
     m = ChainModel.semi_infinite(4, -0.5, 0.2)
     [ep] = scan_for_ep_seeds(m, (0.1, 0.25), (-0.8, 0.0))
     assert ep.g == pytest.approx(0.1728447982297488, rel=1e-14)
     assert ep.e_d == pytest.approx(-0.398196974278297, rel=1e-14)
-    with pytest.raises(ModelError, match=re.escape(
-            "g_range (0.172845, 0.172845) has equal ends, so its 16 lines would repeat one g")):
+    with pytest.raises(ModelError, match=re.escape("g_range (0.172845, 0.172845) has equal ends") + "$"):
         scan_for_ep_seeds(m, (ep.g, ep.g), (-0.8, 0.0))
     [near] = scan_for_ep_seeds(m, (0.17, 0.175), (-0.8, 0.0))
     assert near.g == pytest.approx(ep.g, rel=1e-14) and near.e_d == pytest.approx(ep.e_d, rel=1e-14)
-    # the e_d box only filters the EPs of the same g lines, so it keeps this one exactly
+    # the e_d box only filters the census, so it keeps this one exactly
     assert scan_for_ep_seeds(m, (0.1, 0.25), (ep.e_d, ep.e_d)) == [ep]
 
 
@@ -1173,8 +1168,8 @@ def split_slope(model, ep):
 
 @pytest.mark.parametrize("n_d, g_ep", [(3, 0.21886216), (5, 0.16779810)])
 def test_scan_finds_the_ep_at_e_d_zero(n_d, g_ep):
-    # the pair coalesces on the imaginary w axis, where the mirror EPs +-e_d meet: a
-    # negative root u = w^2 of F_g seeds it exactly on the axis, and it stays there
+    # the pair coalesces on the imaginary w axis, where the mirror EPs +-e_d meet: the
+    # census seeds it exactly on the axis, Re z = 0, and it stays there
     model = ChainModel.semi_infinite(n_d, -0.5, 0.2)
     seeds = [s for s in scan_for_ep_seeds(model, (0.02, 0.5), (-0.95, 0.95)) if s.e_d == 0.0]
     (seed,) = seeds
@@ -1206,10 +1201,7 @@ def test_scan_finds_both_eps_of_the_wide_box():
 
 
 def test_scan_from_g_zero_at_large_n_d():
-    # the n_d - 2 EPs of adjacent resonance pairs, the lowest at g = 0.0068, below the
-    # second line: the halving split of the first interval finds them, and stops at
-    # g = 6.8e-8, above where the roots of F_g lose their accuracy (below g = 1e-13; those
-    # of E_g solved in w, below 1e-10) and would give spurious brackets
+    # the n_d - 2 EPs of adjacent resonance pairs, the lowest at g = 0.0068
     model = ChainModel.semi_infinite(40, -0.5, 0.2)
     seeds = scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5), n_g=8)
     assert len({(round(s.g, 9), round(s.e_d, 9)) for s in seeds}) == len(seeds) == 38
@@ -1247,9 +1239,9 @@ def test_scan_eps_match_a_50_digit_solve(box):
 SCAN_BOXES = {
     # README box; its e_d range ends at the exact BIC e_d = 0
     "readme": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.1, 0.25), (-0.8, 0.0)),
-    # E_g loses its leading term at g = 0, which ends the box
+    # a box from g = 0, where no EP lies
     "g-from-zero": (ChainModel.semi_infinite(4, -0.5, 0.2), (0.0, 0.3), (-0.9, 0.9)),
-    # E_g and p lose their leading term at g = 0.5 (4 g^2 v^2 = 1), a line when n_g = 9
+    # p loses its leading term at g = 0.5 (4 g^2 v^2 = 1)
     "n_d=1": (ChainModel.semi_infinite(1, -0.5, 0.2), (0.0, 1.0), (-1.2, 1.2)),
     # one resonance, so no EP; band-edge roots fail the |eta| gate at weak coupling
     "infinite": (ChainModel.infinite(-0.5, 0.2), (0.0, 0.12), (-0.99, 0.99)),
@@ -1261,7 +1253,7 @@ EP_BOXES = {
        for n_d in (3, 4, 5, 6, 8, 12, 16, 24)
        for name, g_range, ed_range in [("narrow", (0.02, 0.5), (-0.95, 0.95)),
                                        ("wide", (0.01, 0.5), (-1.5, 1.5))]},
-    # its 11 EP pairs reach down to g = 0.0145, below the second line at n_g = 8 or 16
+    # its 11 EP pairs reach down to g = 0.0145
     "n_d=24:g-from-zero": (ChainModel.semi_infinite(24, -0.5, 0.2), (0.0, 0.5), (-1.5, 1.5)),
     # p depends on g and v only through g v
     "v=1e-5": (ChainModel.semi_infinite(4, -0.5, 2e4, v=1e-5), (1e4, 2.5e4), (-0.8, 0.0)),
@@ -1276,8 +1268,9 @@ def reference(box):
 @pytest.mark.parametrize("box", EP_BOXES)
 @pytest.mark.parametrize("n_g", [8, 16])
 def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
-    # the line enumeration finds exactly the EPs that find_ep finds from every resonance
-    # of a per-cell census, each once, and every bracket it polishes holds an EP
+    # the census finds exactly the EPs that find_ep finds from every resonance of a
+    # per-cell census, each once, and every seed it polishes gives an EP, whatever the
+    # unused n_g
     model, g_range, ed_range = EP_BOXES[box]
     failed, newton = [], sweep._ep_newton
 
@@ -1301,79 +1294,79 @@ def test_scan_matches_per_cell_solves(box, n_g, monkeypatch):
         assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
 
 
-def test_scan_drops_an_ep_whose_polish_fails(monkeypatch):
+def test_a_failed_polish_raises_naming_its_gap(monkeypatch):
+    # the census never drops an EP: a seed whose Newton fails, or settles outside its gap
+    # between adjacent BIC energies, raises ConvergenceError naming that gap
     model, g_range, ed_range = SCAN_BOXES["n_d=12"]
-    every = scan_for_ep_seeds(model, g_range, ed_range)
-    seeds, newton = [], sweep._ep_newton
+    newton = sweep._ep_newton
 
-    def polish(*args):
-        seeds.append(args)
-        if len(seeds) == 1:
-            raise ConvergenceError("refused")
-        return newton(*args)
+    def refused(*args):
+        raise ConvergenceError("refused", trace=[(0j, 0j, 0j)])
 
-    monkeypatch.setattr(sweep, "_ep_newton", polish)
-    got = scan_for_ep_seeds(model, g_range, ed_range)
-    assert len(seeds) == len(every) > 1
-    dropped = newton(*seeds[0])
-    assert dropped in every
-    assert got == [ep for ep in every if ep != dropped]
+    monkeypatch.setattr(sweep, "_ep_newton", refused)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "no EP in BIC gap 1 of 10, e_d in (-0.9659258262890683, -0.8660254037844387): refused")) as info:
+        scan_for_ep_seeds(model, g_range, ed_range)
+    assert info.value.trace == [(0j, 0j, 0j)]
+    seeds = []
 
+    def swapped(*args):  # the fourth seed lands on the third gap's EP
+        seeds.append(args[2])
+        return newton(*args[:2], seeds[2] if len(seeds) == 4 else args[2], *args[3:])
 
-@pytest.mark.parametrize("box", SCAN_BOXES)
-@pytest.mark.parametrize("block", [1, 100, 1000])
-def test_scan_blocks_match_single_block(box, block, monkeypatch):
-    model, g_range, ed_range = SCAN_BOXES[box]
-    n_g = 9  # a line at g = 0.5 in the n_d = 1 box
-    deg = model.n_d if model.is_semi_infinite else 3  # the degree of F_g, E_g in u = w^2
-    assert (n_g + 20) * deg**2 <= dispersion.SCAN_BLOCK  # one block by default, of lines and links
-    seeds = scan_for_ep_seeds(model, g_range, ed_range, n_g)
-    monkeypatch.setattr(dispersion, "SCAN_BLOCK", block)
-    assert scan_for_ep_seeds(model, g_range, ed_range, n_g) == seeds
+    monkeypatch.setattr(sweep, "_ep_newton", swapped)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "no EP in BIC gap 4 of 10, e_d in (-0.5000000000000001, -0.25881904510252074): its seed's "
+            "Newton settled at e_d = -0.6")):
+        scan_for_ep_seeds(model, g_range, ed_range)
 
 
-def e_g_rows(model):
-    """The rows E_0, E_1 of E_g = E_0 + g^2 E_1 = P D' - P' D, as the scan builds them."""
-    base, d_ed, d_g2, base1, d_ed1, d_g21 = sweep._ep_rows(model)[:6]
-    return np.array([np.convolve(base, d_ed1) - np.convolve(base1, d_ed),
-                     np.convolve(d_g2, d_ed1) - np.convolve(d_g21, d_ed)])
+@pytest.mark.parametrize("v", [1e-5, 1.0, 1e3])
+def test_ep_census_has_one_ep_in_each_bic_gap(v):
+    # n_d - 2 EPs, one strictly inside each gap between adjacent BIC energies; seeded in
+    # exact mirror pairs, they come back as exact mirror pairs (g, e_d, z), (g, -e_d,
+    # -conj(z)), and the middle one of an odd n_d lies on the axis, e_d = 0, Re z = 0
+    for n_d in [*range(3, 65), 128, 256]:
+        model = ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v)
+        eps, bics = sweep._ep_census(model), bic_energies(model)
+        assert len(eps) == n_d - 2
+        for ep, lo, hi in zip(eps, bics, bics[1:]):
+            assert lo < ep.e_d < hi and ep.z.imag < 0
+            assert ep.residual_eta < EP_TOL and ep.residual_eta_prime < EP_TOL
+        for ep, image in zip(eps, eps[::-1]):
+            assert (image.g, image.e_d, image.z) == (ep.g, -ep.e_d, -ep.z.conjugate())
+        if n_d % 2:
+            axis = eps[n_d // 2 - 1]
+            assert axis.e_d == 0.0 and axis.z.real == 0.0
 
 
 @pytest.mark.parametrize("v", [1e-5, 0.7, 1.0, 1.3])
-def test_e_g_is_even_in_w(v):
+def test_w_rows_have_exact_parity(v):
     # base and d_g2 hold only even powers of w and d_ed only odd ones, on both chains, so
-    # E_g = F_g(w^2) exactly: the scan solves F_g, at half E_g's degree
+    # p(-w; -e_d) = p(w; e_d): the fact the EP census's exact mirror pairs rest on
     for model in [ChainModel.infinite(-0.5, 0.2, v=v)] + [
             ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v) for n_d in range(1, 65)]:
-        rows = e_g_rows(model)
-        assert not rows[:, 1::2].any()
-        assert rows[:, ::2].any(axis=1).all()
+        base, d_ed, d_g2 = _w_rows(model)
+        assert not base[1::2].any() and not d_g2[1::2].any() and not d_ed[::2].any()
+        assert base.any() and d_ed.any() and d_g2.any()
 
 
-def test_scan_solves_its_lines_at_half_degree(monkeypatch):
-    # every eigvals call of a scan is a stack of (n_d, n_d) companion matrices of F_g, or
-    # (3, 3) on the infinite chain, not the (2 n_d, 2 n_d) ones of E_g
-    shapes, eigvals = [], np.linalg.eigvals
+def test_scan_calls_no_eigvals(monkeypatch):
+    # the EP census polishes closed-form seeds: no polynomial is solved
+    def unsolved(*args):
+        raise AssertionError("eigvals was called")
 
-    def spy(a):
-        shapes.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", unsolved)
     for n_d in (None, 1, 2, 4, 5, 12, 40):
         model = ChainModel.semi_infinite(n_d, -0.5, 0.2) if n_d else ChainModel.infinite(-0.5, 0.2)
-        shapes.clear()
-        scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5))
-        deg = n_d or 3
-        assert shapes and all(len(s) == 3 and s[1:] == (deg, deg) for s in shapes)
+        assert len(scan_for_ep_seeds(model, (0.0, 0.5), (-1.5, 1.5))) == max(0, (n_d or 0) - 2)
 
 
 @pytest.mark.parametrize("v", [1.0, 0.7, 1.3])
 @pytest.mark.parametrize("n_d", [2, 3, 4, 5, 6, 8, 12, 16, 24, 40])
 def test_scan_of_a_box_symmetric_in_e_d_is_mirror_symmetric(n_d, v):
     # p(-w; -e_d) = p(w; e_d), so each EP (g, e_d, z) comes with (g, -e_d, -conj(z)), and
-    # the scan finds both bit for bit: the roots u of F_g come in exact conjugate pairs,
-    # whose square roots below the axis are w and -conj(w); the axis EPs are their own mirrors
+    # the scan finds both bit for bit, from exact mirror seeds; the axis EPs are their own mirrors
     model = ChainModel.semi_infinite(n_d, -0.5, 0.2, v=v)
     for g_range, ed_range in [((0.02, 0.5), (-0.95, 0.95)), ((0.01, 0.5 / v), (-1.5, 1.5)),
                               ((0.0, 0.5 / v), (-1.5, 1.5))]:
